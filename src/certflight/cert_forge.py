@@ -134,13 +134,6 @@ def _build(template: DerCertTemplate, pad_len: int, serial_len: int) -> bytes:
     return _tlv(_TAG_SEQUENCE, tbs + sig_alg + signature)
 
 
-def encoded_size(template: DerCertTemplate, pad_len: int, serial_len: int = _SERIAL_MIN) -> int:
-    """Total certificate size for a given padding payload length."""
-    if pad_len < 0:
-        raise ValueError("pad_len must be >= 0")
-    return len(_build(template, pad_len, serial_len))
-
-
 def minimum_size(template: DerCertTemplate) -> int:
     return len(_build(template, 0, _SERIAL_MIN))
 

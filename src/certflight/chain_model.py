@@ -11,17 +11,18 @@ proof.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 
 DEFAULT_KB_BYTES = 1000
 
 
 def kb_to_bytes(size_kb: float, kb_bytes: int = DEFAULT_KB_BYTES) -> int:
     """Convert a KB size to whole bytes under the given convention."""
-    if size_kb < 0:
-        raise ValueError(f"size must be >= 0, got {size_kb}")
+    if not 0 <= size_kb < math.inf:
+        raise ValueError(f"size must be finite and >= 0, got {size_kb}")
     return round(size_kb * kb_bytes)
 
 
@@ -40,10 +41,11 @@ class SchemeProfile:
     mtc_leaf_kb: float | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.leaf_kb <= 0 or self.intermediate_kb <= 0:
-            raise ConfigError(f"{self.name}: certificate sizes must be positive")
+            raise ConfigError("certificate sizes must be positive")
         if self.mtc_leaf_kb is not None and self.mtc_leaf_kb <= 0:
-            raise ConfigError(f"{self.name}: mtc_leaf_kb must be positive when set")
+            raise ConfigError("mtc_leaf_kb must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,7 @@ class SizeOptimizer:
     factor: float | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in _ALL_KINDS:
             raise ConfigError(f"unknown optimizer kind {self.kind!r}")
         if self.kind in _CDN_KINDS:
@@ -138,8 +141,8 @@ class SizeOptimizer:
 
 def effective_size_kb(size_kb: float, optimizer: SizeOptimizer) -> float:
     """Chain size on the wire after applying one optimizer."""
-    if size_kb < 0:
-        raise ValueError(f"size must be >= 0, got {size_kb}")
+    if not 0 <= size_kb < math.inf:
+        raise ValueError(f"size must be finite and >= 0, got {size_kb}")
     if optimizer.kind == MTC_ONE_INTERMEDIATE:
         return size_kb / 2 + 1
     if optimizer.kind == MTC_TWO_INTERMEDIATES:
@@ -186,35 +189,25 @@ def resolve_scheme(name: str, schemes: dict[str, SchemeProfile] | None = None) -
     raise ConfigError(f"unknown scheme {name!r}; known: {', '.join(sorted(table))}")
 
 
-def scheme_to_dict(profile: SchemeProfile) -> dict:
-    d = {"leaf_kb": profile.leaf_kb, "intermediate_kb": profile.intermediate_kb}
-    if profile.mtc_leaf_kb is not None:
-        d["mtc_leaf_kb"] = profile.mtc_leaf_kb
-    return d
-
-
-def scheme_from_dict(name: str, d: dict) -> SchemeProfile:
-    try:
-        return SchemeProfile(
-            name,
-            leaf_kb=float(d["leaf_kb"]),
-            intermediate_kb=float(d["intermediate_kb"]),
-            mtc_leaf_kb=float(d["mtc_leaf_kb"]) if d.get("mtc_leaf_kb") is not None else None,
-        )
-    except KeyError as e:
-        raise ConfigError(f"scheme {name!r} is missing field {e.args[0]!r}") from None
-
-
 def load_scheme_profiles(path) -> dict[str, SchemeProfile]:
     """Read scheme profiles from a JSON object keyed by scheme name."""
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object of scheme profiles")
-    return {name: scheme_from_dict(name, d) for name, d in raw.items()}
+    profiles = {}
+    for name, d in raw.items():
+        try:
+            profiles[name] = SchemeProfile(name, **d)
+        except (TypeError, ConfigError) as e:
+            raise ConfigError(f"{path}: scheme {name!r}: {e}") from None
+    return profiles
 
 
 def save_scheme_profiles(profiles: dict[str, SchemeProfile], path) -> None:
+    raw = {name: asdict(p) for name, p in profiles.items()}
+    for d in raw.values():
+        del d["name"]
     with open(path, "w", encoding="utf-8") as f:
-        json.dump({name: scheme_to_dict(p) for name, p in profiles.items()}, f, indent=2)
+        json.dump(raw, f, indent=2)
         f.write("\n")

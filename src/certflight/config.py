@@ -2,31 +2,29 @@
 
 Precedence is CLI flags over config file over built-in defaults. The
 config file path comes from --config or the CERTFLIGHT_CONFIG
-environment variable.
+environment variable. The file mirrors the dataclass fields, and a key
+left out keeps the dataclass default. Unknown keys, missing profile
+fields and bad values raise ConfigError naming the key path. The
+top-level kb_bytes sets the KB of forged chains and of the flight model.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 
-from .chain_model import (
-    DEFAULT_KB_BYTES,
-    DEFAULT_OPTIMIZERS,
-    DEFAULT_SCHEMES,
-    SchemeProfile,
-    SizeOptimizer,
-    scheme_from_dict,
-    scheme_to_dict,
-)
-from .errors import ConfigError
+from .chain_model import DEFAULT_SCHEMES, SchemeProfile, SizeOptimizer
+from .errors import ConfigError, check_fields
 from .sweep_runner import SweepPlan
 from .transport_flight import FlightModel
 from .ttfb_engine import DEFAULT_STACKS, NoiseModel, StackProfile
 
 ENV_CONFIG = "CERTFLIGHT_CONFIG"
+
+# Top-level sections that map a profile name to the profile's other fields.
+_PROFILES = {"schemes": SchemeProfile, "stacks": StackProfile}
 
 
 def _data_path(name: str) -> str:
@@ -43,7 +41,18 @@ class Config:
     asn_map_csv: str | None = None
     cdn_asn_file: str | None = None
     cloud_asn_file: str | None = None
-    kb_bytes: int = DEFAULT_KB_BYTES
+
+    def __post_init__(self):
+        check_fields(self)
+
+    @property
+    def kb_bytes(self) -> int:
+        """Bytes per KB, for forged chain targets and flight boundaries."""
+        return self.flight.kb_bytes
+
+    @kb_bytes.setter
+    def kb_bytes(self, value: int) -> None:
+        self.flight = replace(self.flight, kb_bytes=value)
 
     def resolve_asn_paths(self) -> tuple[str, str, str]:
         """Configured analytics inputs, falling back to packaged samples."""
@@ -54,98 +63,47 @@ class Config:
         )
 
 
+def _expect(path: str, raw, kind=dict):
+    if not isinstance(raw, kind):
+        raise ConfigError(f"config {path} must be a JSON {'object' if kind is dict else 'list'}")
+    return raw
+
+
+def _build(path: str, target, raw, **fixed):
+    """Make a dataclass from the JSON object at path. target is a class, or
+    an instance whose fields the object leaves out keep their values (an
+    instance's class has a default for every field)."""
+    # flight.kb_bytes is set only through the top-level kb_bytes.
+    known = {f.name: f for f in fields(target) if f.name not in fixed and f.name != "kb_bytes"}
+    values = {}
+    for key, value in _expect(path, raw).items():
+        where = f"{path}.{key}" if path else key
+        if key not in known:
+            raise ConfigError(f"unknown config key {where}")
+        if is_dataclass(getattr(target, key, None)):
+            value = _build(where, getattr(target, key), value)
+        elif where in _PROFILES:
+            value = {n: _build(f"{where}.{n}", _PROFILES[where], d, name=n)
+                     for n, d in _expect(where, value).items()}
+        elif where == "sweep.optimizers":
+            value = tuple(_build(f"{where}.{i}", SizeOptimizer, d)
+                          for i, d in enumerate(_expect(where, value, list)))
+        values[key] = value
+    for name, f in known.items():
+        if name not in values and f.default is MISSING is f.default_factory:
+            raise ConfigError(f"missing config key {path}.{name}")
+    try:
+        return target(**fixed, **values) if isinstance(target, type) else replace(target, **values)
+    except ConfigError as e:
+        raise ConfigError(f"config {path or 'file'}: {e}") from None
+
+
 def config_to_dict(cfg: Config) -> dict:
-    return {
-        "kb_bytes": cfg.kb_bytes,
-        "schemes": {name: scheme_to_dict(p) for name, p in cfg.schemes.items()},
-        "stacks": {
-            name: {
-                "base_ms": p.base_ms,
-                "base_flights": p.base_flights,
-                "resumed_base_ms": p.resumed_base_ms,
-            }
-            for name, p in cfg.stacks.items()
-        },
-        "flight": {
-            "iw_bytes": cfg.flight.iw_bytes,
-            "growth_factor": cfg.flight.growth_factor,
-            "handshake_overhead_bytes": cfg.flight.handshake_overhead_bytes,
-            "mode": cfg.flight.mode,
-            "empirical_thresholds_kb": list(cfg.flight.empirical_thresholds_kb),
-            "kb_bytes": cfg.flight.kb_bytes,
-        },
-        "sweep": {
-            "stacks": list(cfg.sweep.stacks),
-            "rtts_ms": list(cfg.sweep.rtts_ms),
-            "size_start_kb": cfg.sweep.size_start_kb,
-            "size_end_kb": cfg.sweep.size_end_kb,
-            "size_step_kb": cfg.sweep.size_step_kb,
-            "trials": cfg.sweep.trials,
-            "seed": cfg.sweep.seed,
-            "optimizers": [
-                {"kind": o.kind, "factor": o.factor} for o in cfg.sweep.optimizers
-            ],
-        },
-        "noise": {"kind": cfg.noise.kind, "std_ms": cfg.noise.std_ms, "seed": cfg.noise.seed},
-        "asn_map_csv": cfg.asn_map_csv,
-        "cdn_asn_file": cfg.cdn_asn_file,
-        "cloud_asn_file": cfg.cloud_asn_file,
-    }
-
-
-def config_from_dict(raw: dict) -> Config:
-    cfg = Config()
-    if "kb_bytes" in raw:
-        cfg.kb_bytes = int(raw["kb_bytes"])
-    if "schemes" in raw:
-        cfg.schemes = {n: scheme_from_dict(n, d) for n, d in raw["schemes"].items()}
-    if "stacks" in raw:
-        cfg.stacks = {
-            n: StackProfile(
-                n,
-                base_ms=float(d["base_ms"]),
-                base_flights=float(d["base_flights"]),
-                resumed_base_ms=(
-                    float(d["resumed_base_ms"]) if d.get("resumed_base_ms") is not None else None
-                ),
-            )
-            for n, d in raw["stacks"].items()
-        }
-    if "flight" in raw:
-        d = raw["flight"]
-        cfg.flight = FlightModel(
-            iw_bytes=int(d.get("iw_bytes", 14000)),
-            growth_factor=float(d.get("growth_factor", 2.0)),
-            handshake_overhead_bytes=int(d.get("handshake_overhead_bytes", 4000)),
-            mode=d.get("mode", "empirical"),
-            empirical_thresholds_kb=tuple(d.get("empirical_thresholds_kb", (10.0, 40.0))),
-            kb_bytes=int(d.get("kb_bytes", cfg.kb_bytes)),
-        )
-    if "sweep" in raw:
-        d = raw["sweep"]
-        cfg.sweep = SweepPlan(
-            stacks=tuple(d.get("stacks", ("ClassicalSim",))),
-            rtts_ms=tuple(d.get("rtts_ms", (0.0, 10.0, 50.0, 100.0, 200.0))),
-            size_start_kb=float(d.get("size_start_kb", 4.0)),
-            size_end_kb=float(d.get("size_end_kb", 80.0)),
-            size_step_kb=float(d.get("size_step_kb", 2.0)),
-            trials=int(d.get("trials", 100)),
-            seed=int(d.get("seed", 1234)),
-            optimizers=tuple(
-                SizeOptimizer(o["kind"], o.get("factor")) for o in d.get("optimizers", ())
-            ),
-        )
-    if "noise" in raw:
-        d = raw["noise"]
-        cfg.noise = NoiseModel(
-            kind=d.get("kind", "gaussian"),
-            std_ms=float(d.get("std_ms", 0.2)),
-            seed=int(d.get("seed", 1234)),
-        )
-    for key in ("asn_map_csv", "cdn_asn_file", "cloud_asn_file"):
-        if raw.get(key) is not None:
-            setattr(cfg, key, str(raw[key]))
-    return cfg
+    raw = asdict(cfg)
+    for section in _PROFILES:
+        for profile in raw[section].values():
+            del profile["name"]
+    return {"kb_bytes": raw["flight"].pop("kb_bytes"), **raw}
 
 
 def load_config(path) -> Config:
@@ -154,9 +112,11 @@ def load_config(path) -> Config:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return config_from_dict(raw)
+    raw = dict(_expect("file", raw))
+    cfg = Config()
+    if "kb_bytes" in raw:
+        cfg.kb_bytes = raw.pop("kb_bytes")
+    return _build("", cfg, raw)
 
 
 def save_config(cfg: Config, path) -> None:
@@ -168,10 +128,4 @@ def save_config(cfg: Config, path) -> None:
 def resolve_config(path_flag: str | None = None) -> Config:
     """Load the config named by flag, else env var, else defaults."""
     path = path_flag or os.environ.get(ENV_CONFIG)
-    if path:
-        return load_config(path)
-    return Config()
-
-
-def default_optimizers() -> tuple[SizeOptimizer, ...]:
-    return DEFAULT_OPTIMIZERS
+    return load_config(path) if path else Config()

@@ -13,19 +13,13 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from .chain_model import SizeOptimizer, effective_size_kb
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .transport_flight import FlightModel
-from .ttfb_engine import (
-    NetworkPath,
-    NoiseModel,
-    StackProfile,
-    estimate_ttfb,
-    sample_ttfb,
-    with_seed,
-)
+from .ttfb_engine import NetworkPath, NoiseModel, StackProfile, estimate_ttfb, sample_ttfb
 
 DEFAULT_RTTS_MS = (0.0, 10.0, 50.0, 100.0, 200.0)
 
@@ -42,6 +36,7 @@ class SweepPlan:
     optimizers: tuple[SizeOptimizer, ...] = ()
 
     def __post_init__(self):
+        check_fields(self)
         if not self.stacks:
             raise ConfigError("plan needs at least one stack")
         if not self.rtts_ms:
@@ -100,8 +95,8 @@ def run_sweep(
                 for label, opt in variants:
                     wire_kb = size if opt is None else effective_size_kb(size, opt)
                     estimate = estimate_ttfb(stack, path, wire_kb)
-                    row_noise = with_seed(
-                        noise, _row_seed(plan.seed, stack_name, rtt, size, label)
+                    row_noise = replace(
+                        noise, seed=_row_seed(plan.seed, stack_name, rtt, size, label)
                     )
                     _, summary = sample_ttfb(estimate, row_noise, plan.trials)
                     rows.append(
@@ -241,8 +236,8 @@ def compute_regions(
     regions = []
     for optimizer in optimizers:
         for threshold in thresholds_kb:
-            if threshold <= 1:
-                raise ConfigError("thresholds below 1 KB have no optimization region")
+            if not 1 < threshold < math.inf:
+                raise ConfigError("thresholds must be finite and above 1 KB to have a region")
             upper = _invert(optimizer, threshold)
             regions.append(
                 OptimizationRegion(

@@ -72,6 +72,11 @@ _TRUE = {"t", "true", "1", "yes"}
 _FALSE = {"f", "false", "0", "no"}
 
 
+# The epoch timestamps datetime can represent, so month_key never fails.
+_TS_MIN = datetime.min.replace(tzinfo=timezone.utc).timestamp()
+_TS_MAX = datetime.max.replace(tzinfo=timezone.utc).timestamp()
+
+
 def _parse_bool(raw) -> bool | None:
     if isinstance(raw, bool):
         return raw
@@ -96,7 +101,8 @@ def parse_log_stream(
     """Yield records from a log stream, in input order, skipping bad lines.
 
     fmt is "tsv", "jsonl", or "auto" (sniffed from the first data line).
-    Malformed lines (bad column count, unparseable timestamp or address)
+    Malformed lines (bad column count, unparseable timestamp or address,
+    timestamp outside the years 1-9999 that ``month_key`` can render)
     are counted in stats and skipped. A missing resumption field is not
     malformed: the record defaults to resumed=False and the line is
     tallied under resumption_unknown. If more than half of all data
@@ -125,6 +131,8 @@ def parse_log_stream(
         try:
             ts = float(row[fmap["ts"]])
         except (KeyError, TypeError, ValueError):
+            return None
+        if not _TS_MIN <= ts < _TS_MAX:  # also false for NaN
             return None
         ip = row.get(fmap["ip"])
         if ip is None or str(ip).strip() in _UNSET:

@@ -21,15 +21,14 @@ implies and callers can compare.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .chain_model import DEFAULT_KB_BYTES
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 
 ANALYTIC = "analytic"
 EMPIRICAL = "empirical"
-
-DEFAULT_THRESHOLDS_KB = (10.0, 40.0)
 
 
 @dataclass(frozen=True)
@@ -38,10 +37,11 @@ class FlightModel:
     growth_factor: float = 2.0
     handshake_overhead_bytes: int = 4000
     mode: str = EMPIRICAL
-    empirical_thresholds_kb: tuple[float, ...] = DEFAULT_THRESHOLDS_KB
+    empirical_thresholds_kb: tuple[float, ...] = (10.0, 40.0)
     kb_bytes: int = DEFAULT_KB_BYTES
 
     def __post_init__(self):
+        check_fields(self)
         if self.iw_bytes <= 0:
             raise ConfigError("iw_bytes must be positive")
         if self.growth_factor <= 1:
@@ -50,10 +50,9 @@ class FlightModel:
             raise ConfigError("handshake_overhead_bytes must be >= 0")
         if self.mode not in (ANALYTIC, EMPIRICAL):
             raise ConfigError(f"mode must be {ANALYTIC!r} or {EMPIRICAL!r}")
-        thresholds = tuple(float(t) for t in self.empirical_thresholds_kb)
+        thresholds = self.empirical_thresholds_kb
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ConfigError("empirical thresholds must be strictly increasing")
-        object.__setattr__(self, "empirical_thresholds_kb", thresholds)
         if self.kb_bytes <= 0:
             raise ConfigError("kb_bytes must be positive")
 
@@ -72,8 +71,8 @@ def extra_rtts(model: FlightModel, size_kb: float) -> int:
     Strict exceedance on both paths: a chain exactly at a threshold
     (or exactly filling a flight) costs nothing extra.
     """
-    if size_kb < 0:
-        raise ValueError(f"size must be >= 0, got {size_kb}")
+    if not 0 <= size_kb < math.inf:
+        raise ValueError(f"size must be finite and >= 0, got {size_kb}")
     if model.mode == EMPIRICAL:
         return sum(1 for t in model.empirical_thresholds_kb if size_kb > t)
     needed = size_kb * model.kb_bytes + model.handshake_overhead_bytes
@@ -92,10 +91,10 @@ def find_thresholds(model: FlightModel, max_kb: float, step_kb: float) -> list[f
     step before the extra-RTT count increases. Empty when no increase
     occurs below max_kb.
     """
-    if step_kb <= 0:
-        raise ValueError("step_kb must be positive")
-    if max_kb <= step_kb:
-        raise ValueError("max_kb must exceed step_kb")
+    if not 0 < step_kb < math.inf:
+        raise ValueError("step_kb must be finite and positive")
+    if not step_kb < max_kb < math.inf:
+        raise ValueError("max_kb must be finite and exceed step_kb")
     steps = int(max_kb / step_kb)
     thresholds = []
     prev = extra_rtts(model, 0.0)

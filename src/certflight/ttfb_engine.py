@@ -21,12 +21,12 @@ Profiles are calibrated from (rtt, ttfb) measurements. Two fitters:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigError
+from .errors import CalibrationError, ConfigError, check_fields
 from .transport_flight import FlightModel, extra_rtts
 
 NOISE_NONE = "none"
@@ -43,14 +43,15 @@ class StackProfile:
     resumed_base_ms: float | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.base_ms < 0:
-            raise ConfigError(f"{self.name}: base_ms must be >= 0")
+            raise ConfigError("base_ms must be >= 0")
         if self.base_flights < 1:
-            raise ConfigError(f"{self.name}: base_flights must be >= 1")
+            raise ConfigError("base_flights must be >= 1")
         if self.resumed_base_ms is None:
             object.__setattr__(self, "resumed_base_ms", self.base_ms)
         elif self.resumed_base_ms > self.base_ms:
-            raise ConfigError(f"{self.name}: resumed_base_ms must not exceed base_ms")
+            raise ConfigError("resumed_base_ms must not exceed base_ms")
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,7 @@ class NetworkPath:
     flight: FlightModel = FlightModel()
 
     def __post_init__(self):
+        check_fields(self)
         if self.rtt_ms < 0:
             raise ConfigError("rtt_ms must be >= 0")
 
@@ -70,6 +72,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in (NOISE_NONE, NOISE_GAUSSIAN):
             raise ConfigError(f"noise kind must be {NOISE_NONE!r} or {NOISE_GAUSSIAN!r}")
         if self.std_ms < 0:
@@ -146,10 +149,6 @@ def sample_ttfb(
         samples = estimate.total_ms + rng.normal(0.0, noise.std_ms, size=trials)
     std = float(np.std(samples, ddof=1)) if trials > 1 else 0.0
     return samples, SampleSummary(mean_ms=float(np.mean(samples)), std_ms=std)
-
-
-def with_seed(noise: NoiseModel, seed: int) -> NoiseModel:
-    return replace(noise, seed=seed)
 
 
 def calibrate_stack_profile(

@@ -306,3 +306,69 @@ def test_seed_flag_changes_noise_only(tmp_path, capsys):
     row_b = out_b.splitlines()[1].split(",")
     assert row_a[3] != row_b[3]  # different noise
     assert row_a[5] == row_b[5] == "0"  # same structure
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--rtt", "10", "--size-kb", "-1"),
+    ("thresholds", "--step-kb", "0"),
+    ("sweep", "--sizes", "4:nan:1", "--trials", "2"),
+    ("estimate", "--rtt", "10", "--size-kb", "nan"),
+    ("estimate", "--rtt", "nan"),
+    ("savings", "--size-kb", "inf", "--mode", "analytic", "--rtt", "10", "--rate", "0.5"),
+    ("thresholds", "--max-kb", "inf"),
+    ("regions", "--thresholds", "inf"),
+])
+def test_bad_input_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"flight": {"iw_byte": 1}}', "flight.iw_byte"),
+    ('{"flight": 5}', "flight"),
+    ('{"stacks": {"X": {"base_ms": 1}}}', "stacks.X.base_flights"),
+    ('{"noise": {"std_ms": NaN}}', "std_ms"),
+    ('{"flight": {"iw_bytes": NaN}}', "iw_bytes"),
+    ('{"sweep": {"trials": 10.5}}', "trials"),
+    ('{"flight": {"kb_bytes": 1024}}', "flight.kb_bytes"),
+    ('{"sweep": {"optimizers": [{"kind": "cdn-moderate", "factor": Infinity}]}}', "factor"),
+])
+def test_bad_config_is_one_error_line_naming_the_key(tmp_path, capsys, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "--config", str(path), "estimate", "--rtt", "10")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and key in err
+
+
+def test_kb_bytes_drives_flight_model_and_forge(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"kb_bytes": 1024}')
+    argv = ("estimate", "--size-kb", "10", "--mode", "analytic", "--rtt", "10", "--format", "json")
+    _, out, _ = run(capsys, *argv)
+    assert json.loads(out)["extra_rtts"] == 0
+    _, out, _ = run(capsys, "--config", str(path), *argv)
+    assert json.loads(out)["extra_rtts"] == 1  # 10240 + 4000 bytes > 14000
+    code, out, _ = run(capsys, "--config", str(path), "forge", "--size-kb", "2",
+                       "--out-dir", str(tmp_path / "chain"))
+    assert code == 0
+    assert "target=2048" in out
+
+
+@pytest.mark.parametrize("bad_ts", ["nan", "1e300", "-inf"])
+def test_analyze_counts_unrenderable_timestamp_as_malformed(tmp_path, capsys, bad_ts):
+    path = tmp_path / "log.tsv"
+    path.write_text(
+        "1735690000.0\t104.16.1.1\tTLSv1.3\tT\t-\n"
+        f"{bad_ts}\t104.16.1.1\tTLSv1.3\tT\t-\n"
+        "1735690100.0\t104.16.1.1\tTLSv1.2\tF\t-\n"
+    )
+    code, out, _ = run(capsys, "analyze", "--logs", str(path), "--series", str(tmp_path / "s.csv"))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["parse"]["malformed"] == 1
+    assert payload["parse"]["records"] == 2
