@@ -1,7 +1,9 @@
 """Parameter sweeps, optimization regions, and resumption savings.
 
 run_sweep evaluates the TTFB model over a (stack, rtt, size) grid with
-optional size optimizers and per-row noise sampling. Per-row RNG seeds
+optional size optimizers and per-row noise sampling. A row's mean_ms and
+std_ms are an exact draw of the summary of plan.trials noisy trials (see
+sample_ttfb), so the trial count costs no time. Per-row RNG seeds
 are derived by hashing the plan seed with the row's grid coordinates,
 so results are reproducible regardless of evaluation order and rows can
 be computed concurrently and merged.
@@ -14,11 +16,11 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .chain_model import SizeOptimizer, effective_size_kb
 from .errors import ConfigError, check_fields
-from .transport_flight import FlightModel
+from .transport_flight import FlightModel, check_grid_points
 from .ttfb_engine import NetworkPath, NoiseModel, StackProfile, estimate_ttfb, sample_ttfb
 
 DEFAULT_RTTS_MS = (0.0, 10.0, 50.0, 100.0, 200.0)
@@ -50,8 +52,9 @@ class SweepPlan:
 
     @property
     def sizes_kb(self) -> list[float]:
-        steps = int((self.size_end_kb - self.size_start_kb) / self.size_step_kb + 1e-9)
-        return [self.size_start_kb + i * self.size_step_kb for i in range(steps + 1)]
+        steps = (self.size_end_kb - self.size_start_kb) / self.size_step_kb + 1e-9
+        check_grid_points(steps + 1)
+        return [self.size_start_kb + i * self.size_step_kb for i in range(int(steps) + 1)]
 
 
 @dataclass(frozen=True)
@@ -85,20 +88,21 @@ def run_sweep(
     missing = [name for name in plan.stacks if name not in stacks]
     if missing:
         raise ConfigError(f"unknown stacks in plan: {', '.join(missing)}")
+    sizes = plan.sizes_kb
     variants = [("", None)] + [(opt.label, opt) for opt in plan.optimizers]
     rows = []
     for stack_name in plan.stacks:
         stack = stacks[stack_name]
         for rtt in plan.rtts_ms:
             path = NetworkPath(rtt_ms=rtt, flight=flight)
-            for size in plan.sizes_kb:
+            for size in sizes:
                 for label, opt in variants:
                     wire_kb = size if opt is None else effective_size_kb(size, opt)
                     estimate = estimate_ttfb(stack, path, wire_kb)
-                    row_noise = replace(
-                        noise, seed=_row_seed(plan.seed, stack_name, rtt, size, label)
+                    summary = sample_ttfb(
+                        estimate, noise, plan.trials,
+                        seed=_row_seed(plan.seed, stack_name, rtt, size, label),
                     )
-                    _, summary = sample_ttfb(estimate, row_noise, plan.trials)
                     rows.append(
                         SweepRow(
                             stack=stack_name,

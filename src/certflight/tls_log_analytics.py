@@ -12,11 +12,10 @@ from __future__ import annotations
 import csv
 import ipaddress
 import json
+import statistics
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .errors import LogFormatError
 
@@ -433,8 +432,7 @@ def rate_correlation(pairs: Iterable[tuple[float, float]]) -> float | None:
     pts = [(x, y) for x, y in pairs if x is not None and y is not None]
     if len(pts) < 3:
         raise ValueError("need at least 3 buckets with defined rates")
-    x = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    if np.all(x == x[0]) or np.all(y == y[0]):
+    try:
+        return statistics.correlation([p[0] for p in pts], [p[1] for p in pts])
+    except statistics.StatisticsError:  # a constant series
         return None
-    return float(np.corrcoef(x, y)[0, 1])

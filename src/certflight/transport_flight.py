@@ -30,6 +30,17 @@ from .errors import ConfigError, check_fields
 ANALYTIC = "analytic"
 EMPIRICAL = "empirical"
 
+# Most sizes one size grid (a threshold scan or a sweep's size axis) may
+# hold; a tiny but finite step would otherwise run for hours.
+MAX_GRID_POINTS = 10_000_000
+
+
+def check_grid_points(points: float) -> None:
+    """Reject a size grid of more than MAX_GRID_POINTS points (or an
+    overflowed, infinite count)."""
+    if not points <= MAX_GRID_POINTS:
+        raise ConfigError(f"size grid has {points:.4g} points; the limit is {MAX_GRID_POINTS}")
+
 
 @dataclass(frozen=True)
 class FlightModel:
@@ -95,6 +106,7 @@ def find_thresholds(model: FlightModel, max_kb: float, step_kb: float) -> list[f
         raise ValueError("step_kb must be finite and positive")
     if not step_kb < max_kb < math.inf:
         raise ValueError("max_kb must be finite and exceed step_kb")
+    check_grid_points(max_kb / step_kb + 1)
     steps = int(max_kb / step_kb)
     thresholds = []
     prev = extra_rtts(model, 0.0)

@@ -21,10 +21,11 @@ Profiles are calibrated from (rtt, ttfb) measurements. Two fitters:
 
 from __future__ import annotations
 
+import math
+import random
+import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import CalibrationError, ConfigError, check_fields
 from .transport_flight import FlightModel, extra_rtts
@@ -107,7 +108,12 @@ def estimate_ttfb(
     resumed: bool = False,
 ) -> TtfbEstimate:
     """Deterministic TTFB for one stack, path, and chain size."""
-    extra = 0 if resumed else extra_rtts(path.flight, chain_size_kb)
+    if not resumed:
+        extra = extra_rtts(path.flight, chain_size_kb)
+    elif 0 <= chain_size_kb < math.inf:
+        extra = 0  # no certificate is sent, but the size must still be valid
+    else:
+        raise ValueError(f"size must be finite and >= 0, got {chain_size_kb}")
     base = stack.resumed_base_ms if resumed else stack.base_ms
     total = base + (stack.base_flights + extra) * path.rtt_ms
     if stack.base_flights >= 2:
@@ -133,22 +139,30 @@ class SampleSummary:
 
 
 def sample_ttfb(
-    estimate: TtfbEstimate, noise: NoiseModel, trials: int
-) -> tuple[np.ndarray, SampleSummary]:
-    """Draw trials noisy observations around a deterministic estimate.
+    estimate: TtfbEstimate, noise: NoiseModel, trials: int, *, seed: int | None = None
+) -> SampleSummary:
+    """Mean and ddof=1 std of trials noisy observations around an estimate.
 
-    Identical (noise, trials) inputs reproduce the identical sample
-    vector; the generator is re-seeded per call.
+    The summary is drawn directly instead of the trials: for n draws of
+    N(mu, sigma^2) the mean is mu + sigma/sqrt(n) * Z and the std is
+    sigma * sqrt(chi2(n-1) / (n-1)), independent by Cochran's theorem.
+    Both are exact draws of an n-trial summary, so the cost does not grow
+    with trials. The generator is seeded per call with seed (noise.seed
+    when None), so identical inputs reproduce the identical summary. One
+    trial has std 0; noise-free input draws nothing.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if noise.kind == NOISE_NONE or noise.std_ms == 0.0:
-        samples = np.full(trials, estimate.total_ms)
-    else:
-        rng = np.random.default_rng(noise.seed)
-        samples = estimate.total_ms + rng.normal(0.0, noise.std_ms, size=trials)
-    std = float(np.std(samples, ddof=1)) if trials > 1 else 0.0
-    return samples, SampleSummary(mean_ms=float(np.mean(samples)), std_ms=std)
+        return SampleSummary(mean_ms=estimate.total_ms, std_ms=0.0)
+    rng = random.Random(noise.seed if seed is None else seed)
+    sigma = noise.std_ms
+    mean = rng.gauss(estimate.total_ms, sigma / math.sqrt(trials))
+    if trials == 1:
+        return SampleSummary(mean_ms=mean, std_ms=0.0)
+    dof = trials - 1
+    std = sigma * math.sqrt(rng.gammavariate(dof / 2, 2.0) / dof)
+    return SampleSummary(mean_ms=mean, std_ms=std)
 
 
 def calibrate_stack_profile(
@@ -166,17 +180,13 @@ def calibrate_stack_profile(
     pts = [(float(r), float(t)) for r, t in measurements]
     if len({r for r, _ in pts}) < 2:
         raise CalibrationError("need measurements at two or more distinct RTTs")
-    x = np.array([r for r, _ in pts])
-    y = np.array([t for _, t in pts])
-    design = np.vstack([np.ones_like(x), x]).T
-    (base, slope), *_ = np.linalg.lstsq(design, y, rcond=None)
-    flights = float(slope) - penalty_rtts
+    slope, base = statistics.linear_regression([r for r, _ in pts], [t for _, t in pts])
+    flights = slope - penalty_rtts
     if flights < 1:
         raise CalibrationError(
-            f"fitted slope {float(slope):.4f} minus penalty {penalty_rtts} "
+            f"fitted slope {slope:.4f} minus penalty {penalty_rtts} "
             "leaves fewer than 1 flight"
         )
-    base = float(base)
     if base < 0:
         raise CalibrationError(f"fitted base {base:.4f} is negative")
     return StackProfile(
@@ -207,17 +217,13 @@ def calibrate_minimax(
         raise CalibrationError("need cells at two or more distinct RTTs")
     if any(t <= 0 for _, _, _, t in cells):
         raise CalibrationError("tolerances must be positive")
-    rtt = np.array([c[0] for c in cells])
-    ttfb = np.array([c[1] for c in cells])
-    penalty = np.array([c[2] for c in cells])
-    tol = np.array([c[3] for c in cells])
 
     def center(k: float) -> tuple[float, float]:
         # Intercepts each cell demands, and the tightest normalized
         # band containing all of them.
-        c = ttfb - (k + penalty) * rtt
-        worst = np.max((c[:, None] - c[None, :]) / (tol[:, None] + tol[None, :]))
-        base = (np.max(c - worst * tol) + np.min(c + worst * tol)) / 2
+        c = [(ttfb - (k + penalty) * rtt, tol) for rtt, ttfb, penalty, tol in cells]
+        worst = max((ci - cj) / (ti + tj) for ci, ti in c for cj, tj in c)
+        base = (max(ci - worst * ti for ci, ti in c) + min(ci + worst * ti for ci, ti in c)) / 2
         return worst, base
 
     lo, hi = slope_bounds
@@ -230,8 +236,8 @@ def calibrate_minimax(
             lo = m1
     k = (lo + hi) / 2
     worst, base = center(k)
-    profile = StackProfile(name=name, base_ms=float(base), base_flights=float(k))
-    return profile, float(worst)
+    profile = StackProfile(name=name, base_ms=base, base_flights=k)
+    return profile, worst
 
 
 # Default profiles. ClassicalSim carries round defaults consistent with

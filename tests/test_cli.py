@@ -372,3 +372,48 @@ def test_analyze_counts_unrenderable_timestamp_as_malformed(tmp_path, capsys, ba
     payload = json.loads(out)
     assert payload["parse"]["malformed"] == 1
     assert payload["parse"]["records"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--rtt", "10", "--resumed", "--size-kb", "nan"),
+    ("estimate", "--rtt", "10", "--resumed", "--size-kb", "inf"),
+    ("thresholds", "--step-kb", "1e-9", "--max-kb", "80"),
+    ("thresholds", "--step-kb", "1e-320", "--max-kb", "80"),
+    ("sweep", "--sizes", "4:80:1e-9"),
+    ("sweep", "--sizes", "4:80:1e-320"),
+])
+def test_bad_resumed_size_or_huge_grid_is_one_error_line(capsys, argv):
+    test_bad_input_is_one_error_line(capsys, argv)
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    """With numpy made unimportable, the commands that once used it all work."""
+    import os
+    import subprocess
+    import sys
+
+    import certflight
+    from certflight.config import _data_path
+
+    points = tmp_path / "points.csv"
+    points.write_text("rtt_ms,ttfb_ms\n0,8.06\n10,28.71\n50,109.00\n100,208.84\n200,409.10\n")
+    argvs = [
+        ["estimate", "--rtt", "50", "--size-kb", "12"],
+        ["sweep", "--rtts", "10,50", "--sizes", "4:16:4", "--trials", "20"],
+        ["calibrate", "--csv", str(points)],
+        ["analyze", "--logs", _data_path("sample_tls_log.tsv"),
+         "--series", str(tmp_path / "series.csv")],
+    ]
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from certflight.cli import main\n"
+        f"sys.exit(max(main(argv) for argv in {argvs!r}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(certflight.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("CERTFLIGHT_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "mean_ms" in proc.stdout and "base_flights" in proc.stdout

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -18,7 +19,7 @@ from certflight.sweep_runner import (
     rows_from_json,
     run_sweep,
 )
-from certflight.transport_flight import EMPIRICAL, FlightModel
+from certflight.transport_flight import EMPIRICAL, MAX_GRID_POINTS, FlightModel
 from certflight.ttfb_engine import DEFAULT_STACKS, NetworkPath, NoiseModel
 
 from reference_data import REGION_UPPERS
@@ -58,6 +59,19 @@ def test_plan_validation():
         SweepPlan(size_end_kb=2.0, size_start_kb=4.0)
     with pytest.raises(ConfigError):
         SweepPlan(trials=0)
+
+
+def test_plan_rejects_an_oversized_size_grid():
+    # Checked when the sizes are listed, before any row is evaluated.
+    for step in (1e-9, 1e-320):
+        with pytest.raises(ConfigError, match="size grid"):
+            run_sweep(small_plan(size_step_kb=step), DEFAULT_STACKS, FLIGHT, QUIET)
+    # The limit is on points, not on the span.
+    huge = SweepPlan(size_start_kb=0.0, size_end_kb=float(MAX_GRID_POINTS), size_step_kb=1.0)
+    with pytest.raises(ConfigError, match="size grid"):
+        huge.sizes_kb
+    coarse = SweepPlan(size_start_kb=0.0, size_end_kb=1e12, size_step_kb=1e9)
+    assert len(coarse.sizes_kb) == 1001
 
 
 def test_sweep_grid_shape_and_order():
@@ -105,6 +119,34 @@ def test_row_noise_is_independent_of_grid_membership():
     )
     wide_cell = next(r for r in wide if r.rtt_ms == 50.0 and r.size_kb == 8.0)
     assert narrow == [wide_cell]
+
+
+def test_criterion_9_csv_is_pinned():
+    """The noisy sweep of acceptance criterion 9 hashes to one golden value.
+
+    This pins the sampled values, and with them CPython's random.gauss and
+    random.gammavariate streams for a seeded random.Random: any change to
+    how a row's summary is drawn (or to those streams) must update this
+    hash in a visible test edit.
+    """
+    plan = SweepPlan(
+        stacks=("ClassicalSim", "OqsMldsa"),
+        rtts_ms=(10.0, 50.0),
+        size_start_kb=4.0,
+        size_end_kb=40.0,
+        size_step_kb=4.0,
+        trials=20,
+        seed=777,
+        optimizers=(
+            SizeOptimizer(chain_model.MTC_ONE_INTERMEDIATE),
+            SizeOptimizer(chain_model.CDN_MODERATE, factor=0.75),
+        ),
+    )
+    noise = NoiseModel("gaussian", std_ms=0.3, seed=0)
+    text = emit_csv(run_sweep(plan, DEFAULT_STACKS, FlightModel(mode=EMPIRICAL), noise))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6ca2b79dbb573006da39e55698af6056df578a1ccaf5eb9f4c887bdde58fbb1b"
+    )
 
 
 def test_optimizer_rows_shrink_the_wire_size():

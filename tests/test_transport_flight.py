@@ -4,7 +4,9 @@ from certflight.errors import ConfigError
 from certflight.transport_flight import (
     ANALYTIC,
     EMPIRICAL,
+    MAX_GRID_POINTS,
     FlightModel,
+    check_grid_points,
     cumulative_capacity_bytes,
     extra_rtts,
     find_thresholds,
@@ -92,6 +94,16 @@ def test_find_thresholds_argument_validation():
         find_thresholds(FlightModel(), 80.0, 0.0)
     with pytest.raises(ValueError):
         find_thresholds(FlightModel(), 1.0, 2.0)
+
+
+def test_find_thresholds_rejects_an_oversized_grid():
+    # 8e10 points would run for hours; 80 / 1e-320 overflows to inf.
+    for step in (1e-9, 1e-320):
+        with pytest.raises(ConfigError, match="size grid"):
+            find_thresholds(FlightModel(), 80.0, step)
+    check_grid_points(MAX_GRID_POINTS)
+    with pytest.raises(ConfigError):
+        check_grid_points(MAX_GRID_POINTS + 1)
 
 
 def test_model_validation():

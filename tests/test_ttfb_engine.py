@@ -1,7 +1,8 @@
 import dataclasses
+import math
 import random
+import statistics
 
-import numpy as np
 import pytest
 
 from certflight.errors import CalibrationError, ConfigError
@@ -108,22 +109,48 @@ def test_resolve_stack():
 def test_sampling_is_reproducible():
     est = estimate_ttfb(CLASSICAL, path(50.0), 12.0)
     noise = NoiseModel("gaussian", std_ms=0.5, seed=99)
-    a, summary_a = sample_ttfb(est, noise, 64)
-    b, summary_b = sample_ttfb(est, noise, 64)
-    assert np.array_equal(a, b)
+    summary_a = sample_ttfb(est, noise, 64)
+    summary_b = sample_ttfb(est, noise, 64)
     assert summary_a == summary_b
-    c, _ = sample_ttfb(est, dataclasses.replace(noise, seed=100), 64)
-    assert not np.array_equal(a, c)
+    assert sample_ttfb(est, noise, 64, seed=99) == summary_a
+    assert sample_ttfb(est, dataclasses.replace(noise, seed=100), 64) != summary_a
+    assert sample_ttfb(est, noise, 64, seed=100) != summary_a
 
 
 def test_sampling_noise_free():
     est = estimate_ttfb(CLASSICAL, path(10.0), 3.0)
-    samples, summary = sample_ttfb(est, NoiseModel("none"), 8)
-    assert np.all(samples == est.total_ms)
+    summary = sample_ttfb(est, NoiseModel("none"), 8, seed=5)
+    assert summary.mean_ms == est.total_ms
     assert summary.std_ms == 0.0
-    one, summary_one = sample_ttfb(est, NoiseModel("gaussian", std_ms=1.0, seed=1), 1)
-    assert len(one) == 1
+    summary_one = sample_ttfb(est, NoiseModel("gaussian", std_ms=1.0, seed=1), 1)
+    assert summary_one.mean_ms != est.total_ms
     assert summary_one.std_ms == 0.0  # undefined spread for a single draw
+
+
+@pytest.mark.parametrize("n", [2, 100])
+def test_sampled_summary_has_the_n_trial_distribution(n):
+    """Over 4,000 seeds, (mean - mu) * sqrt(n) / sigma must look N(0, 1) and
+    (n - 1) s^2 / sigma^2 must look chi-square(n - 1): each sample mean and
+    sample variance within 5 standard errors of its exact value, and the
+    two uncorrelated (|r| within 5 / sqrt(4000))."""
+    seeds, sigma = 4000, 0.7
+    est = estimate_ttfb(CLASSICAL, path(50.0), 12.0)
+    noise = NoiseModel("gaussian", std_ms=sigma)
+    summaries = [sample_ttfb(est, noise, n, seed=s) for s in range(seeds)]
+    z = [(s.mean_ms - est.total_ms) * math.sqrt(n) / sigma for s in summaries]
+    q = [(n - 1) * s.std_ms**2 / sigma**2 for s in summaries]
+    band = 5.0
+
+    def check(values, mean, var, kurtosis_excess):
+        # Standard errors of a sample mean and a sample variance.
+        assert abs(statistics.fmean(values) - mean) <= band * math.sqrt(var / seeds)
+        var_se = var * math.sqrt((kurtosis_excess + 2) / seeds)
+        assert abs(statistics.variance(values) - var) <= band * var_se
+
+    check(z, 0.0, 1.0, 0.0)
+    dof = n - 1
+    check(q, dof, 2 * dof, 12 / dof)
+    assert statistics.correlation(z, q) ** 2 <= (band**2) / seeds
 
 
 def test_calibration_recovers_synthetic_profile_exactly():
