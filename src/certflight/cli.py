@@ -9,6 +9,7 @@ config values. --seed affects noise sampling only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -234,24 +235,17 @@ def cmd_analyze(args, cfg: Config) -> int:
         args.asn_map or map_csv, args.cdn_asns or cdn_file, args.cloud_asns or cloud_file
     )
     stats = tla.ParseStats()
-    if args.logs == "-":
-        lines = sys.stdin
-        records = list(tla.parse_log_stream(lines, fmt=args.log_format, stats=stats))
-    else:
-        with open(args.logs, encoding="utf-8") as f:
-            records = list(tla.parse_log_stream(f, fmt=args.log_format, stats=stats))
-    aggregated = tla.aggregate_stats(records, asn_map)
-    series = tla.time_series(records, asn_map)
-
-    correlations = {}
-    for cls, points in series.items():
-        pairs = [
-            (s.tls13_adoption, s.resumption_rate_all)
-            for _, s in points
-            if s.tls13_adoption is not None and s.resumption_rate_all is not None
-        ]
-        if len(pairs) >= 3:
-            correlations[cls] = tla.rate_correlation(pairs)
+    logs = (contextlib.nullcontext(sys.stdin) if args.logs == "-"
+            else open(args.logs, encoding="utf-8"))
+    with logs as f:
+        series = tla.time_series(tla.parse_log_stream(f, fmt=args.log_format, stats=stats), asn_map)
+    aggregated = tla.class_totals(series)
+    # Every bucket holds at least one record, so both of its rates are defined.
+    correlations = {
+        cls: tla.rate_correlation((s.tls13_adoption, s.resumption_rate_all) for _, s in points)
+        for cls, points in series.items()
+        if len(points) >= 3
+    }
 
     payload = {
         "classes": {c: aggregated[c].to_dict() for c in tla.ENDPOINT_CLASSES},

@@ -3,8 +3,8 @@
 Consumes connection logs (Zeek-convention TSV or JSON lines), classifies
 server endpoints by ASN into CDN / Cloud / NonCDN / Unidentified, and
 aggregates per-class adoption and resumption rates plus monthly time
-series. Aggregation is single-pass and mergeable, so chunked processing
-of large logs gives identical results.
+series. Aggregation is one streaming fold into mergeable (class, month)
+counters, so chunked processing of large logs gives identical results.
 """
 
 from __future__ import annotations
@@ -363,23 +363,21 @@ class ResumptionStats:
         }
 
 
-def new_stats() -> dict[str, ResumptionStats]:
+# Counters per endpoint class, and per class its (YYYY-MM, counters) pairs in month order.
+ClassStats = dict[str, ResumptionStats]
+Series = dict[str, list[tuple[str, ResumptionStats]]]
+
+
+def new_stats() -> ClassStats:
     return {c: ResumptionStats(c) for c in ENDPOINT_CLASSES}
 
 
-def aggregate_stats(
-    records: Iterable[TlsLogRecord], asn_map: AsnMap
-) -> dict[str, ResumptionStats]:
-    """Single-pass per-class aggregation over a record stream."""
-    stats = new_stats()
-    for record in records:
-        stats[asn_map.classify(record.server_ip)].add(record)
-    return stats
+def aggregate_stats(records: Iterable[TlsLogRecord], asn_map: AsnMap) -> ClassStats:
+    """Per-class totals over a record stream: the monthly fold, merged over months."""
+    return class_totals(time_series(records, asn_map))
 
 
-def merge_stats(
-    a: dict[str, ResumptionStats], b: dict[str, ResumptionStats]
-) -> dict[str, ResumptionStats]:
+def merge_stats(a: ClassStats, b: ClassStats) -> ClassStats:
     return {c: a[c].merge(b[c]) for c in ENDPOINT_CLASSES}
 
 
@@ -392,9 +390,7 @@ def month_key(timestamp: float) -> str:
     return f"{dt.year:04d}-{dt.month:02d}"
 
 
-def time_series(
-    records: Iterable[TlsLogRecord], asn_map: AsnMap
-) -> dict[str, list[tuple[str, ResumptionStats]]]:
+def time_series(records: Iterable[TlsLogRecord], asn_map: AsnMap) -> Series:
     """Monthly per-class stats, sorted by month; empty months are absent."""
     buckets: dict[tuple[str, str], ResumptionStats] = {}
     for record in records:
@@ -403,13 +399,22 @@ def time_series(
         if key not in buckets:
             buckets[key] = ResumptionStats(cls)
         buckets[key].add(record)
-    series: dict[str, list[tuple[str, ResumptionStats]]] = {}
+    series: Series = {}
     for (cls, month), stats in sorted(buckets.items()):
         series.setdefault(cls, []).append((month, stats))
     return series
 
 
-def series_csv(series: dict[str, list[tuple[str, ResumptionStats]]]) -> str:
+def class_totals(series: Series) -> ClassStats:
+    """Per-class totals: each class's monthly stats merged over its months."""
+    totals = new_stats()
+    for cls, points in series.items():
+        for _, stats in points:
+            totals[cls] = totals[cls].merge(stats)
+    return totals
+
+
+def series_csv(series: Series) -> str:
     lines = ["class,month,total,tls13_rate,resumption_rate"]
     for cls in sorted(series):
         for month, stats in series[cls]:
