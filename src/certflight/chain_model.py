@@ -152,6 +152,17 @@ def effective_size_kb(size_kb: float, optimizer: SizeOptimizer) -> float:
     return size_kb
 
 
+def original_size_kb(wire_kb: float, optimizer: SizeOptimizer) -> float:
+    """Inverse of effective_size_kb: the chain size the optimizer shrinks to wire_kb."""
+    if optimizer.kind == MTC_ONE_INTERMEDIATE:
+        return 2 * (wire_kb - 1)
+    if optimizer.kind == MTC_TWO_INTERMEDIATES:
+        return 3 * (wire_kb - 1)
+    if optimizer.kind in _CDN_KINDS:
+        return wire_kb / optimizer.factor
+    return wire_kb  # identity: degenerate region
+
+
 DEFAULT_OPTIMIZERS = (
     SizeOptimizer(MTC_ONE_INTERMEDIATE),
     SizeOptimizer(MTC_TWO_INTERMEDIATES),

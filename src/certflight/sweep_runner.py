@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .chain_model import SizeOptimizer, effective_size_kb
+from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
 from .errors import ConfigError, check_fields
 from .transport_flight import FlightModel, check_grid_points
 from .ttfb_engine import NetworkPath, NoiseModel, StackProfile, estimate_ttfb, sample_ttfb
@@ -220,18 +220,6 @@ class OptimizationRegion:
     upper_kb_rounded: int
 
 
-def _invert(optimizer: SizeOptimizer, threshold: float) -> float:
-    from . import chain_model as cm
-
-    if optimizer.kind == cm.MTC_ONE_INTERMEDIATE:
-        return 2 * (threshold - 1)
-    if optimizer.kind == cm.MTC_TWO_INTERMEDIATES:
-        return 3 * (threshold - 1)
-    if optimizer.kind in (cm.CDN_MODERATE, cm.CDN_AGGRESSIVE):
-        return threshold / optimizer.factor
-    return threshold  # identity: degenerate region
-
-
 def compute_regions(
     thresholds_kb: list[float], optimizers: list[SizeOptimizer]
 ) -> list[OptimizationRegion]:
@@ -242,7 +230,7 @@ def compute_regions(
         for threshold in thresholds_kb:
             if not 1 < threshold < math.inf:
                 raise ConfigError("thresholds must be finite and above 1 KB to have a region")
-            upper = _invert(optimizer, threshold)
+            upper = original_size_kb(threshold, optimizer)
             regions.append(
                 OptimizationRegion(
                     optimizer=optimizer.label,

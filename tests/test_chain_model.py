@@ -158,3 +158,16 @@ def test_scheme_profiles_round_trip(tmp_path):
     # file itself is plain JSON
     raw = json.loads(path.read_text())
     assert raw["SLH-DSA"]["leaf_kb"] == 16.6
+
+
+def test_original_size_inverts_effective_size():
+    mtc1, mtc2, cdn25, cdn40 = DEFAULT_OPTIMIZERS
+    ident = SizeOptimizer(chain_model.IDENTITY)
+    assert chain_model.original_size_kb(6.0, mtc1) == 10.0
+    assert chain_model.original_size_kb(4.0, mtc2) == 9.0
+    assert chain_model.original_size_kb(30.0, cdn25) == 40.0
+    assert chain_model.original_size_kb(7.25, ident) == 7.25
+    for optimizer in (*DEFAULT_OPTIMIZERS, ident):
+        for wire_kb in (1.5, 10.0, 38.0, 94.0, 1234.5):
+            size = chain_model.original_size_kb(wire_kb, optimizer)
+            assert effective_size_kb(size, optimizer) == pytest.approx(wire_kb)
