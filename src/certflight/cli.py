@@ -236,7 +236,7 @@ def cmd_analyze(args, cfg: Config) -> int:
     )
     stats = tla.ParseStats()
     logs = (contextlib.nullcontext(sys.stdin) if args.logs == "-"
-            else open(args.logs, encoding="utf-8"))
+            else open(args.logs, encoding="utf-8", errors="replace"))
     with logs as f:
         series = tla.time_series(tla.parse_log_stream(f, fmt=args.log_format, stats=stats), asn_map)
     aggregated = tla.class_totals(series)

@@ -100,13 +100,16 @@ def parse_log_stream(
     """Yield records from a log stream, in input order, skipping bad lines.
 
     fmt is "tsv", "jsonl", or "auto" (sniffed from the first data line).
-    Malformed lines (bad column count, unparseable timestamp or address,
-    timestamp outside the years 1-9999 that ``month_key`` can render)
-    are counted in stats and skipped. A missing resumption field is not
-    malformed: the record defaults to resumed=False and the line is
-    tallied under resumption_unknown. If more than half of all data
-    lines are malformed the stream itself is considered unreadable and
-    LogFormatError is raised once the stream is exhausted.
+    Malformed lines (bad column count, unparseable timestamp, timestamp
+    outside the years 1-9999 that ``month_key`` can render, missing or
+    unset address, a JSON address that is not a string, a JSON version
+    that is neither null nor a string) are counted in stats and skipped.
+    An address string that is not an IP address is not malformed: the
+    record is kept and classifies as Unidentified. A missing resumption
+    field is not malformed either: the record defaults to resumed=False
+    and the line is tallied under resumption_unknown. If more than half
+    of all data lines are malformed the stream itself is considered
+    unreadable and LogFormatError is raised once the stream is exhausted.
     """
     if fmt not in ("auto", "tsv", "jsonl"):
         raise ValueError(f"unknown log format {fmt!r}")
@@ -134,13 +137,15 @@ def parse_log_stream(
         if not _TS_MIN <= ts < _TS_MAX:  # also false for NaN
             return None
         ip = row.get(fmap["ip"])
-        if ip is None or str(ip).strip() in _UNSET:
+        if not isinstance(ip, str) or ip.strip() in _UNSET:
             return None
         raw_version = row.get(fmap["version"])
-        if raw_version is None or str(raw_version).strip() in _UNSET:
+        if raw_version is not None and not isinstance(raw_version, str):
+            return None
+        if raw_version is None or raw_version.strip() in _UNSET:
             version = "unknown"
         else:
-            version = normalize_version(str(raw_version))
+            version = normalize_version(raw_version)
         resumed = _parse_bool(row.get(fmap["resumed"]))
         if resumed is None:
             stats.resumption_unknown += 1
@@ -150,7 +155,7 @@ def parse_log_stream(
             sni = None
         return TlsLogRecord(
             timestamp=ts,
-            server_ip=str(ip).strip(),
+            server_ip=ip.strip(),
             tls_version=version,
             resumed=resumed,
             server_name=str(sni) if sni is not None else None,

@@ -1,13 +1,27 @@
 """The `analyze` fold: pinned output, chunk invariance, one classification per record."""
 
 import hashlib
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from certflight import tls_log_analytics as tla
 from certflight.cli import main
 from certflight.config import _data_path
+from certflight.tls_log_analytics import (
+    AsnMap,
+    ResumptionStats,
+    TlsLogRecord,
+    aggregate_stats,
+    merge_stats,
+    new_stats,
+    time_series,
+)
 
 from test_acceptance import _fixture_lines
+from test_tls_log_analytics import JAN, make_map
 
 
 def _sha(data: bytes) -> str:
@@ -43,3 +57,68 @@ def test_analyze_output_is_pinned(tmp_path, capsys, log):
         digests.append(_sha(capsys.readouterr().out.encode()))
     digests.append(_sha(series.read_bytes()))
     assert tuple(digests) == GOLDEN[log]
+
+
+def _buckets(series):
+    return {(cls, month): stats for cls, points in series.items() for month, stats in points}
+
+
+record_lists = st.lists(
+    st.builds(
+        TlsLogRecord,
+        timestamp=st.floats(JAN, JAN + 400 * 86400),
+        server_ip=st.sampled_from(["104.16.1.1", "52.1.1.1", "73.5.5.5", "12.204.9.9",
+                                   "203.0.113.7", "not-an-ip"]),
+        tls_version=st.sampled_from([tla.TLS13, tla.TLS12, "unknown"]),
+        resumed=st.booleans(),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_lists, st.data())
+def test_fold_is_chunk_invariant(records, data):
+    """Merging per-chunk folds equals one fold, per (class, month) and per class."""
+    asn_map = make_map()
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=8)))
+    bounds = list(zip([0, *cuts], [*cuts, len(records)]))
+    whole = time_series(records, asn_map)
+
+    merged_buckets, merged_totals, merged_aggregates = {}, new_stats(), new_stats()
+    for lo, hi in bounds:
+        chunk = records[lo:hi]
+        part = time_series(chunk, asn_map)
+        for key, stats in _buckets(part).items():
+            merged_buckets[key] = merged_buckets.pop(key, ResumptionStats(key[0])).merge(stats)
+        merged_totals = merge_stats(merged_totals, tla.class_totals(part))
+        merged_aggregates = merge_stats(merged_aggregates, aggregate_stats(chunk, asn_map))
+    assert merged_buckets == _buckets(whole)
+
+    over_months = new_stats()
+    for (cls, _), stats in _buckets(whole).items():
+        over_months[cls] = over_months[cls].merge(stats)
+    assert sum(s.total for s in over_months.values()) == len(records)
+    assert aggregate_stats(records, asn_map) == over_months
+    assert tla.class_totals(whole) == over_months
+    assert merged_totals == over_months
+    assert merged_aggregates == over_months
+
+
+def test_analyze_classifies_each_record_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    classify = AsnMap.classify
+
+    def counting(self, ip):
+        calls.append(ip)
+        return classify(self, ip)
+
+    monkeypatch.setattr(AsnMap, "classify", counting)
+    path = tmp_path / "criterion7.tsv"
+    path.write_text("\n".join(_fixture_lines()) + "\n")
+    for log in (_data_path("sample_tls_log.tsv"), str(path)):
+        calls.clear()
+        assert main(["analyze", "--logs", log, "--series", str(tmp_path / "s.csv")]) == 0
+        records = json.loads(capsys.readouterr().out)["parse"]["records"]
+        assert records > 0
+        assert len(calls) == records

@@ -417,3 +417,19 @@ def test_cli_runs_without_numpy(tmp_path):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "mean_ms" in proc.stdout and "base_flights" in proc.stdout
+
+
+def test_analyze_replaces_undecodable_bytes(tmp_path, capsys):
+    path = tmp_path / "log.tsv"
+    path.write_bytes(
+        b"1735690000.0\t104.16.1.1\tTLSv1.3\tT\tex\xffample.com\n"
+        b"1735690100.0\t104.16.1.\xff\tTLSv1.2\tF\t-\n"
+        b"1735690200.0\t104.16.1.1\tTLSv1.3\tF\t-\n"
+    )
+    code, out, _ = run(capsys, "analyze", "--logs", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["parse"]["records"] == 3
+    assert payload["parse"]["malformed"] == 0
+    assert payload["classes"]["CDN"]["total"] == 2
+    assert payload["classes"]["Unidentified"]["total"] == 1  # the address is no IP any more

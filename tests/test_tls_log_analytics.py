@@ -295,3 +295,24 @@ def test_rate_correlation():
     assert rate_correlation(flat) is None
     with pytest.raises(ValueError):
         rate_correlation([(0.1, 0.2), (0.2, None), (None, 0.3)])
+
+
+@pytest.mark.parametrize("bad", [
+    {"id.resp_h": ["x"], "version": "TLSv1.3"},
+    {"id.resp_h": 1746833665, "version": "TLSv1.3"},
+    {"id.resp_h": "104.16.1.1", "version": {"a": 1}},
+    {"id.resp_h": "104.16.1.1", "version": 1.3},
+])
+def test_jsonl_values_of_the_wrong_type_are_malformed(bad):
+    good = [
+        {"ts": JAN, "id.resp_h": "104.16.1.1", "version": None, "resumed": True},
+        {"ts": JAN, "id.resp_h": "not-an-ip", "version": "tls1.3", "resumed": False},
+    ]
+    lines = [json.dumps(row) for row in (good[0], {"ts": JAN, "resumed": True, **bad}, good[1])]
+    stats = ParseStats()
+    records = list(parse_log_stream(lines, stats=stats))
+    assert (stats.records, stats.malformed) == (2, 1)
+    assert [(r.server_ip, r.tls_version) for r in records] == [
+        ("104.16.1.1", "unknown"), ("not-an-ip", "TLSv1.3")
+    ]
+    assert make_map().classify(records[1].server_ip) == CLASS_UNIDENTIFIED
