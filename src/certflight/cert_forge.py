@@ -29,6 +29,9 @@ from .errors import PaddingError
 
 PAD_EXTENSION_OID = "1.3.6.1.4.1.55555.1.1"  # locally assigned test arc
 
+# TLS 1.3 carries each certificate as cert_data<1..2^24-1> (RFC 8446, 4.4.2).
+MAX_CERT_BYTES = 2**24 - 1
+
 _OID_COMMON_NAME = "2.5.4.3"
 _OID_SIG_ALG = "1.2.840.10045.4.3.2"  # ecdsa-with-SHA256 label; signature bytes are filler
 _OID_EC_PUBKEY = "1.2.840.10045.2.1"
@@ -157,7 +160,8 @@ def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
     """Build a certificate of exactly target_bytes bytes.
 
     Deterministic: identical inputs yield byte-identical output. Raises
-    PaddingError (with the achievable minimum) for undersized targets.
+    PaddingError (with the achievable minimum) for undersized targets,
+    and for targets above MAX_CERT_BYTES before building anything.
 
     Two side knobs complement the padding payload. The serial length
     absorbs totals skipped when a length field widens inside the tbs
@@ -166,6 +170,8 @@ def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
     totals skipped when the tbs or outer length field itself widens;
     real signatures vary by a few bytes, so parsers take no notice.
     """
+    if target_bytes > MAX_CERT_BYTES:
+        raise PaddingError(f"target {target_bytes} is above the TLS limit of {MAX_CERT_BYTES}")
     minimum = minimum_size(template)
     if target_bytes < minimum:
         raise PaddingError(

@@ -10,20 +10,27 @@ proof.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import ConfigError, check_fields
 
 DEFAULT_KB_BYTES = 1000
 
 
-def kb_to_bytes(size_kb: float, kb_bytes: int = DEFAULT_KB_BYTES) -> int:
-    """Convert a KB size to whole bytes under the given convention."""
+def check_size_kb(size_kb: float) -> float:
+    """Return size_kb; raise ValueError unless it is finite and >= 0."""
     if not 0 <= size_kb < math.inf:
         raise ValueError(f"size must be finite and >= 0, got {size_kb}")
-    return round(size_kb * kb_bytes)
+    return size_kb
+
+
+def kb_to_bytes(size_kb: float, kb_bytes: int = DEFAULT_KB_BYTES) -> int:
+    """Convert a KB size to whole bytes under the given convention."""
+    size_bytes = check_size_kb(size_kb) * kb_bytes
+    if size_bytes == math.inf:
+        raise ValueError(f"a size of {size_kb} KB overflows a float byte count")
+    return round(size_bytes)
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,7 @@ IDENTITY = "identity"
 
 _CDN_KINDS = (CDN_MODERATE, CDN_AGGRESSIVE)
 _ALL_KINDS = (MTC_ONE_INTERMEDIATE, MTC_TWO_INTERMEDIATES) + _CDN_KINDS + (IDENTITY,)
+_AFFINE = {MTC_ONE_INTERMEDIATE: (1, 2, 1), MTC_TWO_INTERMEDIATES: (1, 3, 1), IDENTITY: (1, 1, 0)}
 
 
 @dataclass(frozen=True)
@@ -138,29 +146,23 @@ class SizeOptimizer:
             return f"{self.kind}-{round((1 - self.factor) * 100)}pct"
         return self.kind
 
+    @property
+    def affine(self) -> tuple[float, float, float]:
+        """(mul, div, offset_kb) of the map size * mul / div + offset_kb; three terms
+        round both ways like size / 3 + 1 and 3 * (wire - 1), which 1/3 would not."""
+        return _AFFINE.get(self.kind, (self.factor, 1, 0))
+
 
 def effective_size_kb(size_kb: float, optimizer: SizeOptimizer) -> float:
     """Chain size on the wire after applying one optimizer."""
-    if not 0 <= size_kb < math.inf:
-        raise ValueError(f"size must be finite and >= 0, got {size_kb}")
-    if optimizer.kind == MTC_ONE_INTERMEDIATE:
-        return size_kb / 2 + 1
-    if optimizer.kind == MTC_TWO_INTERMEDIATES:
-        return size_kb / 3 + 1
-    if optimizer.kind in _CDN_KINDS:
-        return size_kb * optimizer.factor
-    return size_kb
+    mul, div, offset_kb = optimizer.affine
+    return check_size_kb(size_kb) * mul / div + offset_kb
 
 
 def original_size_kb(wire_kb: float, optimizer: SizeOptimizer) -> float:
     """Inverse of effective_size_kb: the chain size the optimizer shrinks to wire_kb."""
-    if optimizer.kind == MTC_ONE_INTERMEDIATE:
-        return 2 * (wire_kb - 1)
-    if optimizer.kind == MTC_TWO_INTERMEDIATES:
-        return 3 * (wire_kb - 1)
-    if optimizer.kind in _CDN_KINDS:
-        return wire_kb / optimizer.factor
-    return wire_kb  # identity: degenerate region
+    mul, div, offset_kb = optimizer.affine
+    return (wire_kb - offset_kb) * div / mul
 
 
 DEFAULT_OPTIMIZERS = (
@@ -198,27 +200,3 @@ def resolve_scheme(name: str, schemes: dict[str, SchemeProfile] | None = None) -
     if canonical is not None and canonical in table:
         return table[canonical]
     raise ConfigError(f"unknown scheme {name!r}; known: {', '.join(sorted(table))}")
-
-
-def load_scheme_profiles(path) -> dict[str, SchemeProfile]:
-    """Read scheme profiles from a JSON object keyed by scheme name."""
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a JSON object of scheme profiles")
-    profiles = {}
-    for name, d in raw.items():
-        try:
-            profiles[name] = SchemeProfile(name, **d)
-        except (TypeError, ConfigError) as e:
-            raise ConfigError(f"{path}: scheme {name!r}: {e}") from None
-    return profiles
-
-
-def save_scheme_profiles(profiles: dict[str, SchemeProfile], path) -> None:
-    raw = {name: asdict(p) for name, p in profiles.items()}
-    for d in raw.values():
-        del d["name"]
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(raw, f, indent=2)
-        f.write("\n")

@@ -35,9 +35,10 @@ class PaddingError(ValueError):
 
 
 def _integer(name, value):
-    if isinstance(value, int) and not isinstance(value, bool):
+    # Arithmetic mixes these with floats, so they must fit in one.
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
         return value
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+    raise ConfigError(f"{name} must be an integer within float range, got {value!r}")
 
 
 def _finite(name, value):

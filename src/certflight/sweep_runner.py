@@ -231,6 +231,8 @@ def compute_regions(
             if not 1 < threshold < math.inf:
                 raise ConfigError("thresholds must be finite and above 1 KB to have a region")
             upper = original_size_kb(threshold, optimizer)
+            if upper == math.inf:
+                raise ConfigError(f"threshold {threshold} KB: no finite {optimizer.label} region")
             regions.append(
                 OptimizationRegion(
                     optimizer=optimizer.label,

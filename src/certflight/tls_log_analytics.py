@@ -131,10 +131,10 @@ def parse_log_stream(
 
     def build_record(row: dict) -> TlsLogRecord | None:
         try:
-            ts = float(row[fmap["ts"]])
+            ts = float(raw_ts := row[fmap["ts"]])
         except (KeyError, TypeError, ValueError):
             return None
-        if not _TS_MIN <= ts < _TS_MAX:  # also false for NaN
+        if isinstance(raw_ts, bool) or not _TS_MIN <= ts < _TS_MAX:  # a bool or NaN
             return None
         ip = row.get(fmap["ip"])
         if not isinstance(ip, str) or ip.strip() in _UNSET:

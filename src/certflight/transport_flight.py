@@ -9,7 +9,7 @@ flight.
 
 Two modes:
 
-* analytic: derive extra round trips from the capacity formula.
+* analytic: solve the capacity formula for the flight count.
 * empirical: count configured size thresholds the chain exceeds
   (default [10, 40] KB, from measured TTFB step positions).
 
@@ -22,6 +22,7 @@ implies and callers can compare.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .chain_model import DEFAULT_KB_BYTES
@@ -69,29 +70,42 @@ class FlightModel:
 
 
 def cumulative_capacity_bytes(model: FlightModel, flights: int) -> float:
-    """Bytes deliverable in the first `flights` flights combined."""
+    """Bytes deliverable in the first `flights` flights combined (ValueError past float range)."""
     if flights < 1:
         raise ValueError("flights must be >= 1")
     g = model.growth_factor
-    return model.iw_bytes * (g**flights - 1) / (g - 1)
+    try:
+        capacity = model.iw_bytes * (g**flights - 1) / (g - 1)
+    except OverflowError:
+        capacity = math.inf
+    if capacity < math.inf:
+        return capacity
+    raise ValueError(f"the capacity of {flights} flights overflows a float")
 
 
 def extra_rtts(model: FlightModel, size_kb: float) -> int:
     """Extra round trips charged to a chain of size_kb KB.
 
     Strict exceedance on both paths: a chain exactly at a threshold
-    (or exactly filling a flight) costs nothing extra.
+    (or exactly filling a flight) costs nothing extra. A byte count
+    that overflows a float raises ValueError.
     """
     if not 0 <= size_kb < math.inf:
         raise ValueError(f"size must be finite and >= 0, got {size_kb}")
     if model.mode == EMPIRICAL:
-        return sum(1 for t in model.empirical_thresholds_kb if size_kb > t)
+        return bisect_left(model.empirical_thresholds_kb, size_kb)
     needed = size_kb * model.kb_bytes + model.handshake_overhead_bytes
-    flights = 1
-    while cumulative_capacity_bytes(model, flights) < needed:
+    # The least f with capacity(f) >= needed, i.e. g^f >= 1 + needed * (g - 1) / iw.
+    g = model.growth_factor
+    estimate = math.log1p(needed / model.iw_bytes * (g - 1)) / math.log1p(g - 1)
+    if estimate == math.inf:
+        raise ValueError(f"the flight capacity for {size_kb} KB overflows a float")
+    flights = math.ceil(estimate) or 1
+    # The logarithms round; the capacity comparison itself settles the count.
+    if flights > 1 and cumulative_capacity_bytes(model, flights - 1) >= needed:
+        flights -= 1
+    elif cumulative_capacity_bytes(model, flights) < needed:
         flights += 1
-        if flights > 10_000:
-            raise ConfigError("flight capacity is not reaching the payload size")
     return flights - 1
 
 

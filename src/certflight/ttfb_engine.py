@@ -27,6 +27,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .chain_model import check_size_kb
 from .errors import CalibrationError, ConfigError, check_fields
 from .transport_flight import FlightModel, extra_rtts
 
@@ -108,12 +109,9 @@ def estimate_ttfb(
     resumed: bool = False,
 ) -> TtfbEstimate:
     """Deterministic TTFB for one stack, path, and chain size."""
-    if not resumed:
-        extra = extra_rtts(path.flight, chain_size_kb)
-    elif 0 <= chain_size_kb < math.inf:
-        extra = 0  # no certificate is sent, but the size must still be valid
-    else:
-        raise ValueError(f"size must be finite and >= 0, got {chain_size_kb}")
+    if resumed:
+        check_size_kb(chain_size_kb)  # no certificate is sent, but the size must still be valid
+    extra = 0 if resumed else extra_rtts(path.flight, chain_size_kb)
     base = stack.resumed_base_ms if resumed else stack.base_ms
     total = base + (stack.base_flights + extra) * path.rtt_ms
     if stack.base_flights >= 2:

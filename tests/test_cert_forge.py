@@ -1,9 +1,12 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 
+from certflight import cert_forge
 from certflight.cert_forge import (
+    MAX_CERT_BYTES,
     DerCertTemplate,
     forge_chain,
     minimum_size,
@@ -172,3 +175,13 @@ def test_write_chain_manifest(tmp_path):
         assert len(der) == entry["actual_bytes"] == entry["target_bytes"]
         pem = (tmp_path / entry["file_pem"]).read_text()
         assert pem_decode(pem) == der
+
+
+@pytest.mark.parametrize("size_kb", [1e300, 16777.216])
+def test_a_certificate_too_large_for_tls_is_refused_unbuilt(size_kb):
+    # 16777.216 KB is 2^24 bytes, one more than cert_data<1..2^24-1> holds.
+    spec = ChainSpec(resolve_scheme("ECDSA"), explicit_size_kb=size_kb)
+    with mock.patch.object(cert_forge, "_build", wraps=cert_forge._build) as build:
+        with pytest.raises(PaddingError, match=str(MAX_CERT_BYTES)):
+            forge_chain(spec)
+    assert build.call_count == 0

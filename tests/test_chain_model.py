@@ -1,10 +1,11 @@
-import json
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certflight.chain_model import (
     DEFAULT_OPTIMIZERS,
-    DEFAULT_SCHEMES,
     ChainSpec,
     MerkleParams,
     SchemeProfile,
@@ -12,10 +13,8 @@ from certflight.chain_model import (
     chain_size_kb,
     effective_size_kb,
     kb_to_bytes,
-    load_scheme_profiles,
     merkle_proof_bytes,
     resolve_scheme,
-    save_scheme_profiles,
 )
 from certflight import chain_model
 from certflight.errors import ConfigError
@@ -150,16 +149,6 @@ def test_resolve_scheme_aliases():
         resolve_scheme("rsa-15360")
 
 
-def test_scheme_profiles_round_trip(tmp_path):
-    path = tmp_path / "schemes.json"
-    save_scheme_profiles(DEFAULT_SCHEMES, path)
-    loaded = load_scheme_profiles(path)
-    assert loaded == DEFAULT_SCHEMES
-    # file itself is plain JSON
-    raw = json.loads(path.read_text())
-    assert raw["SLH-DSA"]["leaf_kb"] == 16.6
-
-
 def test_original_size_inverts_effective_size():
     mtc1, mtc2, cdn25, cdn40 = DEFAULT_OPTIMIZERS
     ident = SizeOptimizer(chain_model.IDENTITY)
@@ -171,3 +160,51 @@ def test_original_size_inverts_effective_size():
         for wire_kb in (1.5, 10.0, 38.0, 94.0, 1234.5):
             size = chain_model.original_size_kb(wire_kb, optimizer)
             assert effective_size_kb(size, optimizer) == pytest.approx(wire_kb)
+
+
+def per_kind_effective_kb(size_kb, optimizer):
+    """The per-kind formulas the affine table replaced."""
+    if optimizer.kind == chain_model.MTC_ONE_INTERMEDIATE:
+        return size_kb / 2 + 1
+    if optimizer.kind == chain_model.MTC_TWO_INTERMEDIATES:
+        return size_kb / 3 + 1
+    if optimizer.kind == chain_model.IDENTITY:
+        return size_kb
+    return size_kb * optimizer.factor
+
+
+def per_kind_original_kb(wire_kb, optimizer):
+    if optimizer.kind == chain_model.MTC_ONE_INTERMEDIATE:
+        return 2 * (wire_kb - 1)
+    if optimizer.kind == chain_model.MTC_TWO_INTERMEDIATES:
+        return 3 * (wire_kb - 1)
+    if optimizer.kind == chain_model.IDENTITY:
+        return wire_kb
+    return wire_kb / optimizer.factor
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+all_optimizers = st.sampled_from([*DEFAULT_OPTIMIZERS, SizeOptimizer(chain_model.IDENTITY)]) | st.builds(
+    SizeOptimizer,
+    st.sampled_from([chain_model.CDN_MODERATE, chain_model.CDN_AGGRESSIVE]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+
+
+def test_optimizer_kinds_are_one_affine_table():
+    mtc1, mtc2, cdn25, cdn40 = DEFAULT_OPTIMIZERS
+    assert [o.affine for o in (mtc1, mtc2, cdn25, cdn40, SizeOptimizer(chain_model.IDENTITY))] == [
+        (1, 2, 1), (1, 3, 1), (0.75, 1, 0), (0.6, 1, 0), (1, 1, 0),
+    ]
+
+
+@settings(max_examples=500, deadline=None)
+@given(all_optimizers, st.floats(min_value=0.0, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_affine_table_rounds_like_the_per_kind_formulas(optimizer, size_kb, wire_kb):
+    assert bits(effective_size_kb(size_kb, optimizer)) == bits(per_kind_effective_kb(size_kb, optimizer))
+    assert bits(chain_model.original_size_kb(wire_kb, optimizer)) == bits(
+        per_kind_original_kb(wire_kb, optimizer))

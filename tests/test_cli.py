@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -381,6 +382,12 @@ def test_analyze_counts_unrenderable_timestamp_as_malformed(tmp_path, capsys, ba
     ("thresholds", "--step-kb", "1e-320", "--max-kb", "80"),
     ("sweep", "--sizes", "4:80:1e-9"),
     ("sweep", "--sizes", "4:80:1e-320"),
+    ("estimate", "--mode", "analytic", "--size-kb", "1e306", "--rtt", "10"),
+    ("--config", str(Path(__file__).parent / "data" / "huge_growth_factor.json"),
+     "estimate", "--mode", "analytic", "--size-kb", "1e10", "--rtt", "10"),
+    ("regions", "--thresholds", "1e308"),
+    ("forge", "--size-kb", "1e300", "--out-dir", "never-written"),
+    ("forge", "--size-kb", "1e306", "--out-dir", "never-written"),
 ])
 def test_bad_resumed_size_or_huge_grid_is_one_error_line(capsys, argv):
     test_bad_input_is_one_error_line(capsys, argv)

@@ -157,6 +157,7 @@ def test_saved_file_has_one_kb_bytes_and_no_profile_names(tmp_path):
 BAD_FIELDS = [
     (FlightModel, {"iw_bytes": NAN}),
     (FlightModel, {"iw_bytes": 14000.0}),
+    (FlightModel, {"iw_bytes": 2**1024}),
     (FlightModel, {"kb_bytes": True}),
     (FlightModel, {"growth_factor": INF}),
     (FlightModel, {"empirical_thresholds_kb": (10.0, NAN)}),

@@ -246,3 +246,9 @@ def test_plan_replace_keeps_validation():
     plan = small_plan()
     with pytest.raises(ConfigError):
         dataclasses.replace(plan, trials=-1)
+
+
+def test_a_threshold_without_a_finite_region_names_itself_and_the_optimizer():
+    for optimizer in DEFAULT_OPTIMIZERS:
+        with pytest.raises(ConfigError, match=f"threshold 1.7e\\+308 KB: no finite {optimizer.label} region"):
+            compute_regions([10.0, 1.7e308], [optimizer])

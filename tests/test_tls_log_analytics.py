@@ -302,6 +302,7 @@ def test_rate_correlation():
     {"id.resp_h": 1746833665, "version": "TLSv1.3"},
     {"id.resp_h": "104.16.1.1", "version": {"a": 1}},
     {"id.resp_h": "104.16.1.1", "version": 1.3},
+    {"ts": True, "id.resp_h": "104.16.1.1"},
 ])
 def test_jsonl_values_of_the_wrong_type_are_malformed(bad):
     good = [

@@ -1,5 +1,12 @@
-import pytest
+import math
+import sys
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from certflight import transport_flight
 from certflight.errors import ConfigError
 from certflight.transport_flight import (
     ANALYTIC,
@@ -121,3 +128,71 @@ def test_analytic_matches_empirical_when_thresholds_agree():
     for tenth_kb in range(0, 1000):
         size = tenth_kb / 10
         assert extra_rtts(analytic, size) == extra_rtts(empirical, size), size
+
+
+def loop_extra_rtts(model, size_kb):
+    """The per-flight search the closed form replaced, without its flight cap."""
+    if model.mode == EMPIRICAL:
+        return sum(1 for t in model.empirical_thresholds_kb if size_kb > t)
+    needed = size_kb * model.kb_bytes + model.handshake_overhead_bytes
+    flights = 1
+    while cumulative_capacity_bytes(model, flights) < needed:
+        flights += 1
+    return flights - 1
+
+
+analytic_models = st.builds(
+    FlightModel,
+    iw_bytes=st.integers(1, 10**7),
+    growth_factor=st.floats(min_value=1.01, max_value=16.0),
+    handshake_overhead_bytes=st.integers(0, 10**5),
+    mode=st.just(ANALYTIC),
+    kb_bytes=st.sampled_from([1000, 1024]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(analytic_models, st.integers(1, 200), st.floats(min_value=0.0, max_value=1e12))
+def test_closed_form_matches_the_flight_loop(model, flights, size_kb):
+    # The exact size at which `flights` flights are full, and its float
+    # neighbours, are where rounding in the logarithms would show.
+    edge = (cumulative_capacity_bytes(model, flights) - model.handshake_overhead_bytes) / model.kb_bytes
+    sizes = [size_kb]
+    if edge >= 0:
+        sizes += [edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf)]
+    for size in sizes:
+        with mock.patch.object(transport_flight, "cumulative_capacity_bytes",
+                               wraps=cumulative_capacity_bytes) as capacity:
+            got = extra_rtts(model, size)
+        assert got == loop_extra_rtts(model, size), size
+        assert capacity.call_count <= 2  # settling the estimate, not a search
+
+
+FLOAT_MAX = sys.float_info.max
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.builds(
+        FlightModel,
+        iw_bytes=st.integers(1, int(FLOAT_MAX)),
+        growth_factor=st.floats(min_value=1.0, exclude_min=True, max_value=FLOAT_MAX),
+        handshake_overhead_bytes=st.integers(0, int(FLOAT_MAX)),
+        mode=st.sampled_from([ANALYTIC, EMPIRICAL]),
+        kb_bytes=st.integers(1, int(FLOAT_MAX)),
+    ),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+def test_every_valid_model_gives_a_count_or_a_value_error(model, size_kb):
+    try:
+        result = extra_rtts(model, size_kb)
+    except ValueError:
+        return
+    assert type(result) is int and result >= 0
+
+
+def test_slow_growth_is_counted_not_capped():
+    # The flight loop gave up after 10,000 flights with a ConfigError.
+    model = FlightModel(mode=ANALYTIC, growth_factor=1.001)
+    assert extra_rtts(model, 1e300) == loop_extra_rtts(model, 1e300) == 681_569
+
