@@ -76,68 +76,3 @@ from .ttfb_engine import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ANALYTIC",
-    "AsnMap",
-    "CalibrationError",
-    "ChainSpec",
-    "Config",
-    "ConfigError",
-    "DEFAULT_KB_BYTES",
-    "DEFAULT_OPTIMIZERS",
-    "DEFAULT_SCHEMES",
-    "DEFAULT_STACKS",
-    "DerCertTemplate",
-    "EMPIRICAL",
-    "FlightModel",
-    "ForgedCert",
-    "ForgedChain",
-    "LogFormatError",
-    "MerkleParams",
-    "NetworkPath",
-    "NoiseModel",
-    "OptimizationRegion",
-    "PaddingError",
-    "ParseReport",
-    "ParseStats",
-    "ResumptionStats",
-    "SavingsEstimate",
-    "SchemeProfile",
-    "SizeOptimizer",
-    "StackProfile",
-    "SweepPlan",
-    "SweepRow",
-    "TlsLogRecord",
-    "TtfbEstimate",
-    "aggregate_stats",
-    "calibrate_minimax",
-    "calibrate_stack_profile",
-    "chain_size_kb",
-    "compute_regions",
-    "cumulative_capacity_bytes",
-    "effective_size_kb",
-    "emit_csv",
-    "emit_gnuplot",
-    "emit_json",
-    "estimate_savings",
-    "estimate_ttfb",
-    "extra_rtts",
-    "find_thresholds",
-    "forge_chain",
-    "load_config",
-    "merge_stats",
-    "merkle_proof_bytes",
-    "pad_to_size",
-    "parse_and_measure",
-    "parse_log_stream",
-    "rate_correlation",
-    "resolve_config",
-    "resolve_scheme",
-    "resolve_stack",
-    "run_sweep",
-    "sample_ttfb",
-    "save_config",
-    "time_series",
-    "write_chain",
-]

@@ -214,11 +214,9 @@ def cmd_forge(args, cfg: Config) -> int:
     chain = cert_forge.forge_chain(spec, kb_bytes=cfg.kb_bytes)
     manifest = cert_forge.write_chain(chain, args.out_dir)
     ok = True
-    for entry in manifest["certs"]:
+    for entry, cert in zip(manifest["certs"], chain.certs):
         exact = entry["actual_bytes"] == entry["target_bytes"]
-        report = cert_forge.parse_and_measure(
-            next(c.der for c in chain.certs if c.role == entry["role"])
-        )
+        report = cert_forge.parse_and_measure(cert.der)
         ok = ok and exact and report.well_formed
         print(
             f"{entry['role']}: target={entry['target_bytes']} "

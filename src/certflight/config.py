@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from importlib import resources
 
 from .chain_model import DEFAULT_SCHEMES, SchemeProfile, SizeOptimizer
 from .errors import ConfigError, check_fields
@@ -28,7 +27,7 @@ _PROFILES = {"schemes": SchemeProfile, "stacks": StackProfile}
 
 
 def _data_path(name: str) -> str:
-    return str(resources.files("certflight").joinpath("data", name))
+    return os.path.join(os.path.dirname(__file__), "data", name)
 
 
 @dataclass

@@ -142,24 +142,6 @@ def emit_csv(rows: list[SweepRow]) -> str:
     return out.getvalue()
 
 
-def rows_from_csv(text: str) -> list[SweepRow]:
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for rec in reader:
-        rows.append(
-            SweepRow(
-                stack=rec["stack"],
-                rtt_ms=float(rec["rtt_ms"]),
-                size_kb=float(rec["size_kb"]),
-                mean_ms=float(rec["mean_ms"]),
-                std_ms=float(rec["std_ms"]),
-                extra_rtts=int(rec["extra_rtts"]),
-                optimizer=rec.get("optimizer", "") or "",
-            )
-        )
-    return rows
-
-
 def emit_json(rows: list[SweepRow]) -> str:
     keep_opt = _has_optimizers(rows)
     payload = []
@@ -176,10 +158,6 @@ def emit_json(rows: list[SweepRow]) -> str:
             d["optimizer"] = r.optimizer
         payload.append(d)
     return json.dumps(payload, indent=2) + "\n"
-
-
-def rows_from_json(text: str) -> list[SweepRow]:
-    return [SweepRow(**{**{"optimizer": ""}, **rec}) for rec in json.loads(text)]
 
 
 def emit_gnuplot(rows: list[SweepRow]) -> str:

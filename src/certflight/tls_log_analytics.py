@@ -15,7 +15,8 @@ import json
 import statistics
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import LogFormatError
 
@@ -58,13 +59,9 @@ class ParseStats:
     resumption_unknown: int = 0
 
 
-DEFAULT_FIELD_MAP = {
-    "ts": "ts",
-    "ip": "id.resp_h",
-    "version": "version",
-    "resumed": "resumed",
-    "sni": "server_name",
-}
+# Zeek's names for the fields read, in the column order of a TSV log
+# without a #fields header.
+FIELDS = ("ts", "id.resp_h", "version", "resumed", "server_name")
 
 _UNSET = {"", "-", "(empty)"}
 _TRUE = {"t", "true", "1", "yes"}
@@ -91,75 +88,73 @@ def _parse_bool(raw) -> bool | None:
     return None
 
 
+def _columns(names: Sequence[str]) -> tuple[int, itemgetter]:
+    """A TSV header's width, and a getter of the FIELDS values from a split
+    line with None appended: a repeated name keeps its last position, a
+    missing one reads the None."""
+    pos = {name: i for i, name in enumerate(names)}
+    return len(names), itemgetter(*(pos.get(name, -1) for name in FIELDS))
+
+
+def _record(ts, ip, version, resumed, sni, stats: ParseStats) -> TlsLogRecord | None:
+    """A record from raw field values (TSV strings, JSON values, or None
+    where absent), or None if the values make the line malformed."""
+    try:
+        timestamp = float(ts)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge JSON integer
+        return None
+    if isinstance(ts, bool) or not _TS_MIN <= timestamp < _TS_MAX:  # a bool or NaN
+        return None
+    if not isinstance(ip, str) or ip.strip() in _UNSET:
+        return None
+    if version is not None and not isinstance(version, str):
+        return None
+    if version is None or version.strip() in _UNSET:
+        version = "unknown"
+    else:
+        version = normalize_version(version)
+    resumed = _parse_bool(resumed)
+    if resumed is None:
+        stats.resumption_unknown += 1
+        resumed = False
+    if sni is not None and str(sni).strip() in _UNSET:
+        sni = None
+    return TlsLogRecord(
+        timestamp=timestamp,
+        server_ip=ip.strip(),
+        tls_version=version,
+        resumed=resumed,
+        server_name=str(sni) if sni is not None else None,
+    )
+
+
 def parse_log_stream(
     lines: Iterable[str],
     fmt: str = "auto",
-    field_map: dict[str, str] | None = None,
     stats: ParseStats | None = None,
 ) -> Iterator[TlsLogRecord]:
     """Yield records from a log stream, in input order, skipping bad lines.
 
     fmt is "tsv", "jsonl", or "auto" (sniffed from the first data line).
-    Malformed lines (bad column count, unparseable timestamp, timestamp
-    outside the years 1-9999 that ``month_key`` can render, missing or
-    unset address, a JSON address that is not a string, a JSON version
-    that is neither null nor a string) are counted in stats and skipped.
-    An address string that is not an IP address is not malformed: the
-    record is kept and classifies as Unidentified. A missing resumption
-    field is not malformed either: the record defaults to resumed=False
-    and the line is tallied under resumption_unknown. If more than half
-    of all data lines are malformed the stream itself is considered
-    unreadable and LogFormatError is raised once the stream is exhausted.
+    Fields are read by their Zeek names (FIELDS); a TSV #fields header
+    sets the column order. Malformed lines (bad column count, no ts or
+    id.resp_h column, unparseable timestamp, timestamp outside the years
+    1-9999 that ``month_key`` can render, missing or unset address, a
+    JSON line that does not decode to an object, a JSON address that is
+    not a string, a JSON version that is neither null nor a string) are
+    counted in stats and skipped. An address string that is not an IP
+    address is not malformed: the record is kept and classifies as
+    Unidentified. A missing resumption field is not malformed either: the
+    record defaults to resumed=False and the line is tallied under
+    resumption_unknown. If more than half of all data lines are malformed
+    the stream itself is considered unreadable and LogFormatError is
+    raised once the stream is exhausted.
     """
     if fmt not in ("auto", "tsv", "jsonl"):
         raise ValueError(f"unknown log format {fmt!r}")
-    fmap = dict(DEFAULT_FIELD_MAP)
-    if field_map:
-        fmap.update(field_map)
     if stats is None:
         stats = ParseStats()
-    columns: list[str] | None = None
-
-    def tsv_record(parts: list[str]) -> TlsLogRecord | None:
-        order = columns if columns is not None else [
-            fmap["ts"], fmap["ip"], fmap["version"], fmap["resumed"], fmap["sni"]
-        ]
-        if len(parts) != len(order):
-            return None
-        row = dict(zip(order, parts))
-        return build_record(row)
-
-    def build_record(row: dict) -> TlsLogRecord | None:
-        try:
-            ts = float(raw_ts := row[fmap["ts"]])
-        except (KeyError, TypeError, ValueError):
-            return None
-        if isinstance(raw_ts, bool) or not _TS_MIN <= ts < _TS_MAX:  # a bool or NaN
-            return None
-        ip = row.get(fmap["ip"])
-        if not isinstance(ip, str) or ip.strip() in _UNSET:
-            return None
-        raw_version = row.get(fmap["version"])
-        if raw_version is not None and not isinstance(raw_version, str):
-            return None
-        if raw_version is None or raw_version.strip() in _UNSET:
-            version = "unknown"
-        else:
-            version = normalize_version(raw_version)
-        resumed = _parse_bool(row.get(fmap["resumed"]))
-        if resumed is None:
-            stats.resumption_unknown += 1
-            resumed = False
-        sni = row.get(fmap["sni"])
-        if sni is not None and str(sni).strip() in _UNSET:
-            sni = None
-        return TlsLogRecord(
-            timestamp=ts,
-            server_ip=ip.strip(),
-            tls_version=version,
-            resumed=resumed,
-            server_name=str(sni) if sni is not None else None,
-        )
+    width, pick = _columns(FIELDS)
 
     for line in lines:
         line = line.rstrip("\n")
@@ -168,21 +163,24 @@ def parse_log_stream(
         if line.startswith("#"):
             # Zeek metadata; a #fields header overrides column order.
             if line.startswith("#fields"):
-                columns = line.split("\t")[1:]
+                width, pick = _columns(line.split("\t")[1:])
             continue
         if fmt == "auto":
             fmt = "jsonl" if line.lstrip().startswith("{") else "tsv"
         stats.data_lines += 1
         record = None
         if fmt == "tsv":
-            record = tsv_record(line.split("\t"))
+            parts = line.split("\t")
+            if len(parts) == width:
+                parts.append(None)  # read by a column the header lacks
+                record = _record(*pick(parts), stats)
         else:
             try:
                 row = json.loads(line)
-                if isinstance(row, dict):
-                    record = build_record(row)
-            except json.JSONDecodeError:
-                record = None
+            except (ValueError, RecursionError):  # not JSON, too long an integer, too deep
+                row = None
+            if isinstance(row, dict):
+                record = _record(*map(row.get, FIELDS), stats)
         if record is None:
             stats.malformed += 1
             continue

@@ -178,7 +178,10 @@ def calibrate_stack_profile(
     pts = [(float(r), float(t)) for r, t in measurements]
     if len({r for r, _ in pts}) < 2:
         raise CalibrationError("need measurements at two or more distinct RTTs")
-    slope, base = statistics.linear_regression([r for r, _ in pts], [t for _, t in pts])
+    try:
+        slope, base = statistics.linear_regression([r for r, _ in pts], [t for _, t in pts])
+    except OverflowError as exc:  # sums of squares beyond float range
+        raise CalibrationError(f"measurements too large to fit: {exc}") from None
     flights = slope - penalty_rtts
     if flights < 1:
         raise CalibrationError(

@@ -388,6 +388,7 @@ def test_analyze_counts_unrenderable_timestamp_as_malformed(tmp_path, capsys, ba
     ("regions", "--thresholds", "1e308"),
     ("forge", "--size-kb", "1e300", "--out-dir", "never-written"),
     ("forge", "--size-kb", "1e306", "--out-dir", "never-written"),
+    ("calibrate", "--csv", str(Path(__file__).parent / "data" / "overflow_points.csv")),
 ])
 def test_bad_resumed_size_or_huge_grid_is_one_error_line(capsys, argv):
     test_bad_input_is_one_error_line(capsys, argv)

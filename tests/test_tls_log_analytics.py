@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certflight.config import Config
 from certflight.errors import LogFormatError
@@ -11,6 +13,7 @@ from certflight.tls_log_analytics import (
     CLASS_NONCDN,
     CLASS_UNIDENTIFIED,
     ENDPOINT_CLASSES,
+    FIELDS,
     AsnMap,
     ParseStats,
     ResumptionStats,
@@ -128,23 +131,15 @@ def test_parse_jsonl_and_auto_sniff():
                     "version": "TLSv1.3", "resumed": True, "server_name": "a.com"}),
         json.dumps({"ts": 1735690001.0, "id.resp_h": "73.1.1.1",
                     "version": "TLSv1.2", "resumed": False}),
+        json.dumps({"ts": 1735690002.0, "id.resp_h": "104.16.1.1",
+                    "version": "tls1.3", "resumed": "yes"}),
     ]
     stats = ParseStats()
     records = list(parse_log_stream(lines, stats=stats))
-    assert stats.records == 2
+    assert stats.records == 3
     assert records[0].resumed is True
     assert records[1].server_name is None
-
-
-def test_field_map_override():
-    lines = [json.dumps({"when": 1735690000.0, "dst": "104.16.1.1",
-                         "proto": "tls1.3", "reused": "yes"})]
-    records = list(parse_log_stream(
-        lines,
-        field_map={"ts": "when", "ip": "dst", "version": "proto",
-                   "resumed": "reused", "sni": "host"},
-    ))
-    assert records[0].is_tls13 and records[0].resumed
+    assert records[2].is_tls13 and records[2].resumed is True
 
 
 def test_unreadable_stream_raises_at_exhaustion():
@@ -156,6 +151,89 @@ def test_unreadable_stream_raises_at_exhaustion():
 def test_unknown_format_name_rejected():
     with pytest.raises(ValueError):
         list(parse_log_stream([], fmt="xml"))
+
+
+def test_repeated_column_takes_its_last_position_and_missing_key_column_is_malformed():
+    lines = ["#fields\tts\tid.resp_h\tts", "1.0\t104.16.1.1\t1735690000.0"]
+    assert [r.timestamp for r in parse_log_stream(lines)] == [1735690000.0]
+    # Rows that would parse if the header named the missing column.
+    for header, row in (("#fields\tid.resp_h\tversion", "104.16.1.1\tTLSv1.3"),
+                        ("#fields\tts\tversion", "1735690000.0\tTLSv1.3")):
+        stats = ParseStats()
+        with pytest.raises(LogFormatError):
+            list(parse_log_stream([header, row, row], stats=stats))
+        assert stats.malformed == stats.data_lines == 2
+
+
+@pytest.mark.parametrize("line", [
+    '{"ts": 1' + "0" * 5000 + ', "id.resp_h": "104.16.1.1"}',
+    '{"ts": 1735690000.0, "id.resp_h": ' + "[" * 100000 + "]" * 100000 + "}",
+], ids=["too-many-digits-to-read", "too-deep"])
+def test_jsonl_lines_python_cannot_read_are_malformed(line):
+    good = json.dumps({"ts": JAN, "id.resp_h": "104.16.1.1"})
+    stats = ParseStats()
+    assert len(list(parse_log_stream([good, line, good], stats=stats))) == 2
+    assert stats.malformed == 1
+
+
+# Each field's value is a valid one half of the time, and random otherwise.
+_VALID = {"ts": "1735690000.5", "id.resp_h": "104.16.1.1", "version": "tls1.3",
+          "resumed": "T", "server_name": "example.com"}
+
+
+def _valid_or(value, others):
+    return st.booleans().flatmap(lambda valid: st.just(value) if valid else others)
+
+
+_TSV_VALUES = st.sampled_from(
+    ["1", "nan", "-inf", "1e300", "-", "", "(empty)", "F", "yes", "2001:db8::1", "SSLv3"]
+) | st.text(st.characters(blacklist_characters="\t\n"), max_size=8)
+_TSV_LINES = (st.tuples(*(_valid_or(v, _TSV_VALUES) for v in _VALID.values()))
+              | st.lists(_TSV_VALUES, max_size=7)).map("\t".join)
+# A #fields header may leave out, repeat or add columns.
+_HEADERS = st.lists(st.sampled_from(FIELDS + ("uid",)), max_size=7).map(
+    lambda names: "\t".join(("#fields", *names)))
+# Numbers of every size, the last beyond float range.
+_NUMBERS = st.floats() | st.integers() | st.integers(2 ** 1024, 2 ** 1330)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+# A JSON null reads as an absent field.
+_JSON_LINES = st.fixed_dictionaries(
+    {**{name: _valid_or(value, _JSON_VALUES) for name, value in _VALID.items()},
+     "ts": _valid_or(JAN, _NUMBERS | _JSON_VALUES)},
+    optional={"uid": _JSON_VALUES},
+).map(json.dumps)
+
+
+def _stream(data_lines):
+    """Mostly data lines, with a header or a junk line one time in five."""
+    return st.lists(st.one_of(data_lines, data_lines, data_lines, _HEADERS, st.text(max_size=20)),
+                    max_size=12)
+
+
+_LOG_LINES = _stream(_TSV_LINES) | _stream(_JSON_LINES) | _stream(_TSV_LINES | _JSON_LINES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOG_LINES, st.sampled_from(["auto", "tsv", "jsonl"]))
+def test_every_data_line_is_a_record_or_malformed(lines, fmt):
+    stats = ParseStats()
+    records = []
+    try:
+        records.extend(parse_log_stream(lines, fmt=fmt, stats=stats))
+    except LogFormatError:
+        assert stats.malformed > stats.records
+    data_lines = sum(1 for line in lines
+                     if line.rstrip("\n").strip() and not line.startswith("#"))
+    assert stats.records + stats.malformed == stats.data_lines == data_lines
+    assert len(records) == stats.records
+    for r in records:
+        assert isinstance(r.timestamp, float) and month_key(r.timestamp)
+        assert isinstance(r.server_ip, str) and r.server_ip
 
 
 def test_longest_prefix_wins():
@@ -303,6 +381,7 @@ def test_rate_correlation():
     {"id.resp_h": "104.16.1.1", "version": {"a": 1}},
     {"id.resp_h": "104.16.1.1", "version": 1.3},
     {"ts": True, "id.resp_h": "104.16.1.1"},
+    {"ts": 10 ** 400, "id.resp_h": "104.16.1.1"},  # beyond float range
 ])
 def test_jsonl_values_of_the_wrong_type_are_malformed(bad):
     good = [
