@@ -67,12 +67,16 @@ def _chain_kb_for(args, cfg: Config) -> float:
     )
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _output(out_path: str | None):
+    """A context manager for the file at out_path, or for stdout."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(out_path, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    with _output(out_path) as f:
+        f.write(text)
 
 
 # -------------------------------------------------------------- commands
@@ -111,11 +115,11 @@ def cmd_estimate(args, cfg: Config) -> int:
 def cmd_sweep(args, cfg: Config) -> int:
     plan = cfg.sweep
     updates: dict = {"trials": args.trials}
-    if args.stacks:
+    if args.stacks is not None:
         updates["stacks"] = tuple(s.strip() for s in args.stacks.split(",") if s.strip())
-    if args.rtts:
+    if args.rtts is not None:
         updates["rtts_ms"] = _parse_floats(args.rtts)
-    if args.sizes:
+    if args.sizes is not None:
         parts = args.sizes.split(":")
         if len(parts) != 3:
             raise ConfigError("--sizes wants start:end:step")
@@ -128,14 +132,24 @@ def cmd_sweep(args, cfg: Config) -> int:
     if args.seed is not None:
         updates["seed"] = args.seed
     plan = dataclasses.replace(plan, **updates)
-    rows = sweep_runner.run_sweep(plan, cfg.stacks, _flight_for(args, cfg), cfg.noise)
-    text = sweep_runner.emit_json(rows) if args.format == "json" else sweep_runner.emit_csv(rows)
-    _emit(text, args.out)
-    if args.gnuplot:
-        with open(args.gnuplot, "w", encoding="utf-8") as f:
-            f.write(sweep_runner.emit_gnuplot(rows))
+    flight = _flight_for(args, cfg)
+    if args.format == "csv" and not args.gnuplot:
+        # Rows stream to the output; sweep_records raises every input error before it opens.
+        records = sweep_runner.sweep_records(plan, cfg.stacks, flight, cfg.noise)
+        with _output(args.out) as f:
+            sweep_runner.write_csv(f, records, bool(plan.optimizers))
+        count = (len(plan.stacks) * len(plan.rtts_ms) * len(plan.sizes_kb)
+                 * (1 + len(plan.optimizers)))
+    else:
+        rows = sweep_runner.run_sweep(plan, cfg.stacks, flight, cfg.noise)
+        emit = sweep_runner.emit_json if args.format == "json" else sweep_runner.emit_csv
+        _emit(emit(rows), args.out)
+        if args.gnuplot:
+            with open(args.gnuplot, "w", encoding="utf-8") as f:
+                f.write(sweep_runner.emit_gnuplot(rows))
+        count = len(rows)
     if args.out:
-        print(f"wrote {len(rows)} rows to {args.out}")
+        print(f"wrote {count} rows to {args.out}")
     return 0
 
 

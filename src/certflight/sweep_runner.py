@@ -1,12 +1,19 @@
 """Parameter sweeps, optimization regions, and resumption savings.
 
-run_sweep evaluates the TTFB model over a (stack, rtt, size) grid with
-optional size optimizers and per-row noise sampling. A row's mean_ms and
-std_ms are an exact draw of the summary of plan.trials noisy trials (see
-sample_ttfb), so the trial count costs no time. Per-row RNG seeds
-are derived by hashing the plan seed with the row's grid coordinates,
-so results are reproducible regardless of evaluation order and rows can
-be computed concurrently and merged.
+sweep_records evaluates the TTFB model over a (stack, rtt, size) grid with
+optional size optimizers and per-row noise sampling, and yields the rows
+one at a time; run_sweep collects them as SweepRow objects, and write_csv
+streams them to a file. Every input error is raised when sweep_records is
+called, before the first row exists, so a failed sweep writes nothing.
+Memory grows with the size axis, not with the number of rows.
+
+The grid is factored: the wire size and extra round trips depend only on
+(size, optimizer), and the totals only on (stack, rtt, extra round trips),
+so each is computed once. A row's mean_ms and std_ms are an exact draw of
+the summary of plan.trials noisy trials (see summary_sampler), so the trial
+count costs no time. Per-row RNG seeds are derived by hashing the plan seed
+with the row's grid coordinates, so results are reproducible regardless of
+evaluation order and rows can be computed concurrently and merged.
 """
 
 from __future__ import annotations
@@ -20,8 +27,10 @@ from dataclasses import dataclass
 
 from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
 from .errors import ConfigError, check_fields
-from .transport_flight import FlightModel, check_grid_points
-from .ttfb_engine import NetworkPath, NoiseModel, StackProfile, estimate_ttfb, sample_ttfb
+from .transport_flight import FlightModel, check_grid_points, extra_rtts
+from .ttfb_engine import (
+    NetworkPath, NoiseModel, StackProfile, estimate_ttfb, summary_sampler, ttfb_total_ms,
+)
 
 DEFAULT_RTTS_MS = (0.0, 10.0, 50.0, 100.0, 200.0)
 
@@ -49,6 +58,10 @@ class SweepPlan:
             raise ConfigError("size_end_kb must be >= size_start_kb")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        labels = [opt.label for opt in self.optimizers]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(f"optimizer {label} is listed twice; each needs its own label")
 
     @property
     def sizes_kb(self) -> list[float]:
@@ -68,9 +81,61 @@ class SweepRow:
     optimizer: str = ""
 
 
-def _row_seed(plan_seed: int, stack: str, rtt: float, size: float, optimizer: str) -> int:
-    key = f"{plan_seed}|{stack}|{rtt!r}|{size!r}|{optimizer}"
-    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+def sweep_records(
+    plan: SweepPlan,
+    stacks: dict[str, StackProfile],
+    flight: FlightModel,
+    noise: NoiseModel = NoiseModel(),
+):
+    """A generator of the grid's rows in canonical order (stack, rtt, size,
+    optimizer), as (stack, rtt_ms, size_kb, mean_ms, std_ms, extra_rtts)
+    tuples that end in the optimizer label when the plan has optimizers.
+
+    With optimizers in the plan, each grid point also gets one row per
+    optimizer, keyed by the raw size but charged the optimized size's
+    round trips. A row's seed hashes f"{seed}|{stack}|{rtt!r}|{size!r}|{label}".
+    This call checks every stack, rtt, size and total before it returns,
+    so the generator itself raises nothing.
+    """
+    missing = [name for name in plan.stacks if name not in stacks]
+    if missing:
+        raise ConfigError(f"unknown stacks in plan: {', '.join(missing)}")
+    for rtt in plan.rtts_ms:
+        NetworkPath(rtt_ms=rtt, flight=flight)
+    variants = [("", None)] + [(opt.label, opt) for opt in plan.optimizers]
+    # Per size and variant: the seed key's tail, the extra round trips, the label.
+    cells = []
+    for size in plan.sizes_kb:
+        row = []
+        for label, opt in variants:
+            wire_kb = size if opt is None else effective_size_kb(size, opt)
+            row.append((f"{size!r}|{label}".encode(), extra_rtts(flight, wire_kb), label))
+        cells.append((size, row))
+    extras = {extra for _, row in cells for _, extra, _ in row}
+    # Per (stack, rtt): the seed key's hashed head, and the total of each extra.
+    lines = []
+    for name in plan.stacks:
+        stack = stacks[name]
+        for rtt in plan.rtts_ms:
+            head = hashlib.sha256(f"{plan.seed}|{name}|{rtt!r}|".encode())
+            totals = {e: ttfb_total_ms(stack.base_ms, stack.base_flights + e, rtt) for e in extras}
+            lines.append((name, rtt, head, totals))
+    return _records(lines, cells, summary_sampler(noise, plan.trials), bool(plan.optimizers))
+
+
+def _records(lines, cells, draw, labelled: bool):
+    for name, rtt, head, totals in lines:
+        for size, row in cells:
+            for tail, extra, label in row:
+                mean, std = totals[extra], 0.0
+                if draw is not None:
+                    key = head.copy()
+                    key.update(tail)
+                    mean, std = draw(mean, int.from_bytes(key.digest()[:8], "big"))
+                if labelled:
+                    yield name, rtt, size, mean, std, extra, label
+                else:
+                    yield name, rtt, size, mean, std, extra
 
 
 def run_sweep(
@@ -79,42 +144,9 @@ def run_sweep(
     flight: FlightModel,
     noise: NoiseModel = NoiseModel(),
 ) -> list[SweepRow]:
-    """Evaluate the grid in canonical order (stack, rtt, size, optimizer).
-
-    With optimizers in the plan, each grid point also gets one row per
-    optimizer, keyed by the raw size but charged the optimized size's
-    round trips. Unknown stack names fail before any row is produced.
-    """
-    missing = [name for name in plan.stacks if name not in stacks]
-    if missing:
-        raise ConfigError(f"unknown stacks in plan: {', '.join(missing)}")
-    sizes = plan.sizes_kb
-    variants = [("", None)] + [(opt.label, opt) for opt in plan.optimizers]
-    rows = []
-    for stack_name in plan.stacks:
-        stack = stacks[stack_name]
-        for rtt in plan.rtts_ms:
-            path = NetworkPath(rtt_ms=rtt, flight=flight)
-            for size in sizes:
-                for label, opt in variants:
-                    wire_kb = size if opt is None else effective_size_kb(size, opt)
-                    estimate = estimate_ttfb(stack, path, wire_kb)
-                    summary = sample_ttfb(
-                        estimate, noise, plan.trials,
-                        seed=_row_seed(plan.seed, stack_name, rtt, size, label),
-                    )
-                    rows.append(
-                        SweepRow(
-                            stack=stack_name,
-                            rtt_ms=rtt,
-                            size_kb=size,
-                            mean_ms=summary.mean_ms,
-                            std_ms=summary.std_ms,
-                            extra_rtts=estimate.extra_rtts,
-                            optimizer=label,
-                        )
-                    )
-    return rows
+    """The rows of sweep_records as SweepRow objects. Unknown stack names
+    fail before any row is produced."""
+    return [SweepRow(*record) for record in sweep_records(plan, stacks, flight, noise)]
 
 
 _BASE_FIELDS = ("stack", "rtt_ms", "size_kb", "mean_ms", "std_ms", "extra_rtts")
@@ -124,21 +156,24 @@ def _has_optimizers(rows: list[SweepRow]) -> bool:
     return any(r.optimizer for r in rows)
 
 
-def emit_csv(rows: list[SweepRow]) -> str:
-    """Render rows as CSV. Floats use repr, so values round-trip exactly.
-
-    The optimizer column appears only when some row carries an optimizer.
-    """
-    fields = _BASE_FIELDS + ("optimizer",) if _has_optimizers(rows) else _BASE_FIELDS
-    out = io.StringIO()
+def write_csv(out, records, labelled: bool) -> None:
+    """Write the header and one line per sweep_records tuple to the text file
+    out. csv writes floats with repr, so values round-trip exactly."""
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(fields)
-    for r in rows:
-        record = [r.stack, repr(r.rtt_ms), repr(r.size_kb), repr(r.mean_ms),
-                  repr(r.std_ms), r.extra_rtts]
-        if len(fields) == 7:
-            record.append(r.optimizer)
-        writer.writerow(record)
+    writer.writerow(_BASE_FIELDS + ("optimizer",) if labelled else _BASE_FIELDS)
+    writer.writerows(records)
+
+
+def emit_csv(rows: list[SweepRow]) -> str:
+    """Render rows as CSV. The optimizer column appears only when some row
+    carries an optimizer."""
+    labelled = _has_optimizers(rows)
+    width = 7 if labelled else 6
+    out = io.StringIO()
+    write_csv(out, (
+        (r.stack, r.rtt_ms, r.size_kb, r.mean_ms, r.std_ms, r.extra_rtts, r.optimizer)[:width]
+        for r in rows
+    ), labelled)
     return out.getvalue()
 
 

@@ -25,7 +25,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .chain_model import check_size_kb
 from .errors import CalibrationError, ConfigError, check_fields
@@ -102,6 +102,14 @@ class TtfbEstimate:
         return self.t_tcp_ms is not None
 
 
+def ttfb_total_ms(base_ms: float, flights: float, rtt_ms: float) -> float:
+    """base_ms + flights * rtt_ms, the model's TTFB; ValueError when it overflows a float."""
+    total = base_ms + flights * rtt_ms
+    if not total < math.inf:
+        raise ValueError(f"the TTFB of {flights} flights at rtt {rtt_ms} ms overflows a float")
+    return total
+
+
 def estimate_ttfb(
     stack: StackProfile,
     path: NetworkPath,
@@ -113,7 +121,7 @@ def estimate_ttfb(
         check_size_kb(chain_size_kb)  # no certificate is sent, but the size must still be valid
     extra = 0 if resumed else extra_rtts(path.flight, chain_size_kb)
     base = stack.resumed_base_ms if resumed else stack.base_ms
-    total = base + (stack.base_flights + extra) * path.rtt_ms
+    total = ttfb_total_ms(base, stack.base_flights + extra, path.rtt_ms)
     if stack.base_flights >= 2:
         t_tcp = path.rtt_ms
         t_request_response = path.rtt_ms
@@ -141,26 +149,47 @@ def sample_ttfb(
 ) -> SampleSummary:
     """Mean and ddof=1 std of trials noisy observations around an estimate.
 
+    Drawn by summary_sampler, seeded with seed (noise.seed when None), so
+    identical inputs reproduce the identical summary. Noise-free input
+    draws nothing.
+    """
+    draw = summary_sampler(noise, trials)
+    if draw is None:
+        return SampleSummary(mean_ms=estimate.total_ms, std_ms=0.0)
+    mean, std = draw(estimate.total_ms, noise.seed if seed is None else seed)
+    return SampleSummary(mean_ms=mean, std_ms=std)
+
+
+def summary_sampler(
+    noise: NoiseModel, trials: int
+) -> Callable[[float, int], tuple[float, float]] | None:
+    """A draw(mu, seed) -> (mean, std) of trials noisy observations around mu,
+    or None when the noise model adds no noise.
+
     The summary is drawn directly instead of the trials: for n draws of
     N(mu, sigma^2) the mean is mu + sigma/sqrt(n) * Z and the std is
     sigma * sqrt(chi2(n-1) / (n-1)), independent by Cochran's theorem.
     Both are exact draws of an n-trial summary, so the cost does not grow
-    with trials. The generator is seeded per call with seed (noise.seed
-    when None), so identical inputs reproduce the identical summary. One
-    trial has std 0; noise-free input draws nothing.
+    with trials. One trial has std 0. Each call reseeds one generator with
+    seed, which gives the stream of a new random.Random(seed).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if noise.kind == NOISE_NONE or noise.std_ms == 0.0:
-        return SampleSummary(mean_ms=estimate.total_ms, std_ms=0.0)
-    rng = random.Random(noise.seed if seed is None else seed)
+        return None
+    rng = random.Random()
     sigma = noise.std_ms
-    mean = rng.gauss(estimate.total_ms, sigma / math.sqrt(trials))
-    if trials == 1:
-        return SampleSummary(mean_ms=mean, std_ms=0.0)
+    scale = sigma / math.sqrt(trials)
     dof = trials - 1
-    std = sigma * math.sqrt(rng.gammavariate(dof / 2, 2.0) / dof)
-    return SampleSummary(mean_ms=mean, std_ms=std)
+
+    def draw(mu: float, seed: int) -> tuple[float, float]:
+        rng.seed(seed)
+        mean = rng.gauss(mu, scale)
+        if not dof:
+            return mean, 0.0
+        return mean, sigma * math.sqrt(rng.gammavariate(dof / 2, 2.0) / dof)
+
+    return draw
 
 
 def calibrate_stack_profile(

@@ -81,6 +81,19 @@ def test_sweep_same_seed_same_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_csv_is_the_same_streamed_or_collected(tmp_path, capsys):
+    # Without --gnuplot the CSV streams row by row; with it the rows are collected first.
+    args = ("--seed", "3", "sweep", "--rtts", "0,-0.0,25", "--sizes", "2:14:1.5",
+            "--optimizers", "mtc1,identity")
+    _, streamed, _ = run(capsys, *args)
+    _, collected, _ = run(capsys, *args, "--gnuplot", str(tmp_path / "curves.dat"))
+    assert streamed == collected
+    out_path = tmp_path / "rows.csv"
+    _, out, _ = run(capsys, *args, "--out", str(out_path))
+    assert out_path.read_text() == streamed
+    assert out == f"wrote {len(streamed.splitlines()) - 1} rows to {out_path}\n"
+
+
 def test_sweep_json_and_gnuplot(tmp_path, capsys):
     plot = tmp_path / "curves.dat"
     code, out, _ = run(capsys, "sweep", "--rtts", "50", "--sizes", "4:12:4",
@@ -98,6 +111,21 @@ def test_sweep_optimizer_column(capsys):
     lines = out.splitlines()
     assert lines[0].endswith(",optimizer")
     assert len(lines) == 4  # header + bare + two optimizer rows
+
+
+@pytest.mark.parametrize("flags", [
+    ("--stacks", "ClassicalSim,Nonesuch"),
+    ("--rtts", "10,1e308"),
+    ("--rtts", "10,-1"),
+    ("--sizes=-4:8:4",),
+    ("--mode", "analytic", "--sizes", "4:1e306:1e305"),
+])
+def test_a_failed_sweep_writes_nothing(tmp_path, capsys, flags):
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "sweep", *flags, "--out", str(out_path))
+    assert code == 1 and err.startswith("error: ")
+    assert out == ""
+    assert not out_path.exists()
 
 
 def test_sweep_bad_size_spec(capsys):
@@ -318,6 +346,12 @@ def test_seed_flag_changes_noise_only(tmp_path, capsys):
     ("savings", "--size-kb", "inf", "--mode", "analytic", "--rtt", "10", "--rate", "0.5"),
     ("thresholds", "--max-kb", "inf"),
     ("regions", "--thresholds", "inf"),
+    ("estimate", "--rtt", "1e308", "--size-kb", "50", "--format", "json"),
+    ("sweep", "--rtts", "1e308"),
+    ("sweep", "--rtts", ""),
+    ("sweep", "--stacks", ""),
+    ("sweep", "--sizes", ""),
+    ("sweep", "--optimizers", "cdn25,cdn25"),
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)

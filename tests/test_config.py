@@ -57,7 +57,8 @@ def sweeps(draw):
         size_step_kb=draw(positive),
         trials=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**64)),
-        optimizers=tuple(draw(st.lists(optimizers, max_size=4))),
+        # A plan refuses two optimizers with one label.
+        optimizers=tuple(draw(st.lists(optimizers, max_size=4, unique_by=lambda o: o.label))),
     )
 
 

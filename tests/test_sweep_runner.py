@@ -5,12 +5,15 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certflight.chain_model import DEFAULT_OPTIMIZERS, SizeOptimizer, effective_size_kb
 from certflight import chain_model
 from certflight.errors import ConfigError
 from certflight.sweep_runner import (
     SweepPlan,
+    SweepRow,
     compute_regions,
     detect_thresholds_from_rows,
     emit_csv,
@@ -19,9 +22,13 @@ from certflight.sweep_runner import (
     estimate_savings,
     regions_csv,
     run_sweep,
+    sweep_records,
+    write_csv,
 )
-from certflight.transport_flight import EMPIRICAL, MAX_GRID_POINTS, FlightModel
-from certflight.ttfb_engine import DEFAULT_STACKS, NetworkPath, NoiseModel
+from certflight.transport_flight import ANALYTIC, EMPIRICAL, MAX_GRID_POINTS, FlightModel
+from certflight.ttfb_engine import (
+    DEFAULT_STACKS, NetworkPath, NoiseModel, StackProfile, estimate_ttfb, sample_ttfb,
+)
 
 from reference_data import REGION_UPPERS
 
@@ -60,6 +67,15 @@ def test_plan_validation():
         SweepPlan(size_end_kb=2.0, size_start_kb=4.0)
     with pytest.raises(ConfigError):
         SweepPlan(trials=0)
+
+
+def test_plan_rejects_repeated_optimizer_labels():
+    # Two factors that round to one label would share that label's row seeds.
+    for pair in ((DEFAULT_OPTIMIZERS[2],) * 2,
+                 (SizeOptimizer(chain_model.CDN_MODERATE, factor=0.75),
+                  SizeOptimizer(chain_model.CDN_MODERATE, factor=0.751))):
+        with pytest.raises(ConfigError, match="cdn-moderate-25pct is listed twice"):
+            small_plan(optimizers=pair)
 
 
 def test_plan_rejects_an_oversized_size_grid():
@@ -261,3 +277,97 @@ def test_a_threshold_without_a_finite_region_names_itself_and_the_optimizer():
     for optimizer in DEFAULT_OPTIMIZERS:
         with pytest.raises(ConfigError, match=f"threshold 1.7e\\+308 KB: no finite {optimizer.label} region"):
             compute_regions([10.0, 1.7e308], [optimizer])
+
+
+# ------------------------------------------------------------ per-row oracle
+
+
+def _row_seed(plan_seed, stack, rtt, size, optimizer):
+    key = f"{plan_seed}|{stack}|{rtt!r}|{size!r}|{optimizer}"
+    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+
+
+def oracle_rows(plan, stacks, flight, noise):
+    """The sweep evaluated one row at a time, each row on its own."""
+    variants = [("", None)] + [(opt.label, opt) for opt in plan.optimizers]
+    rows = []
+    for stack_name in plan.stacks:
+        for rtt in plan.rtts_ms:
+            path = NetworkPath(rtt_ms=rtt, flight=flight)
+            for size in plan.sizes_kb:
+                for label, opt in variants:
+                    wire_kb = size if opt is None else effective_size_kb(size, opt)
+                    estimate = estimate_ttfb(stacks[stack_name], path, wire_kb)
+                    seed = _row_seed(plan.seed, stack_name, rtt, size, label)
+                    summary = sample_ttfb(estimate, noise, plan.trials, seed=seed)
+                    rows.append(SweepRow(stack_name, rtt, size, summary.mean_ms,
+                                         summary.std_ms, estimate.extra_rtts, label))
+    return rows
+
+
+def oracle_csv(rows):
+    fields = ["stack", "rtt_ms", "size_kb", "mean_ms", "std_ms", "extra_rtts"]
+    if any(r.optimizer for r in rows):
+        fields.append("optimizer")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fields)
+    for r in rows:
+        record = [r.stack, repr(r.rtt_ms), repr(r.size_kb), repr(r.mean_ms),
+                  repr(r.std_ms), r.extra_rtts]
+        if len(fields) == 7:
+            record.append(r.optimizer)
+        writer.writerow(record)
+    return out.getvalue()
+
+
+# A stack whose name the CSV writer has to quote.
+ODD_STACK = 'edge,"q"'
+STACKS = {**DEFAULT_STACKS, ODD_STACK: StackProfile(ODD_STACK, base_ms=0.0, base_flights=1.0)}
+
+_optimizer = st.one_of(
+    st.sampled_from(DEFAULT_OPTIMIZERS + (SizeOptimizer(chain_model.IDENTITY),)),
+    st.builds(SizeOptimizer, st.sampled_from([chain_model.CDN_MODERATE, chain_model.CDN_AGGRESSIVE]),
+              st.floats(0.01, 0.99)),
+)
+_flight = st.one_of(
+    st.builds(FlightModel, mode=st.just(EMPIRICAL), empirical_thresholds_kb=st.lists(
+        st.floats(0.5, 100), max_size=3, unique=True).map(lambda t: tuple(sorted(t)))),
+    st.builds(FlightModel, mode=st.just(ANALYTIC), iw_bytes=st.integers(1000, 50_000),
+              growth_factor=st.floats(1.1, 4.0), handshake_overhead_bytes=st.integers(0, 8000)),
+)
+_noise = st.one_of(
+    st.just(NoiseModel("none")),
+    st.builds(NoiseModel, st.just("gaussian"), st.just(0.0), st.integers(0, 99)),
+    st.builds(NoiseModel, st.just("gaussian"), st.floats(0.01, 5.0), st.integers(0, 99)),
+)
+
+
+@st.composite
+def _plans(draw):
+    start = draw(st.floats(0.0, 60.0))
+    step = draw(st.floats(0.05, 9.0))
+    return SweepPlan(
+        stacks=tuple(draw(st.lists(st.sampled_from(sorted(STACKS)), min_size=1, max_size=3))),
+        rtts_ms=tuple(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 10.0, 49.999]),
+                                              st.floats(0.0, 500.0)), min_size=1, max_size=3))),
+        size_start_kb=start,
+        size_end_kb=start + draw(st.floats(0.0, 12.0)) * step,
+        size_step_kb=step,
+        trials=draw(st.one_of(st.just(1), st.integers(2, 300))),
+        seed=draw(st.integers(-2**64, 2**64)),
+        optimizers=tuple(draw(st.lists(_optimizer, max_size=4, unique_by=lambda o: o.label))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plans(), _flight, _noise)
+def test_factored_sweep_matches_the_per_row_oracle(plan, flight, noise):
+    expected = oracle_rows(plan, STACKS, flight, noise)
+    rows = run_sweep(plan, STACKS, flight, noise)
+    assert emit_csv(rows) == oracle_csv(expected)
+    streamed = io.StringIO()
+    write_csv(streamed, sweep_records(plan, STACKS, flight, noise), bool(plan.optimizers))
+    assert streamed.getvalue() == oracle_csv(expected)
+    assert emit_json(rows) == emit_json(expected)
+    assert emit_gnuplot(rows) == emit_gnuplot(expected)

@@ -91,6 +91,14 @@ def test_zero_rtt_collapses_to_base():
         assert est.total_ms == stack.base_ms
 
 
+def test_a_total_beyond_float_range_is_refused():
+    # Both paths: the full handshake and the resumed one.
+    for resumed in (False, True):
+        with pytest.raises(ValueError, match="overflows a float"):
+            estimate_ttfb(CLASSICAL, path(1e308), 50.0, resumed=resumed)
+    assert estimate_ttfb(CLASSICAL, path(1e307), 50.0).total_ms < math.inf
+
+
 def test_stack_profile_validation():
     with pytest.raises(ConfigError):
         StackProfile("x", base_ms=10.0, base_flights=0.5)
