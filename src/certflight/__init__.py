@@ -38,8 +38,6 @@ from .sweep_runner import (
     SweepRow,
     compute_regions,
     emit_csv,
-    emit_gnuplot,
-    emit_json,
     estimate_savings,
     run_sweep,
 )

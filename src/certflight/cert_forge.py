@@ -22,14 +22,15 @@ from __future__ import annotations
 import base64
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .chain_model import ChainSpec, DEFAULT_KB_BYTES, chain_size_kb, kb_to_bytes
 from .errors import PaddingError
 
 PAD_EXTENSION_OID = "1.3.6.1.4.1.55555.1.1"  # locally assigned test arc
 
-# TLS 1.3 carries each certificate as cert_data<1..2^24-1> (RFC 8446, 4.4.2).
+# TLS 1.3 carries each certificate as cert_data<1..2^24-1>, inside a
+# certificate_list<0..2^24-1> that bounds the whole chain (RFC 8446, 4.4.2).
 MAX_CERT_BYTES = 2**24 - 1
 
 _OID_COMMON_NAME = "2.5.4.3"
@@ -52,21 +53,16 @@ _TAG_CTX3 = 0xA3
 _SERIAL_MIN = 8
 _SERIAL_MAX = 15
 
+_NOT_BEFORE = b"250101000000Z"
+_NOT_AFTER = b"350101000000Z"
+_PUBLIC_KEY_LEN = 65
+_SIGNATURE_LEN = 72
+
 
 @dataclass(frozen=True)
 class DerCertTemplate:
     subject_cn: str = "leaf.test"
     issuer_cn: str = "ca.test"
-    not_before: str = "250101000000Z"
-    not_after: str = "350101000000Z"
-    public_key_len: int = 65
-    signature_len: int = 72
-
-    def __post_init__(self):
-        if self.public_key_len < 1:
-            raise ValueError("public_key_len must be >= 1")
-        if self.signature_len < 1:
-            raise ValueError("signature_len must be >= 1")
 
 
 # ---------------------------------------------------------------- encoder
@@ -101,19 +97,18 @@ def _der_name(cn: str) -> bytes:
     return _tlv(_TAG_SEQUENCE, _tlv(_TAG_SET, attr))
 
 
-def _build(template: DerCertTemplate, pad_len: int, serial_len: int) -> bytes:
+def _build(template: DerCertTemplate, pad_len: int, serial_len: int, sig_stretch: int = 0) -> bytes:
     version = _tlv(_TAG_CTX0, _tlv(_TAG_INTEGER, b"\x02"))
     serial = _tlv(_TAG_INTEGER, b"\x01" + bytes(serial_len - 1))
     sig_alg = _tlv(_TAG_SEQUENCE, _der_oid(_OID_SIG_ALG))
     validity = _tlv(
         _TAG_SEQUENCE,
-        _tlv(_TAG_UTCTIME, template.not_before.encode())
-        + _tlv(_TAG_UTCTIME, template.not_after.encode()),
+        _tlv(_TAG_UTCTIME, _NOT_BEFORE) + _tlv(_TAG_UTCTIME, _NOT_AFTER),
     )
     spki = _tlv(
         _TAG_SEQUENCE,
         _tlv(_TAG_SEQUENCE, _der_oid(_OID_EC_PUBKEY) + _der_oid(_OID_P256))
-        + _tlv(_TAG_BIT_STRING, b"\x00\x04" + bytes(template.public_key_len - 1)),
+        + _tlv(_TAG_BIT_STRING, b"\x00\x04" + bytes(_PUBLIC_KEY_LEN - 1)),
     )
     # Criticality defaults to false and DER omits DEFAULT values, so the
     # extension is OID + value only.
@@ -133,7 +128,7 @@ def _build(template: DerCertTemplate, pad_len: int, serial_len: int) -> bytes:
         + spki
         + extensions,
     )
-    signature = _tlv(_TAG_BIT_STRING, b"\x00" + bytes(template.signature_len))
+    signature = _tlv(_TAG_BIT_STRING, b"\x00" + bytes(_SIGNATURE_LEN + sig_stretch))
     return _tlv(_TAG_SEQUENCE, tbs + sig_alg + signature)
 
 
@@ -141,12 +136,12 @@ def minimum_size(template: DerCertTemplate) -> int:
     return len(_build(template, 0, _SERIAL_MIN))
 
 
-def _solve(template: DerCertTemplate, target: int, serial_len: int) -> bytes | None:
-    pad = target - len(_build(template, 0, serial_len))
+def _solve(template: DerCertTemplate, target: int, serial_len: int, sig_stretch: int) -> bytes | None:
+    pad = target - len(_build(template, 0, serial_len, sig_stretch))
     if pad < 0:
         return None
     for _ in range(8):
-        blob = _build(template, pad, serial_len)
+        blob = _build(template, pad, serial_len, sig_stretch)
         diff = target - len(blob)
         if diff == 0:
             return blob
@@ -179,12 +174,9 @@ def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
             "for this template",
             minimum_bytes=minimum,
         )
-    for sig_delta in range(8):
-        candidate = template if sig_delta == 0 else replace(
-            template, signature_len=template.signature_len + sig_delta
-        )
+    for sig_stretch in range(8):
         for serial_len in range(_SERIAL_MIN, _SERIAL_MAX + 1):
-            blob = _solve(candidate, target_bytes, serial_len)
+            blob = _solve(template, target_bytes, serial_len, sig_stretch)
             if blob is not None:
                 return blob
     raise PaddingError(f"no padding arrangement reaches {target_bytes} bytes exactly")
@@ -380,13 +372,21 @@ def forge_chain(spec: ChainSpec, kb_bytes: int = DEFAULT_KB_BYTES) -> ForgedChai
     """Forge one blob per chain component, each padded to its own target.
 
     MTC chains collapse to a single leaf blob; explicit_size_kb forges a
-    single blob of that size.
+    single blob of that size. A chain whose total is above what TLS carries
+    is refused before any part is listed or built.
     """
     if spec.explicit_size_kb is not None:
         parts = [("cert", spec.explicit_size_kb)]
     elif spec.mtc:
         parts = [("leaf", chain_size_kb(spec))]
     else:
+        total = (kb_to_bytes(spec.scheme.leaf_kb, kb_bytes)
+                 + spec.intermediates * kb_to_bytes(spec.scheme.intermediate_kb, kb_bytes))
+        if total > MAX_CERT_BYTES:
+            raise PaddingError(
+                f"a leaf and {spec.intermediates} intermediates of {spec.scheme.name} "
+                f"total more than the TLS limit of {MAX_CERT_BYTES} bytes"
+            )
         parts = [("leaf", spec.scheme.leaf_kb)]
         parts += [(f"intermediate-{i}", spec.scheme.intermediate_kb)
                   for i in range(1, spec.intermediates + 1)]

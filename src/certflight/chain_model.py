@@ -86,7 +86,11 @@ def chain_size_kb(spec: ChainSpec) -> float:
                 "set one on the scheme profile to size MTC chains"
             )
         return spec.scheme.mtc_leaf_kb
-    return spec.scheme.leaf_kb + spec.intermediates * spec.scheme.intermediate_kb
+    try:
+        total = spec.scheme.leaf_kb + spec.intermediates * spec.scheme.intermediate_kb
+    except OverflowError:  # an intermediate count too large for a float
+        total = math.inf
+    return check_size_kb(total)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import io
 import json
 import sys
 
@@ -49,7 +48,7 @@ def _parse_floats(spec: str) -> tuple[float, ...]:
 
 def _flight_for(args, cfg: Config):
     flight = cfg.flight
-    if getattr(args, "thresholds", None):
+    if getattr(args, "thresholds", None) is not None:
         flight = dataclasses.replace(
             flight, empirical_thresholds_kb=_parse_floats(args.thresholds), mode=EMPIRICAL
         )
@@ -72,11 +71,6 @@ def _output(out_path: str | None):
     if out_path:
         return open(out_path, "w", encoding="utf-8")
     return contextlib.nullcontext(sys.stdout)
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    with _output(out_path) as f:
-        f.write(text)
 
 
 # -------------------------------------------------------------- commands
@@ -127,28 +121,24 @@ def cmd_sweep(args, cfg: Config) -> int:
             size_start_kb=float(parts[0]), size_end_kb=float(parts[1]),
             size_step_kb=float(parts[2]),
         )
-    if args.optimizers:
+    if args.optimizers is not None:
         updates["optimizers"] = _parse_optimizers(args.optimizers)
     if args.seed is not None:
         updates["seed"] = args.seed
     plan = dataclasses.replace(plan, **updates)
-    flight = _flight_for(args, cfg)
-    if args.format == "csv" and not args.gnuplot:
-        # Rows stream to the output; sweep_records raises every input error before it opens.
-        records = sweep_runner.sweep_records(plan, cfg.stacks, flight, cfg.noise)
-        with _output(args.out) as f:
-            sweep_runner.write_csv(f, records, bool(plan.optimizers))
+    # Rows stream to the output; sweep_records raises every input error before it opens.
+    records = sweep_runner.sweep_records(plan, cfg.stacks, _flight_for(args, cfg), cfg.noise)
+    if args.gnuplot:
+        records = list(records)  # read twice: by the table and by the curves
+    write = sweep_runner.write_json if args.format == "json" else sweep_runner.write_csv
+    with _output(args.out) as f:
+        write(f, records, bool(plan.optimizers))
+    if args.gnuplot:
+        with open(args.gnuplot, "w", encoding="utf-8") as f:
+            sweep_runner.write_gnuplot(f, records)
+    if args.out:
         count = (len(plan.stacks) * len(plan.rtts_ms) * len(plan.sizes_kb)
                  * (1 + len(plan.optimizers)))
-    else:
-        rows = sweep_runner.run_sweep(plan, cfg.stacks, flight, cfg.noise)
-        emit = sweep_runner.emit_json if args.format == "json" else sweep_runner.emit_csv
-        _emit(emit(rows), args.out)
-        if args.gnuplot:
-            with open(args.gnuplot, "w", encoding="utf-8") as f:
-                f.write(sweep_runner.emit_gnuplot(rows))
-        count = len(rows)
-    if args.out:
         print(f"wrote {count} rows to {args.out}")
     return 0
 
@@ -186,12 +176,12 @@ def cmd_thresholds(args, cfg: Config) -> int:
 def cmd_regions(args, cfg: Config) -> int:
     thresholds = (
         list(_parse_floats(args.thresholds))
-        if args.thresholds
+        if args.thresholds is not None
         else list(cfg.flight.empirical_thresholds_kb)
     )
     optimizers = (
         _parse_optimizers(args.optimizers)
-        if args.optimizers
+        if args.optimizers is not None
         else chain_model.DEFAULT_OPTIMIZERS
     )
     regions = compute_regions(thresholds, list(optimizers))
@@ -265,24 +255,14 @@ def cmd_analyze(args, cfg: Config) -> int:
         "months": {c: [m for m, _ in pts] for c, pts in series.items()},
         "correlation_tls13_vs_resumption": correlations,
     }
-    if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["class", "total", "tls13", "resumed_all", "resumed_tls13",
-             "tls13_adoption", "resumption_rate_tls13", "resumption_rate_all"]
-        )
-        for c in tla.ENDPOINT_CLASSES:
-            d = aggregated[c].to_dict()
-            writer.writerow(
-                [d["class"], d["total"], d["tls13"], d["resumed_all"], d["resumed_tls13"]]
-                + [("" if d[k] is None else repr(d[k]))
-                   for k in ("tls13_adoption", "resumption_rate_tls13", "resumption_rate_all")]
-            )
-        _emit(out.getvalue(), args.out)
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
-        _emit(text, args.out)
+    with _output(args.out) as f:
+        if args.format == "csv":
+            rows = list(payload["classes"].values())
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(rows[0])  # the keys, in column order
+            writer.writerows(row.values() for row in rows)
+        else:
+            f.write(json.dumps(payload, indent=2) + "\n")
     if args.series:
         with open(args.series, "w", encoding="utf-8") as f:
             f.write(tla.series_csv(series))

@@ -2,10 +2,11 @@
 
 sweep_records evaluates the TTFB model over a (stack, rtt, size) grid with
 optional size optimizers and per-row noise sampling, and yields the rows
-one at a time; run_sweep collects them as SweepRow objects, and write_csv
-streams them to a file. Every input error is raised when sweep_records is
-called, before the first row exists, so a failed sweep writes nothing.
-Memory grows with the size axis, not with the number of rows.
+one at a time. write_csv and write_json stream them, so memory grows with
+the size axis, not with the number of rows; write_gnuplot needs them listed.
+run_sweep collects them as SweepRow objects. Every input error is raised when
+sweep_records is called, before the first row exists, so a failed sweep
+writes nothing.
 
 The grid is factored: the wire size and extra round trips depend only on
 (size, optimizer), and the totals only on (stack, rtt, extra round trips),
@@ -23,7 +24,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
 from .errors import ConfigError, check_fields
@@ -58,10 +59,14 @@ class SweepPlan:
             raise ConfigError("size_end_kb must be >= size_start_kb")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        labels = [opt.label for opt in self.optimizers]
-        for label in labels:
-            if labels.count(label) > 1:
-                raise ConfigError(f"optimizer {label} is listed twice; each needs its own label")
+        # Each of these keys a row's seed, and the rtt enters it by repr.
+        for what, keys in (("stack", self.stacks), ("rtt", map(repr, self.rtts_ms)),
+                           ("optimizer", (opt.label for opt in self.optimizers))):
+            seen = set()
+            for key in keys:
+                if key in seen:
+                    raise ConfigError(f"{what} {key} is listed twice; each needs its own rows")
+                seen.add(key)
 
     @property
     def sizes_kb(self) -> list[float]:
@@ -152,22 +157,57 @@ def run_sweep(
 _BASE_FIELDS = ("stack", "rtt_ms", "size_kb", "mean_ms", "std_ms", "extra_rtts")
 
 
-def _has_optimizers(rows: list[SweepRow]) -> bool:
-    return any(r.optimizer for r in rows)
+def _header(labelled: bool) -> tuple[str, ...]:
+    return _BASE_FIELDS + ("optimizer",) if labelled else _BASE_FIELDS
 
 
 def write_csv(out, records, labelled: bool) -> None:
     """Write the header and one line per sweep_records tuple to the text file
     out. csv writes floats with repr, so values round-trip exactly."""
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_BASE_FIELDS + ("optimizer",) if labelled else _BASE_FIELDS)
+    writer.writerow(_header(labelled))
     writer.writerows(records)
+
+
+# json's C encoder with the separators of indent=2 at an object's depth: the
+# body of one row object, which write_json frames by hand.
+_encode_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+
+def write_json(out, records, labelled: bool) -> None:
+    """Write the records to the text file out as an array of objects, one
+    object at a time, byte for byte as json.dumps(rows, indent=2) + "\n"."""
+    names = _header(labelled)
+    sep = "[\n"
+    for record in records:
+        body = _encode_row(dict(zip(names, record)))[1:-1]
+        out.write(f"{sep}  {{\n    {body}\n  }}")
+        sep = ",\n"
+    out.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
+def write_gnuplot(out, records) -> None:
+    """Two-column (size_kb, mean_ms) blocks, one per (stack, rtt, optimizer).
+
+    Blocks are separated by two blank lines, addressable with gnuplot's
+    `index` keyword. RTTs 0.0 and -0.0 compare equal, so they share a block.
+    """
+    series: dict[tuple, list[str]] = {}
+    for stack, rtt, size, mean, _, _, *label in records:
+        series.setdefault((stack, rtt, *label), []).append(f"{size!r} {mean!r}")
+    blocks = []
+    for (stack, rtt, *label), points in series.items():
+        title = f"# stack={stack} rtt_ms={rtt!r}"
+        if label and label[0]:
+            title += f" optimizer={label[0]}"
+        blocks.append(title + "\n" + "\n".join(points) + "\n")
+    out.write("\n\n".join(blocks))
 
 
 def emit_csv(rows: list[SweepRow]) -> str:
     """Render rows as CSV. The optimizer column appears only when some row
     carries an optimizer."""
-    labelled = _has_optimizers(rows)
+    labelled = any(r.optimizer for r in rows)
     width = 7 if labelled else 6
     out = io.StringIO()
     write_csv(out, (
@@ -175,43 +215,6 @@ def emit_csv(rows: list[SweepRow]) -> str:
         for r in rows
     ), labelled)
     return out.getvalue()
-
-
-def emit_json(rows: list[SweepRow]) -> str:
-    keep_opt = _has_optimizers(rows)
-    payload = []
-    for r in rows:
-        d = {
-            "stack": r.stack,
-            "rtt_ms": r.rtt_ms,
-            "size_kb": r.size_kb,
-            "mean_ms": r.mean_ms,
-            "std_ms": r.std_ms,
-            "extra_rtts": r.extra_rtts,
-        }
-        if keep_opt:
-            d["optimizer"] = r.optimizer
-        payload.append(d)
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def emit_gnuplot(rows: list[SweepRow]) -> str:
-    """Two-column (size_kb, mean_ms) blocks, one per (stack, rtt, optimizer).
-
-    Blocks are separated by two blank lines, addressable with gnuplot's
-    `index` keyword.
-    """
-    series: dict[tuple[str, float, str], list[SweepRow]] = {}
-    for r in rows:
-        series.setdefault((r.stack, r.rtt_ms, r.optimizer), []).append(r)
-    blocks = []
-    for (stack, rtt, optimizer), members in series.items():
-        title = f"# stack={stack} rtt_ms={rtt!r}"
-        if optimizer:
-            title += f" optimizer={optimizer}"
-        body = "\n".join(f"{m.size_kb!r} {m.mean_ms!r}" for m in members)
-        blocks.append(f"{title}\n{body}\n")
-    return "\n\n".join(blocks)
 
 
 # ------------------------------------------------------------ regions
@@ -238,6 +241,8 @@ def compute_regions(
 ) -> list[OptimizationRegion]:
     if not thresholds_kb:
         raise ConfigError("need at least one threshold")
+    if not optimizers:
+        raise ConfigError("need at least one optimizer")
     regions = []
     for optimizer in optimizers:
         for threshold in thresholds_kb:
@@ -259,13 +264,11 @@ def compute_regions(
 
 
 def regions_csv(regions: list[OptimizationRegion]) -> str:
-    lines = ["optimizer,threshold_kb,lower_kb,upper_kb_exact,upper_kb_rounded"]
-    for r in regions:
-        lines.append(
-            f"{r.optimizer},{r.threshold_kb!r},{r.lower_kb!r},"
-            f"{r.upper_kb_exact!r},{r.upper_kb_rounded}"
-        )
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(field.name for field in fields(OptimizationRegion))
+    writer.writerows(astuple(r) for r in regions)
+    return out.getvalue()
 
 
 # ------------------------------------------------------------ savings

@@ -10,6 +10,7 @@ counters, so chunked processing of large logs gives identical results.
 from __future__ import annotations
 
 import csv
+import io
 import ipaddress
 import json
 import statistics
@@ -418,17 +419,13 @@ def class_totals(series: Series) -> ClassStats:
 
 
 def series_csv(series: Series) -> str:
-    lines = ["class,month,total,tls13_rate,resumption_rate"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("class", "month", "total", "tls13_rate", "resumption_rate"))
     for cls in sorted(series):
-        for month, stats in series[cls]:
-            adoption = stats.tls13_adoption
-            resumption = stats.resumption_rate_all
-            lines.append(
-                f"{cls},{month},{stats.total},"
-                f"{'' if adoption is None else repr(adoption)},"
-                f"{'' if resumption is None else repr(resumption)}"
-            )
-    return "\n".join(lines) + "\n"
+        writer.writerows((cls, month, stats.total, stats.tls13_adoption, stats.resumption_rate_all)
+                         for month, stats in series[cls])
+    return out.getvalue()
 
 
 def rate_correlation(pairs: Iterable[tuple[float, float]]) -> float | None:

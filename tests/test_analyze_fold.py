@@ -40,13 +40,28 @@ GOLDEN = {
         "257086fbdf9502c162dfc76065509ca83723112b02ac4bc492c583545ab3a03b",
         "6116becef5597fc4283e458c67e208dcad6584b14e581700132082ad47735b4b",
     ),
+    # Two classes without records and a CDN class without TLS 1.3, so some rates are empty.
+    "empty-classes": (
+        "3db5cb83c15acbdf43fe09fd6c5a6643cc602d8fb1fded5d3e17d9e16a029c36",
+        "355294815882f137d92d428eee2a9e38afaa09fcb46b3141bc3784ff65a83970",
+        "d18e06889551e5aaefd675de83cfddb777018327c77775a0f5525ae98afbe872",
+    ),
 }
+
+EMPTY_CLASSES_LOG = (
+    "1735690000.0\t104.16.1.1\tTLSv1.2\tT\t-\n"
+    "1735690100.0\t104.16.1.1\tTLSv1.2\tF\t-\n"
+    "1738368000.0\t52.1.1.1\tTLSv1.3\tT\t-\n"
+)
 
 
 @pytest.mark.parametrize("log", sorted(GOLDEN))
 def test_analyze_output_is_pinned(tmp_path, capsys, log):
     if log == "sample":
         path = _data_path("sample_tls_log.tsv")
+    elif log == "empty-classes":
+        path = tmp_path / "empty_classes.tsv"
+        path.write_text(EMPTY_CLASSES_LOG)
     else:
         path = tmp_path / "criterion7.tsv"
         path.write_text("\n".join(_fixture_lines()) + "\n")

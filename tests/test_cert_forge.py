@@ -16,7 +16,7 @@ from certflight.cert_forge import (
     pem_encode,
     write_chain,
 )
-from certflight.chain_model import ChainSpec, resolve_scheme
+from certflight.chain_model import ChainSpec, SchemeProfile, resolve_scheme
 from certflight.errors import ConfigError, PaddingError
 
 TEMPLATE = DerCertTemplate()
@@ -185,3 +185,26 @@ def test_a_certificate_too_large_for_tls_is_refused_unbuilt(size_kb):
         with pytest.raises(PaddingError, match=str(MAX_CERT_BYTES)):
             forge_chain(spec)
     assert build.call_count == 0
+
+
+# 777216 + 16 * 1000000 bytes is 2^24, one more than certificate_list<0..2^24-1> holds.
+OVER_THE_LIST_LIMIT = SchemeProfile("big", leaf_kb=777.216, intermediate_kb=1000.0)
+
+
+@pytest.mark.parametrize("scheme, intermediates", [
+    (resolve_scheme("ECDSA"), 10**8),
+    (resolve_scheme("ECDSA"), 10**400),
+    (OVER_THE_LIST_LIMIT, 16),
+])
+def test_a_chain_too_large_for_tls_is_refused_unbuilt(monkeypatch, scheme, intermediates):
+    monkeypatch.setattr(cert_forge, "pad_to_size", mock.Mock(side_effect=AssertionError("built")))
+    with pytest.raises(PaddingError, match=str(MAX_CERT_BYTES)):
+        forge_chain(ChainSpec(scheme, intermediates=intermediates))
+
+
+def test_a_chain_at_the_tls_limit_is_built(monkeypatch):
+    pad = mock.Mock(return_value=b"")
+    monkeypatch.setattr(cert_forge, "pad_to_size", pad)
+    at_limit = SchemeProfile("big", leaf_kb=777.215, intermediate_kb=1000.0)
+    forge_chain(ChainSpec(at_limit, intermediates=16))
+    assert sum(call.args[1] for call in pad.call_args_list) == MAX_CERT_BYTES

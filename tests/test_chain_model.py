@@ -52,6 +52,13 @@ def test_more_intermediates():
     assert chain_size_kb(ChainSpec(resolve_scheme("ECDSA"), intermediates=0)) == 1.0
 
 
+@pytest.mark.parametrize("intermediates", [10**308, 10**400])
+def test_a_chain_size_beyond_a_float_is_a_value_error(intermediates):
+    # 10**308 intermediates overflow the product to inf; 10**400 cannot become a float at all.
+    with pytest.raises(ValueError, match="finite"):
+        chain_size_kb(ChainSpec(resolve_scheme("ECDSA"), intermediates=intermediates))
+
+
 def test_explicit_size_wins():
     spec = ChainSpec(resolve_scheme("SLH-DSA"), explicit_size_kb=5.5)
     assert chain_size_kb(spec) == 5.5

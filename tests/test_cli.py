@@ -119,13 +119,17 @@ def test_sweep_optimizer_column(capsys):
     ("--rtts", "10,-1"),
     ("--sizes=-4:8:4",),
     ("--mode", "analytic", "--sizes", "4:1e306:1e305"),
+    ("--rtts", "10,1e308", "--format", "json"),
+    ("--stacks", "ClassicalSim,Nonesuch", "--gnuplot", "curves.dat"),
+    ("--rtts", "10,-1", "--format", "json", "--gnuplot", "curves.dat"),
+    ("--rtts", "10,10", "--gnuplot", "curves.dat"),
 ])
-def test_a_failed_sweep_writes_nothing(tmp_path, capsys, flags):
-    out_path = tmp_path / "rows.csv"
-    code, out, err = run(capsys, "sweep", *flags, "--out", str(out_path))
+def test_a_failed_sweep_writes_nothing(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)  # where a --gnuplot file would land
+    code, out, err = run(capsys, "sweep", *flags, "--out", str(tmp_path / "rows.csv"))
     assert code == 1 and err.startswith("error: ")
     assert out == ""
-    assert not out_path.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_bad_size_spec(capsys):
@@ -352,6 +356,11 @@ def test_seed_flag_changes_noise_only(tmp_path, capsys):
     ("sweep", "--stacks", ""),
     ("sweep", "--sizes", ""),
     ("sweep", "--optimizers", "cdn25,cdn25"),
+    ("sweep", "--rtts", "10,50,10"),
+    ("sweep", "--stacks", "ClassicalSim,ClassicalSim"),
+    ("regions", "--optimizers", ""),
+    ("regions", "--optimizers", ","),
+    ("regions", "--thresholds", ""),
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -423,9 +432,19 @@ def test_analyze_counts_unrenderable_timestamp_as_malformed(tmp_path, capsys, ba
     ("forge", "--size-kb", "1e300", "--out-dir", "never-written"),
     ("forge", "--size-kb", "1e306", "--out-dir", "never-written"),
     ("calibrate", "--csv", str(Path(__file__).parent / "data" / "overflow_points.csv")),
+    ("estimate", "--rtt", "50", "--intermediates", "1" + "0" * 400),
+    ("forge", "--intermediates", "100000000", "--out-dir", "never-written"),
+    ("forge", "--intermediates", "1" + "0" * 400, "--out-dir", "never-written"),
 ])
 def test_bad_resumed_size_or_huge_grid_is_one_error_line(capsys, argv):
     test_bad_input_is_one_error_line(capsys, argv)
+
+
+@pytest.mark.parametrize("flags", [("--thresholds", ""), ("--thresholds", ",")])
+def test_an_empty_threshold_list_is_used_not_replaced_by_the_config(capsys, flags):
+    # The configured thresholds, [10, 40], would charge 12 KB one extra round trip.
+    code, out, _ = run(capsys, "estimate", "--rtt", "50", "--size-kb", "12", *flags)
+    assert code == 0 and "extra_rtts=0 " in out
 
 
 def test_cli_runs_without_numpy(tmp_path):

@@ -17,13 +17,13 @@ from certflight.sweep_runner import (
     compute_regions,
     detect_thresholds_from_rows,
     emit_csv,
-    emit_gnuplot,
-    emit_json,
     estimate_savings,
     regions_csv,
     run_sweep,
     sweep_records,
     write_csv,
+    write_gnuplot,
+    write_json,
 )
 from certflight.transport_flight import ANALYTIC, EMPIRICAL, MAX_GRID_POINTS, FlightModel
 from certflight.ttfb_engine import (
@@ -76,6 +76,16 @@ def test_plan_rejects_repeated_optimizer_labels():
                   SizeOptimizer(chain_model.CDN_MODERATE, factor=0.751))):
         with pytest.raises(ConfigError, match="cdn-moderate-25pct is listed twice"):
             small_plan(optimizers=pair)
+
+
+@pytest.mark.parametrize("overrides, repeated", [
+    ({"stacks": ("ClassicalSim", "OqsMldsa", "ClassicalSim")}, "stack ClassicalSim"),
+    ({"rtts_ms": (10.0, 50.0, 10)}, "rtt 10.0"),
+])
+def test_plan_rejects_a_repeated_stack_or_rtt(overrides, repeated):
+    # Both key the row seeds, so a repeat would print the same rows twice.
+    with pytest.raises(ConfigError, match=f"{repeated} is listed twice"):
+        small_plan(**overrides)
 
 
 def test_plan_rejects_an_oversized_size_grid():
@@ -203,23 +213,32 @@ def test_csv_optimizer_column_only_when_used():
 
 def test_json_round_trip_is_exact():
     noise = NoiseModel("gaussian", std_ms=0.4, seed=7)
+    out = io.StringIO()
+    write_json(out, sweep_records(small_plan(), DEFAULT_STACKS, FLIGHT, noise), False)
     rows = run_sweep(small_plan(), DEFAULT_STACKS, FLIGHT, noise)
     expected = [dataclasses.asdict(row) for row in rows]
     for d in expected:
         assert d.pop("optimizer") == ""
-    assert json.loads(emit_json(rows)) == expected
+    assert json.loads(out.getvalue()) == expected
+
+
+def gnuplot_blocks(plan):
+    out = io.StringIO()
+    write_gnuplot(out, sweep_records(plan, DEFAULT_STACKS, FLIGHT, QUIET))
+    return out.getvalue().split("\n\n")
 
 
 def test_gnuplot_blocks():
-    rows = run_sweep(small_plan(), DEFAULT_STACKS, FLIGHT, QUIET)
-    text = emit_gnuplot(rows)
-    blocks = text.split("\n\n")
+    blocks = gnuplot_blocks(small_plan())
     assert len(blocks) == 2  # one per rtt
     assert blocks[0].startswith("# stack=ClassicalSim rtt_ms=10.0")
     first_data = blocks[0].splitlines()[1]
     size, mean = first_data.split()
     assert float(size) == 4.0
     assert float(mean) == pytest.approx(28.3)
+    # 0.0 and -0.0 compare equal: one curve, titled by the first, holding both RTTs' points.
+    (block,) = gnuplot_blocks(small_plan(rtts_ms=(0.0, -0.0)))
+    assert block.startswith("# stack=ClassicalSim rtt_ms=0.0\n") and block.count("\n") == 9
 
 
 def test_regions_cover_pinned_bounds():
@@ -237,6 +256,8 @@ def test_regions_validation():
         compute_regions([], list(DEFAULT_OPTIMIZERS))
     with pytest.raises(ConfigError):
         compute_regions([1.0], list(DEFAULT_OPTIMIZERS))
+    with pytest.raises(ConfigError, match="optimizer"):
+        compute_regions([10.0], [])
 
 
 def test_regions_csv_shape():
@@ -321,8 +342,40 @@ def oracle_csv(rows):
     return out.getvalue()
 
 
-# A stack whose name the CSV writer has to quote.
-ODD_STACK = 'edge,"q"'
+def oracle_json(rows):
+    keep_opt = any(r.optimizer for r in rows)
+    payload = []
+    for r in rows:
+        d = {
+            "stack": r.stack,
+            "rtt_ms": r.rtt_ms,
+            "size_kb": r.size_kb,
+            "mean_ms": r.mean_ms,
+            "std_ms": r.std_ms,
+            "extra_rtts": r.extra_rtts,
+        }
+        if keep_opt:
+            d["optimizer"] = r.optimizer
+        payload.append(d)
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def oracle_gnuplot(rows):
+    series = {}
+    for r in rows:
+        series.setdefault((r.stack, r.rtt_ms, r.optimizer), []).append(r)
+    blocks = []
+    for (stack, rtt, optimizer), members in series.items():
+        title = f"# stack={stack} rtt_ms={rtt!r}"
+        if optimizer:
+            title += f" optimizer={optimizer}"
+        body = "\n".join(f"{m.size_kb!r} {m.mean_ms!r}" for m in members)
+        blocks.append(f"{title}\n{body}\n")
+    return "\n\n".join(blocks)
+
+
+# A stack whose name the CSV writer has to quote, and JSON has to escape.
+ODD_STACK = 'édge,"q"\\'
 STACKS = {**DEFAULT_STACKS, ODD_STACK: StackProfile(ODD_STACK, base_ms=0.0, base_flights=1.0)}
 
 _optimizer = st.one_of(
@@ -348,9 +401,12 @@ def _plans(draw):
     start = draw(st.floats(0.0, 60.0))
     step = draw(st.floats(0.05, 9.0))
     return SweepPlan(
-        stacks=tuple(draw(st.lists(st.sampled_from(sorted(STACKS)), min_size=1, max_size=3))),
+        # A plan refuses a repeated stack, or an rtt whose repr repeats (0.0, -0.0 is fine).
+        stacks=tuple(draw(st.lists(st.sampled_from(sorted(STACKS)), min_size=1, max_size=3,
+                                   unique=True))),
         rtts_ms=tuple(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 10.0, 49.999]),
-                                              st.floats(0.0, 500.0)), min_size=1, max_size=3))),
+                                              st.floats(0.0, 500.0)), min_size=1, max_size=3,
+                                    unique_by=repr))),
         size_start_kb=start,
         size_end_kb=start + draw(st.floats(0.0, 12.0)) * step,
         size_step_kb=step,
@@ -364,10 +420,12 @@ def _plans(draw):
 @given(_plans(), _flight, _noise)
 def test_factored_sweep_matches_the_per_row_oracle(plan, flight, noise):
     expected = oracle_rows(plan, STACKS, flight, noise)
-    rows = run_sweep(plan, STACKS, flight, noise)
-    assert emit_csv(rows) == oracle_csv(expected)
-    streamed = io.StringIO()
-    write_csv(streamed, sweep_records(plan, STACKS, flight, noise), bool(plan.optimizers))
-    assert streamed.getvalue() == oracle_csv(expected)
-    assert emit_json(rows) == emit_json(expected)
-    assert emit_gnuplot(rows) == emit_gnuplot(expected)
+    assert emit_csv(run_sweep(plan, STACKS, flight, noise)) == oracle_csv(expected)
+    records = list(sweep_records(plan, STACKS, flight, noise))
+    for write, oracle in ((write_csv, oracle_csv), (write_json, oracle_json)):
+        out = io.StringIO()
+        write(out, records, bool(plan.optimizers))
+        assert out.getvalue() == oracle(expected)
+    out = io.StringIO()
+    write_gnuplot(out, records)
+    assert out.getvalue() == oracle_gnuplot(expected)
