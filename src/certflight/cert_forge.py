@@ -9,9 +9,10 @@ extension carrying zero bytes under a locally assigned OID.
 Hitting an exact total is not as simple as computing one padding
 length: DER length fields widen at 128 and 256 and 65536 bytes of
 content, so the total size as a function of padding length skips a few
-values. Two knobs close the gaps: the padding payload length (primary,
-found by fixed-point iteration) and the serial-number content length
-(8..15 bytes, shifting every enclosing length by one byte per step).
+values. The padding payload length is found by fixed-point iteration,
+and one knob closes the gaps: the signature placeholder length. The
+signature sits outside the tbs, so stretching it moves the total without
+widening any of the length fields around the padding.
 
 ``parse_and_measure`` is an independent DER walker used to verify
 forged output; it shares no encoding logic with the builder.
@@ -49,9 +50,6 @@ _TAG_SEQUENCE = 0x30
 _TAG_SET = 0x31
 _TAG_CTX0 = 0xA0
 _TAG_CTX3 = 0xA3
-
-_SERIAL_MIN = 8
-_SERIAL_MAX = 15
 
 _NOT_BEFORE = b"250101000000Z"
 _NOT_AFTER = b"350101000000Z"
@@ -97,9 +95,9 @@ def _der_name(cn: str) -> bytes:
     return _tlv(_TAG_SEQUENCE, _tlv(_TAG_SET, attr))
 
 
-def _build(template: DerCertTemplate, pad_len: int, serial_len: int, sig_stretch: int = 0) -> bytes:
+def _build(template: DerCertTemplate, pad_len: int, sig_stretch: int = 0) -> bytes:
     version = _tlv(_TAG_CTX0, _tlv(_TAG_INTEGER, b"\x02"))
-    serial = _tlv(_TAG_INTEGER, b"\x01" + bytes(serial_len - 1))
+    serial = _tlv(_TAG_INTEGER, b"\x01" + bytes(7))  # 8 content bytes, positive
     sig_alg = _tlv(_TAG_SEQUENCE, _der_oid(_OID_SIG_ALG))
     validity = _tlv(
         _TAG_SEQUENCE,
@@ -133,22 +131,7 @@ def _build(template: DerCertTemplate, pad_len: int, serial_len: int, sig_stretch
 
 
 def minimum_size(template: DerCertTemplate) -> int:
-    return len(_build(template, 0, _SERIAL_MIN))
-
-
-def _solve(template: DerCertTemplate, target: int, serial_len: int, sig_stretch: int) -> bytes | None:
-    pad = target - len(_build(template, 0, serial_len, sig_stretch))
-    if pad < 0:
-        return None
-    for _ in range(8):
-        blob = _build(template, pad, serial_len, sig_stretch)
-        diff = target - len(blob)
-        if diff == 0:
-            return blob
-        pad += diff
-        if pad < 0:
-            return None
-    return None
+    return len(_build(template, 0))
 
 
 def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
@@ -158,12 +141,11 @@ def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
     PaddingError (with the achievable minimum) for undersized targets,
     and for targets above MAX_CERT_BYTES before building anything.
 
-    Two side knobs complement the padding payload. The serial length
-    absorbs totals skipped when a length field widens inside the tbs
-    (the padding extension wrappers around 127/128 bytes). The signature
-    placeholder length sits outside the tbs, so stretching it reaches
-    totals skipped when the tbs or outer length field itself widens;
-    real signatures vary by a few bytes, so parsers take no notice.
+    Where a length field around the padding widens, the total skips a
+    value as the payload grows. Stretching the signature placeholder
+    reaches those totals: the signature sits outside the tbs and every
+    length field in it, so the stretch adds bytes without widening them.
+    Real signatures vary by a few bytes, so parsers take no notice.
     """
     if target_bytes > MAX_CERT_BYTES:
         raise PaddingError(f"target {target_bytes} is above the TLS limit of {MAX_CERT_BYTES}")
@@ -175,10 +157,14 @@ def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
             minimum_bytes=minimum,
         )
     for sig_stretch in range(8):
-        for serial_len in range(_SERIAL_MIN, _SERIAL_MAX + 1):
-            blob = _solve(template, target_bytes, serial_len, sig_stretch)
-            if blob is not None:
+        pad = target_bytes - len(_build(template, 0, sig_stretch))
+        for _ in range(8):
+            if pad < 0:
+                break
+            blob = _build(template, pad, sig_stretch)
+            if len(blob) == target_bytes:
                 return blob
+            pad += target_bytes - len(blob)
     raise PaddingError(f"no padding arrangement reaches {target_bytes} bytes exactly")
 
 
@@ -400,10 +386,10 @@ def forge_chain(spec: ChainSpec, kb_bytes: int = DEFAULT_KB_BYTES) -> ForgedChai
     return ForgedChain(scheme=spec.scheme.name, mtc=spec.mtc, certs=tuple(certs))
 
 
-def pem_encode(der: bytes, label: str = "CERTIFICATE") -> str:
+def pem_encode(der: bytes) -> str:
     b64 = base64.b64encode(der).decode()
     lines = [b64[i : i + 64] for i in range(0, len(b64), 64)]
-    return f"-----BEGIN {label}-----\n" + "\n".join(lines) + f"\n-----END {label}-----\n"
+    return "-----BEGIN CERTIFICATE-----\n" + "\n".join(lines) + "\n-----END CERTIFICATE-----\n"
 
 
 def pem_decode(text: str) -> bytes:

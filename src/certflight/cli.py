@@ -73,6 +73,11 @@ def _output(out_path: str | None):
     return contextlib.nullcontext(sys.stdout)
 
 
+def _side_output(path: str | None):
+    """The side file at path, or None; open it before the table, so a bad path writes nothing."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+
+
 # -------------------------------------------------------------- commands
 
 
@@ -108,7 +113,9 @@ def cmd_estimate(args, cfg: Config) -> int:
 
 def cmd_sweep(args, cfg: Config) -> int:
     plan = cfg.sweep
-    updates: dict = {"trials": args.trials}
+    updates: dict = {}
+    if args.trials is not None:
+        updates["trials"] = args.trials
     if args.stacks is not None:
         updates["stacks"] = tuple(s.strip() for s in args.stacks.split(",") if s.strip())
     if args.rtts is not None:
@@ -131,11 +138,10 @@ def cmd_sweep(args, cfg: Config) -> int:
     if args.gnuplot:
         records = list(records)  # read twice: by the table and by the curves
     write = sweep_runner.write_json if args.format == "json" else sweep_runner.write_csv
-    with _output(args.out) as f:
+    with _side_output(args.gnuplot) as curves, _output(args.out) as f:
         write(f, records, bool(plan.optimizers))
-    if args.gnuplot:
-        with open(args.gnuplot, "w", encoding="utf-8") as f:
-            sweep_runner.write_gnuplot(f, records)
+        if curves:
+            sweep_runner.write_gnuplot(curves, records)
     if args.out:
         count = (len(plan.stacks) * len(plan.rtts_ms) * len(plan.sizes_kb)
                  * (1 + len(plan.optimizers)))
@@ -185,6 +191,9 @@ def cmd_regions(args, cfg: Config) -> int:
         else chain_model.DEFAULT_OPTIMIZERS
     )
     regions = compute_regions(thresholds, list(optimizers))
+    for r in regions:
+        if r.upper_kb_exact <= r.lower_kb:
+            raise ConfigError(f"threshold {r.threshold_kb} KB: the {r.optimizer} region is empty")
     if args.format == "json":
         print(json.dumps([dataclasses.asdict(r) for r in regions], indent=2))
     else:
@@ -255,7 +264,7 @@ def cmd_analyze(args, cfg: Config) -> int:
         "months": {c: [m for m, _ in pts] for c, pts in series.items()},
         "correlation_tls13_vs_resumption": correlations,
     }
-    with _output(args.out) as f:
+    with _side_output(args.series) as side, _output(args.out) as f:
         if args.format == "csv":
             rows = list(payload["classes"].values())
             writer = csv.writer(f, lineterminator="\n")
@@ -263,9 +272,8 @@ def cmd_analyze(args, cfg: Config) -> int:
             writer.writerows(row.values() for row in rows)
         else:
             f.write(json.dumps(payload, indent=2) + "\n")
-    if args.series:
-        with open(args.series, "w", encoding="utf-8") as f:
-            f.write(tla.series_csv(series))
+        if side:
+            side.write(tla.series_csv(series))
     if args.out:
         print(f"analyzed {stats.records} records ({stats.malformed} malformed) -> {args.out}")
     return 0
@@ -344,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stacks", default=None, help="comma-separated stack names")
     p.add_argument("--rtts", default=None, help="comma-separated RTTs in ms")
     p.add_argument("--sizes", default=None, help="size grid as start:end:step in KB")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=int, default=None,
+                   help="trials summarized per noisy row (default: configured)")
     p.add_argument("--optimizers", default=None,
                    help="comma-separated: mtc1,mtc2,cdn25,cdn40,identity")
     p.add_argument("--out", default=None, help="write table here instead of stdout")
@@ -407,11 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args.config)
-        if args.seed is not None:
-            cfg.noise = dataclasses.replace(cfg.noise, seed=args.seed)
-            cfg.sweep = dataclasses.replace(cfg.sweep, seed=args.seed)
-        return args.func(args, cfg)
+        return args.func(args, resolve_config(args.config))
     except (ValueError, OSError) as e:
         # Every certflight error is a ValueError: bad input ends with one line.
         print(f"error: {e}", file=sys.stderr)

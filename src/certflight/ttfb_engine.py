@@ -230,7 +230,6 @@ def calibrate_stack_profile(
 def calibrate_minimax(
     cells: Sequence[tuple[float, float, float, float]],
     name: str = "calibrated-minimax",
-    slope_bounds: tuple[float, float] = (1.0, 10.0),
 ) -> tuple[StackProfile, float]:
     """Chebyshev fit of a profile to a table of tolerance-weighted cells.
 
@@ -256,7 +255,7 @@ def calibrate_minimax(
         base = (max(ci - worst * ti for ci, ti in c) + min(ci + worst * ti for ci, ti in c)) / 2
         return worst, base
 
-    lo, hi = slope_bounds
+    lo, hi = 1.0, 10.0  # the base_flights bracket the slope search narrows
     for _ in range(200):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3

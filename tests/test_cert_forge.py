@@ -208,3 +208,36 @@ def test_a_chain_at_the_tls_limit_is_built(monkeypatch):
     at_limit = SchemeProfile("big", leaf_kb=777.215, intermediate_kb=1000.0)
     forge_chain(ChainSpec(at_limit, intermediates=16))
     assert sum(call.args[1] for call in pad.call_args_list) == MAX_CERT_BYTES
+
+
+def _serial_content_bytes(blob: bytes) -> int:
+    # Certificate -> tbs -> [0] version, then the serial INTEGER.
+    _, _, tbs = cert_forge._read_header(blob, 0)
+    _, _, version = cert_forge._read_header(blob, tbs)
+    _, version_len, version_content = cert_forge._read_header(blob, version)
+    tag, length, _ = cert_forge._read_header(blob, version_content + version_len)
+    assert tag == 0x02
+    return length
+
+
+# Subject and issuer names as forge_chain writes them.
+@pytest.mark.parametrize("subject, issuer", [
+    ("cert", "root"),
+    ("leaf", "intermediate-1"),
+    ("leaf", "root"),
+    ("intermediate-1", "intermediate-2"),
+    ("intermediate-3", "root"),
+])
+def test_exact_sizes_around_every_length_field_widening(subject, issuer):
+    # The padding's wrappers widen near the minimum (128 and 256 bytes of
+    # content) and the tbs and outer lengths near 65,536; the signature
+    # stretch alone reaches every total, so the serial never grows.
+    template = DerCertTemplate(subject_cn=f"{subject}.test", issuer_cn=f"{issuer}.test")
+    minimum = minimum_size(template)
+    for target in [*range(minimum, minimum + 600), *range(65300, 66000)]:
+        if target == 65540:
+            continue  # see test_impossible_total_is_an_error
+        blob = pad_to_size(template, target)
+        assert len(blob) == target
+        assert parse_and_measure(blob).well_formed, target
+        assert _serial_content_bytes(blob) == 8, target

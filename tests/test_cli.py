@@ -123,6 +123,8 @@ def test_sweep_optimizer_column(capsys):
     ("--stacks", "ClassicalSim,Nonesuch", "--gnuplot", "curves.dat"),
     ("--rtts", "10,-1", "--format", "json", "--gnuplot", "curves.dat"),
     ("--rtts", "10,10", "--gnuplot", "curves.dat"),
+    ("--rtts", "10", "--sizes", "4:8:4", "--gnuplot", "missing/curves.dat"),
+    ("--rtts", "10", "--sizes", "4:8:4", "--format", "json", "--gnuplot", "missing/curves.dat"),
 ])
 def test_a_failed_sweep_writes_nothing(tmp_path, monkeypatch, capsys, flags):
     monkeypatch.chdir(tmp_path)  # where a --gnuplot file would land
@@ -130,6 +132,28 @@ def test_a_failed_sweep_writes_nothing(tmp_path, monkeypatch, capsys, flags):
     assert code == 1 and err.startswith("error: ")
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_unwritable_series_path_writes_nothing(tmp_path, capsys, fmt):
+    from certflight.config import _data_path
+
+    code, out, err = run(capsys, "analyze", "--logs", _data_path("sample_tls_log.tsv"),
+                         "--format", fmt, "--out", str(tmp_path / "ok.json"),
+                         "--series", str(tmp_path / "missing" / "s.csv"))
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_trials_come_from_the_config_unless_given(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"sweep": {"trials": 1}}')
+    base = ("--config", str(path), "sweep", "--rtts", "50", "--sizes", "4:12:4")
+    _, out, _ = run(capsys, *base)
+    assert {row.split(",")[4] for row in out.splitlines()[1:]} == {"0.0"}  # one trial, no spread
+    _, out, _ = run(capsys, *base, "--trials", "5")
+    assert "0.0" not in {row.split(",")[4] for row in out.splitlines()[1:]}
 
 
 def test_sweep_bad_size_spec(capsys):
@@ -176,6 +200,13 @@ def test_regions_custom_threshold(capsys):
     payload = json.loads(out)
     assert len(payload) == 1
     assert payload[0]["upper_kb_rounded"] == 26
+
+
+def test_an_empty_region_is_refused_by_name(capsys):
+    # mtc1 rescues nothing below a 2 KB threshold: its upper bound, 1.0 KB, is under 1.5.
+    code, out, err = run(capsys, "regions", "--thresholds", "1.5", "--optimizers", "mtc1")
+    assert code == 1 and out == ""
+    assert "mtc-one-intermediate" in err and "1.5 KB" in err
 
 
 def test_savings_json(capsys):
@@ -361,6 +392,10 @@ def test_seed_flag_changes_noise_only(tmp_path, capsys):
     ("regions", "--optimizers", ""),
     ("regions", "--optimizers", ","),
     ("regions", "--thresholds", ""),
+    ("regions", "--thresholds", "1.5", "--optimizers", "mtc1,identity"),
+    ("regions", "--thresholds", "1.5", "--optimizers", "mtc1"),
+    ("regions", "--thresholds", "10", "--optimizers", "identity"),
+    ("regions", "--thresholds", "1.0000001", "--optimizers", "mtc2"),
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
