@@ -398,18 +398,18 @@ def pem_decode(text: str) -> bytes:
     return base64.b64decode("".join(body))
 
 
-def write_chain(chain: ForgedChain, out_dir: str) -> dict:
-    """Write DER and PEM files plus a manifest.json; returns the manifest."""
+def write_chain(chain: ForgedChain, out_dir: str, reports: list[ParseReport]) -> dict:
+    """Write DER and PEM files plus a manifest.json; returns the manifest.
+    reports are the certs' parse_and_measure reports, in chain order."""
     os.makedirs(out_dir, exist_ok=True)
     entries = []
-    for cert in chain.certs:
+    for cert, report in zip(chain.certs, reports):
         der_name = f"{cert.role}.der"
         pem_name = f"{cert.role}.pem"
         with open(os.path.join(out_dir, der_name), "wb") as f:
             f.write(cert.der)
         with open(os.path.join(out_dir, pem_name), "w", encoding="utf-8") as f:
             f.write(pem_encode(cert.der))
-        report = parse_and_measure(cert.der)
         entries.append(
             {
                 "role": cert.role,

@@ -3,7 +3,7 @@
 Subcommands: estimate, sweep, thresholds, regions, savings, forge,
 analyze, calibrate. Configuration comes from --config (or the
 CERTFLIGHT_CONFIG environment variable), and individual flags override
-config values. --seed affects noise sampling only.
+config values. --seed overrides sweep.seed, the seed of each sweep row's draws.
 """
 
 from __future__ import annotations
@@ -13,13 +13,15 @@ import contextlib
 import csv
 import dataclasses
 import json
+import os
 import sys
 
 from . import cert_forge, chain_model, sweep_runner, tls_log_analytics as tla
 from .chain_model import ChainSpec, SizeOptimizer, chain_size_kb, resolve_scheme
 from .config import Config, resolve_config
 from .errors import ConfigError
-from .sweep_runner import compute_regions, estimate_savings, regions_csv
+from .sweep_runner import REGION_FIELDS, compute_regions, estimate_savings
+from .tables import write_csv, write_json
 from .transport_flight import ANALYTIC, EMPIRICAL, find_thresholds
 from .ttfb_engine import NetworkPath, calibrate_stack_profile, estimate_ttfb, resolve_stack
 
@@ -66,16 +68,24 @@ def _chain_kb_for(args, cfg: Config) -> float:
     )
 
 
-def _output(out_path: str | None):
-    """A context manager for the file at out_path, or for stdout."""
-    if out_path:
-        return open(out_path, "w", encoding="utf-8")
-    return contextlib.nullcontext(sys.stdout)
-
-
-def _side_output(path: str | None):
-    """The side file at path, or None; open it before the table, so a bad path writes nothing."""
-    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+@contextlib.contextmanager
+def _outputs(table_path: str | None, side_path: str | None):
+    """The table's file (stdout without table_path) and the side file (None without
+    side_path), both opened before anything is written. If the table's file cannot be
+    opened, a side file that existed keeps its contents and one made here is removed."""
+    created = side_path and not os.path.exists(side_path)
+    if side_path:
+        open(side_path, "a", encoding="utf-8").close()  # a bad side path fails here, unemptied
+    try:
+        table = (open(table_path, "w", encoding="utf-8") if table_path
+                 else contextlib.nullcontext(sys.stdout))
+    except OSError:
+        if created:
+            os.remove(side_path)
+        raise
+    with table as f, (open(side_path, "w", encoding="utf-8") if side_path
+                      else contextlib.nullcontext()) as side:
+        yield f, side
 
 
 # -------------------------------------------------------------- commands
@@ -137,9 +147,9 @@ def cmd_sweep(args, cfg: Config) -> int:
     records = sweep_runner.sweep_records(plan, cfg.stacks, _flight_for(args, cfg), cfg.noise)
     if args.gnuplot:
         records = list(records)  # read twice: by the table and by the curves
-    write = sweep_runner.write_json if args.format == "json" else sweep_runner.write_csv
-    with _side_output(args.gnuplot) as curves, _output(args.out) as f:
-        write(f, records, bool(plan.optimizers))
+    write = write_json if args.format == "json" else write_csv
+    with _outputs(args.out, args.gnuplot) as (f, curves):
+        write(f, sweep_runner.sweep_header(bool(plan.optimizers)), records)
         if curves:
             sweep_runner.write_gnuplot(curves, records)
     if args.out:
@@ -169,11 +179,9 @@ def cmd_thresholds(args, cfg: Config) -> int:
         "note": note,
     }
     if args.format == "csv":
-        lines = ["index,threshold_kb"]
-        lines += [f"{i},{t!r}" for i, t in enumerate(found)]
+        write_csv(sys.stdout, ("index", "threshold_kb"), enumerate(found))
         if note:
-            lines.append(f"# {note}")
-        print("\n".join(lines))
+            print(f"# {note}")
     else:
         print(json.dumps(payload, indent=2))
     return 0
@@ -194,10 +202,8 @@ def cmd_regions(args, cfg: Config) -> int:
     for r in regions:
         if r.upper_kb_exact <= r.lower_kb:
             raise ConfigError(f"threshold {r.threshold_kb} KB: the {r.optimizer} region is empty")
-    if args.format == "json":
-        print(json.dumps([dataclasses.asdict(r) for r in regions], indent=2))
-    else:
-        sys.stdout.write(regions_csv(regions))
+    write = write_json if args.format == "json" else write_csv
+    write(sys.stdout, REGION_FIELDS, map(dataclasses.astuple, regions))
     return 0
 
 
@@ -225,11 +231,11 @@ def cmd_forge(args, cfg: Config) -> int:
         explicit_size_kb=args.size_kb,
     )
     chain = cert_forge.forge_chain(spec, kb_bytes=cfg.kb_bytes)
-    manifest = cert_forge.write_chain(chain, args.out_dir)
+    reports = [cert_forge.parse_and_measure(cert.der) for cert in chain.certs]
+    manifest = cert_forge.write_chain(chain, args.out_dir, reports)
     ok = True
-    for entry, cert in zip(manifest["certs"], chain.certs):
+    for entry, report in zip(manifest["certs"], reports):
         exact = entry["actual_bytes"] == entry["target_bytes"]
-        report = cert_forge.parse_and_measure(cert.der)
         ok = ok and exact and report.well_formed
         print(
             f"{entry['role']}: target={entry['target_bytes']} "
@@ -264,16 +270,14 @@ def cmd_analyze(args, cfg: Config) -> int:
         "months": {c: [m for m, _ in pts] for c, pts in series.items()},
         "correlation_tls13_vs_resumption": correlations,
     }
-    with _side_output(args.series) as side, _output(args.out) as f:
+    with _outputs(args.out, args.series) as (f, side):
         if args.format == "csv":
             rows = list(payload["classes"].values())
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(rows[0])  # the keys, in column order
-            writer.writerows(row.values() for row in rows)
+            write_csv(f, rows[0], (row.values() for row in rows))  # rows[0]: the keys, in order
         else:
             f.write(json.dumps(payload, indent=2) + "\n")
         if side:
-            side.write(tla.series_csv(series))
+            tla.series_csv(side, series)
     if args.out:
         print(f"analyzed {stats.records} records ({stats.malformed} malformed) -> {args.out}")
     return 0
@@ -322,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="path to a JSON config file "
                         "(default: $CERTFLIGHT_CONFIG if set)")
-    parser.add_argument("--seed", type=int, help="override noise seed "
-                        "(affects noise sampling only)")
+    parser.add_argument("--seed", type=int, help="override sweep.seed, the seed of "
+                        "each sweep row's draws")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_chain_flags(p):

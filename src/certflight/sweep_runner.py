@@ -2,11 +2,11 @@
 
 sweep_records evaluates the TTFB model over a (stack, rtt, size) grid with
 optional size optimizers and per-row noise sampling, and yields the rows
-one at a time. write_csv and write_json stream them, so memory grows with
-the size axis, not with the number of rows; write_gnuplot needs them listed.
-run_sweep collects them as SweepRow objects. Every input error is raised when
-sweep_records is called, before the first row exists, so a failed sweep
-writes nothing.
+one at a time, in the columns sweep_header names. The table writers stream
+them, so memory grows with the size axis, not with the number of rows;
+write_gnuplot needs them listed. run_sweep collects them as SweepRow
+objects. Every input error is raised when sweep_records is called, before
+the first row exists, so a failed sweep writes nothing.
 
 The grid is factored: the wire size and extra round trips depend only on
 (size, optimizer), and the totals only on (stack, rtt, extra round trips),
@@ -19,15 +19,15 @@ evaluation order and rows can be computed concurrently and merged.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
-import json
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
 from .errors import ConfigError, check_fields
+from .tables import write_csv
 from .transport_flight import FlightModel, check_grid_points, extra_rtts
 from .ttfb_engine import (
     NetworkPath, NoiseModel, StackProfile, estimate_ttfb, summary_sampler, ttfb_total_ms,
@@ -86,6 +86,13 @@ class SweepRow:
     optimizer: str = ""
 
 
+def sweep_header(optimized: bool) -> tuple[str, ...]:
+    """The columns of a sweep's rows: SweepRow's fields, with the optimizer's
+    only when the plan has optimizers. sweep_records yields rows of this shape."""
+    names = tuple(field.name for field in fields(SweepRow))
+    return names if optimized else names[:-1]
+
+
 def sweep_records(
     plan: SweepPlan,
     stacks: dict[str, StackProfile],
@@ -93,8 +100,7 @@ def sweep_records(
     noise: NoiseModel = NoiseModel(),
 ):
     """A generator of the grid's rows in canonical order (stack, rtt, size,
-    optimizer), as (stack, rtt_ms, size_kb, mean_ms, std_ms, extra_rtts)
-    tuples that end in the optimizer label when the plan has optimizers.
+    optimizer), as tuples of the values sweep_header(bool(plan.optimizers)) names.
 
     With optimizers in the plan, each grid point also gets one row per
     optimizer, keyed by the raw size but charged the optimized size's
@@ -108,13 +114,15 @@ def sweep_records(
     for rtt in plan.rtts_ms:
         NetworkPath(rtt_ms=rtt, flight=flight)
     variants = [("", None)] + [(opt.label, opt) for opt in plan.optimizers]
-    # Per size and variant: the seed key's tail, the extra round trips, the label.
+    # Per size and variant: the seed key's tail, the extra round trips, and the
+    # row's last columns: its label, where the plan has optimizers.
     cells = []
     for size in plan.sizes_kb:
         row = []
         for label, opt in variants:
             wire_kb = size if opt is None else effective_size_kb(size, opt)
-            row.append((f"{size!r}|{label}".encode(), extra_rtts(flight, wire_kb), label))
+            row.append((f"{size!r}|{label}".encode(), extra_rtts(flight, wire_kb),
+                        (label,) if plan.optimizers else ()))
         cells.append((size, row))
     extras = {extra for _, row in cells for _, extra, _ in row}
     # Per (stack, rtt): the seed key's hashed head, and the total of each extra.
@@ -125,22 +133,19 @@ def sweep_records(
             head = hashlib.sha256(f"{plan.seed}|{name}|{rtt!r}|".encode())
             totals = {e: ttfb_total_ms(stack.base_ms, stack.base_flights + e, rtt) for e in extras}
             lines.append((name, rtt, head, totals))
-    return _records(lines, cells, summary_sampler(noise, plan.trials), bool(plan.optimizers))
+    return _records(lines, cells, summary_sampler(noise, plan.trials))
 
 
-def _records(lines, cells, draw, labelled: bool):
+def _records(lines, cells, draw):
     for name, rtt, head, totals in lines:
         for size, row in cells:
-            for tail, extra, label in row:
+            for tail, extra, last in row:
                 mean, std = totals[extra], 0.0
                 if draw is not None:
                     key = head.copy()
                     key.update(tail)
                     mean, std = draw(mean, int.from_bytes(key.digest()[:8], "big"))
-                if labelled:
-                    yield name, rtt, size, mean, std, extra, label
-                else:
-                    yield name, rtt, size, mean, std, extra
+                yield (name, rtt, size, mean, std, extra) + last
 
 
 def run_sweep(
@@ -152,38 +157,6 @@ def run_sweep(
     """The rows of sweep_records as SweepRow objects. Unknown stack names
     fail before any row is produced."""
     return [SweepRow(*record) for record in sweep_records(plan, stacks, flight, noise)]
-
-
-_BASE_FIELDS = ("stack", "rtt_ms", "size_kb", "mean_ms", "std_ms", "extra_rtts")
-
-
-def _header(labelled: bool) -> tuple[str, ...]:
-    return _BASE_FIELDS + ("optimizer",) if labelled else _BASE_FIELDS
-
-
-def write_csv(out, records, labelled: bool) -> None:
-    """Write the header and one line per sweep_records tuple to the text file
-    out. csv writes floats with repr, so values round-trip exactly."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_header(labelled))
-    writer.writerows(records)
-
-
-# json's C encoder with the separators of indent=2 at an object's depth: the
-# body of one row object, which write_json frames by hand.
-_encode_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-
-
-def write_json(out, records, labelled: bool) -> None:
-    """Write the records to the text file out as an array of objects, one
-    object at a time, byte for byte as json.dumps(rows, indent=2) + "\n"."""
-    names = _header(labelled)
-    sep = "[\n"
-    for record in records:
-        body = _encode_row(dict(zip(names, record)))[1:-1]
-        out.write(f"{sep}  {{\n    {body}\n  }}")
-        sep = ",\n"
-    out.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 def write_gnuplot(out, records) -> None:
@@ -207,13 +180,9 @@ def write_gnuplot(out, records) -> None:
 def emit_csv(rows: list[SweepRow]) -> str:
     """Render rows as CSV. The optimizer column appears only when some row
     carries an optimizer."""
-    labelled = any(r.optimizer for r in rows)
-    width = 7 if labelled else 6
+    header = sweep_header(any(r.optimizer for r in rows))
     out = io.StringIO()
-    write_csv(out, (
-        (r.stack, r.rtt_ms, r.size_kb, r.mean_ms, r.std_ms, r.extra_rtts, r.optimizer)[:width]
-        for r in rows
-    ), labelled)
+    write_csv(out, header, map(attrgetter(*header), rows))
     return out.getvalue()
 
 
@@ -234,6 +203,9 @@ class OptimizationRegion:
     lower_kb: float
     upper_kb_exact: float
     upper_kb_rounded: int
+
+
+REGION_FIELDS = tuple(field.name for field in fields(OptimizationRegion))
 
 
 def compute_regions(
@@ -261,14 +233,6 @@ def compute_regions(
                 )
             )
     return regions
-
-
-def regions_csv(regions: list[OptimizationRegion]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(field.name for field in fields(OptimizationRegion))
-    writer.writerows(astuple(r) for r in regions)
-    return out.getvalue()
 
 
 # ------------------------------------------------------------ savings

@@ -10,7 +10,6 @@ counters, so chunked processing of large logs gives identical results.
 from __future__ import annotations
 
 import csv
-import io
 import ipaddress
 import json
 import statistics
@@ -20,6 +19,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LogFormatError
+from .tables import write_csv
 
 TLS10 = "TLSv1.0"
 TLS11 = "TLSv1.1"
@@ -418,14 +418,11 @@ def class_totals(series: Series) -> ClassStats:
     return totals
 
 
-def series_csv(series: Series) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("class", "month", "total", "tls13_rate", "resumption_rate"))
-    for cls in sorted(series):
-        writer.writerows((cls, month, stats.total, stats.tls13_adoption, stats.resumption_rate_all)
-                         for month, stats in series[cls])
-    return out.getvalue()
+def series_csv(out, series: Series) -> None:
+    """Write the series to the text file out as CSV, one row per class and month."""
+    write_csv(out, ("class", "month", "total", "tls13_rate", "resumption_rate"),
+              ((cls, month, stats.total, stats.tls13_adoption, stats.resumption_rate_all)
+               for cls in sorted(series) for month, stats in series[cls]))
 
 
 def rate_correlation(pairs: Iterable[tuple[float, float]]) -> float | None:

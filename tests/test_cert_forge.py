@@ -165,7 +165,7 @@ def test_forge_chain_mtc_requires_profile_support():
 
 def test_write_chain_manifest(tmp_path):
     chain = forge_chain(ChainSpec(resolve_scheme("ML-DSA")))
-    manifest = write_chain(chain, tmp_path)
+    manifest = write_chain(chain, tmp_path, [parse_and_measure(c.der) for c in chain.certs])
     assert (tmp_path / "manifest.json").exists()
     on_disk = json.loads((tmp_path / "manifest.json").read_text())
     assert on_disk == manifest

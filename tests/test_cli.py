@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -125,25 +126,50 @@ def test_sweep_optimizer_column(capsys):
     ("--rtts", "10,10", "--gnuplot", "curves.dat"),
     ("--rtts", "10", "--sizes", "4:8:4", "--gnuplot", "missing/curves.dat"),
     ("--rtts", "10", "--sizes", "4:8:4", "--format", "json", "--gnuplot", "missing/curves.dat"),
+    # The table's file cannot be opened: the gnuplot file created before it is removed.
+    ("--rtts", "10", "--sizes", "4:8:4", "--gnuplot", "g.dat", "--out", "missing/t.csv"),
 ])
 def test_a_failed_sweep_writes_nothing(tmp_path, monkeypatch, capsys, flags):
     monkeypatch.chdir(tmp_path)  # where a --gnuplot file would land
-    code, out, err = run(capsys, "sweep", *flags, "--out", str(tmp_path / "rows.csv"))
+    code, out, err = run(capsys, "sweep", "--out", str(tmp_path / "rows.csv"), *flags)
     assert code == 1 and err.startswith("error: ")
     assert out == ""
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_an_unwritable_series_path_writes_nothing(tmp_path, capsys, fmt):
+@pytest.mark.parametrize("fmt, table, series", [
+    ("json", "ok.json", "missing/s.csv"),
+    ("csv", "ok.json", "missing/s.csv"),
+    # The table's file cannot be opened: the series file opened before it is removed.
+    ("json", "missing/a.json", "s.csv"),
+    ("csv", "missing/a.csv", "s.csv"),
+], ids=["json", "csv", "json-unwritable-out", "csv-unwritable-out"])
+def test_an_unwritable_series_path_writes_nothing(tmp_path, capsys, fmt, table, series):
     from certflight.config import _data_path
 
     code, out, err = run(capsys, "analyze", "--logs", _data_path("sample_tls_log.tsv"),
-                         "--format", fmt, "--out", str(tmp_path / "ok.json"),
-                         "--series", str(tmp_path / "missing" / "s.csv"))
+                         "--format", fmt, "--out", str(tmp_path / table),
+                         "--series", str(tmp_path / series))
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--rtts", "10", "--sizes", "4:8:4", "--gnuplot", "side.txt",
+     "--out", "missing/t.csv"),
+    ("analyze", "--logs", "sample", "--series", "side.txt", "--out", "missing/a.json"),
+], ids=["sweep-gnuplot", "analyze-series"])
+def test_a_failed_run_keeps_an_existing_side_file(tmp_path, monkeypatch, capsys, argv):
+    from certflight.config import _data_path
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "side.txt").write_text("keep\n")
+    code, out, err = run(capsys, *(_data_path("sample_tls_log.tsv") if a == "sample" else a
+                                   for a in argv))
+    assert code == 1 and err.startswith("error: ") and out == ""
+    assert list(tmp_path.iterdir()) == [tmp_path / "side.txt"]
+    assert (tmp_path / "side.txt").read_text() == "keep\n"
 
 
 def test_sweep_trials_come_from_the_config_unless_given(tmp_path, capsys):
@@ -209,6 +235,29 @@ def test_an_empty_region_is_refused_by_name(capsys):
     assert "mtc-one-intermediate" in err and "1.5 KB" in err
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("thresholds",), "b427c9398a5166b2484b7a6c28b933d8ee26aa4ccf9592acc917412860319c47"),
+    (("thresholds", "--format", "csv"),
+     "3d60d9bc6ed9aab00600fcadc3dec3ce5dea0af6e39d5561ddd3ecd32cf638ca"),
+    (("thresholds", "--mode", "analytic"),
+     "ef8aa8c23a48950fc4ac21c012648bf83b5840e814a00510606771594b5a2a9e"),
+    # The CSV ends in a "# note" line naming the analytic and the configured thresholds.
+    (("thresholds", "--mode", "analytic", "--format", "csv"),
+     "adc01c69fa4a22d47a30ce52184eb654d1eb7b8158e4d1d534ecd5c4f12c56d3"),
+    (("regions",), "f7790871df27abcda70ac01c10bf662121b976cf07e8b895504ec81763d710ab"),
+    (("regions", "--format", "json"),
+     "c4f918f93688715d322c8322553d98da811cf2a94354b04f1244fb5dce78cd36"),
+    (("regions", "--thresholds", "14", "--optimizers", "mtc1"),
+     "a7c7de0d2c127207c45be243fddb73ea2c0dabb201e7c243c42627e00c414076"),
+    (("regions", "--thresholds", "14", "--optimizers", "mtc1", "--format", "json"),
+     "a23f6a976e3a90282123ee7ef51fca75bc5198c329db6ba00b035e73af1c8a55"),
+])
+def test_thresholds_and_regions_output_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_savings_json(capsys):
     code, out, _ = run(capsys, "savings", "--rtt", "50", "--size-kb", "11.9",
                        "--rate", "0.803", "--format", "json")
@@ -230,6 +279,18 @@ def test_forge_writes_chain(tmp_path, capsys):
     assert "leaf: target=3900 actual=3900" in out
     assert "intermediate-1: target=8000 actual=8000" in out
     assert (out_dir / "manifest.json").exists()
+
+
+def test_forge_parses_each_certificate_once(tmp_path, capsys, monkeypatch):
+    from certflight import cert_forge
+
+    parse, calls = cert_forge.parse_and_measure, []
+    monkeypatch.setattr(cert_forge, "parse_and_measure",
+                        lambda der: calls.append(der) or parse(der))
+    code, out, _ = run(capsys, "forge", "--scheme", "ml-dsa", "--intermediates", "2",
+                       "--out-dir", str(tmp_path / "chain"))
+    assert code == 0 and out.count("well_formed=true") == 3
+    assert len(calls) == 3
 
 
 def test_analyze_packaged_sample(capsys):

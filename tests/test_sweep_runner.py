@@ -12,19 +12,19 @@ from certflight.chain_model import DEFAULT_OPTIMIZERS, SizeOptimizer, effective_
 from certflight import chain_model
 from certflight.errors import ConfigError
 from certflight.sweep_runner import (
+    REGION_FIELDS,
     SweepPlan,
     SweepRow,
     compute_regions,
     detect_thresholds_from_rows,
     emit_csv,
     estimate_savings,
-    regions_csv,
     run_sweep,
+    sweep_header,
     sweep_records,
-    write_csv,
     write_gnuplot,
-    write_json,
 )
+from certflight.tables import write_csv, write_json
 from certflight.transport_flight import ANALYTIC, EMPIRICAL, MAX_GRID_POINTS, FlightModel
 from certflight.ttfb_engine import (
     DEFAULT_STACKS, NetworkPath, NoiseModel, StackProfile, estimate_ttfb, sample_ttfb,
@@ -214,7 +214,8 @@ def test_csv_optimizer_column_only_when_used():
 def test_json_round_trip_is_exact():
     noise = NoiseModel("gaussian", std_ms=0.4, seed=7)
     out = io.StringIO()
-    write_json(out, sweep_records(small_plan(), DEFAULT_STACKS, FLIGHT, noise), False)
+    write_json(out, sweep_header(False),
+               sweep_records(small_plan(), DEFAULT_STACKS, FLIGHT, noise))
     rows = run_sweep(small_plan(), DEFAULT_STACKS, FLIGHT, noise)
     expected = [dataclasses.asdict(row) for row in rows]
     for d in expected:
@@ -261,8 +262,10 @@ def test_regions_validation():
 
 
 def test_regions_csv_shape():
-    text = regions_csv(compute_regions([10.0], [SizeOptimizer(chain_model.MTC_ONE_INTERMEDIATE)]))
-    lines = text.splitlines()
+    out = io.StringIO()
+    regions = compute_regions([10.0], [SizeOptimizer(chain_model.MTC_ONE_INTERMEDIATE)])
+    write_csv(out, REGION_FIELDS, map(dataclasses.astuple, regions))
+    lines = out.getvalue().splitlines()
     assert lines[0] == "optimizer,threshold_kb,lower_kb,upper_kb_exact,upper_kb_rounded"
     assert lines[1].startswith("mtc-one-intermediate,10.0,10.0,18.0,18")
 
@@ -424,7 +427,7 @@ def test_factored_sweep_matches_the_per_row_oracle(plan, flight, noise):
     records = list(sweep_records(plan, STACKS, flight, noise))
     for write, oracle in ((write_csv, oracle_csv), (write_json, oracle_json)):
         out = io.StringIO()
-        write(out, records, bool(plan.optimizers))
+        write(out, sweep_header(bool(plan.optimizers)), records)
         assert out.getvalue() == oracle(expected)
     out = io.StringIO()
     write_gnuplot(out, records)

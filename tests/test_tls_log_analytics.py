@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -352,8 +353,9 @@ def test_time_series_and_csv():
     assert series[CLASS_CDN][1][0] == "2025-02"
     assert series[CLASS_CDN][1][1].total == 2
     assert CLASS_CLOUD not in series
-    text = series_csv(series)
-    lines = text.splitlines()
+    out = io.StringIO()
+    series_csv(out, series)
+    lines = out.getvalue().splitlines()
     assert lines[0] == "class,month,total,tls13_rate,resumption_rate"
     assert "CDN,2025-01,1,1.0,1.0" in lines
     assert "NonCDN,2025-03,1,0.0,0.0" in lines
