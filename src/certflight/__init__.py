@@ -35,7 +35,6 @@ from .sweep_runner import (
     OptimizationRegion,
     SavingsEstimate,
     SweepPlan,
-    SweepRow,
     compute_regions,
     emit_csv,
     estimate_savings,

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+from operator import attrgetter
 
 from . import cert_forge, chain_model, sweep_runner, tls_log_analytics as tla
 from .chain_model import ChainSpec, SizeOptimizer, chain_size_kb, resolve_scheme
@@ -203,7 +204,7 @@ def cmd_regions(args, cfg: Config) -> int:
         if r.upper_kb_exact <= r.lower_kb:
             raise ConfigError(f"threshold {r.threshold_kb} KB: the {r.optimizer} region is empty")
     write = write_json if args.format == "json" else write_csv
-    write(sys.stdout, REGION_FIELDS, map(dataclasses.astuple, regions))
+    write(sys.stdout, REGION_FIELDS, map(attrgetter(*REGION_FIELDS), regions))
     return 0
 
 

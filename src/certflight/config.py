@@ -36,7 +36,7 @@ class Config:
     stacks: dict[str, StackProfile] = field(default_factory=lambda: dict(DEFAULT_STACKS))
     flight: FlightModel = field(default_factory=FlightModel)
     sweep: SweepPlan = field(default_factory=SweepPlan)
-    noise: NoiseModel = field(default_factory=lambda: NoiseModel("gaussian", std_ms=0.2, seed=1234))
+    noise: NoiseModel = field(default_factory=lambda: NoiseModel("gaussian", std_ms=0.2))
     asn_map_csv: str | None = None
     cdn_asn_file: str | None = None
     cloud_asn_file: str | None = None

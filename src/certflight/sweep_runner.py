@@ -2,10 +2,10 @@
 
 sweep_records evaluates the TTFB model over a (stack, rtt, size) grid with
 optional size optimizers and per-row noise sampling, and yields the rows
-one at a time, in the columns sweep_header names. The table writers stream
-them, so memory grows with the size axis, not with the number of rows;
-write_gnuplot needs them listed. run_sweep collects them as SweepRow
-objects. Every input error is raised when sweep_records is called, before
+one at a time, as tuples in the columns sweep_header names. The table
+writers stream them, so memory grows with the size axis, not with the
+number of rows; write_gnuplot needs them listed, and run_sweep lists
+them. Every input error is raised when sweep_records is called, before
 the first row exists, so a failed sweep writes nothing.
 
 The grid is factored: the wire size and extra round trips depend only on
@@ -23,7 +23,6 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 
 from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
 from .errors import ConfigError, check_fields
@@ -75,22 +74,13 @@ class SweepPlan:
         return [self.size_start_kb + i * self.size_step_kb for i in range(int(steps) + 1)]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    stack: str
-    rtt_ms: float
-    size_kb: float
-    mean_ms: float
-    std_ms: float
-    extra_rtts: int
-    optimizer: str = ""
+SWEEP_FIELDS = ("stack", "rtt_ms", "size_kb", "mean_ms", "std_ms", "extra_rtts", "optimizer")
 
 
 def sweep_header(optimized: bool) -> tuple[str, ...]:
-    """The columns of a sweep's rows: SweepRow's fields, with the optimizer's
-    only when the plan has optimizers. sweep_records yields rows of this shape."""
-    names = tuple(field.name for field in fields(SweepRow))
-    return names if optimized else names[:-1]
+    """The columns of a sweep's rows: SWEEP_FIELDS, with the optimizer's only
+    when the plan has optimizers. sweep_records yields rows of this shape."""
+    return SWEEP_FIELDS if optimized else SWEEP_FIELDS[:-1]
 
 
 def sweep_records(
@@ -153,10 +143,10 @@ def run_sweep(
     stacks: dict[str, StackProfile],
     flight: FlightModel,
     noise: NoiseModel = NoiseModel(),
-) -> list[SweepRow]:
-    """The rows of sweep_records as SweepRow objects. Unknown stack names
-    fail before any row is produced."""
-    return [SweepRow(*record) for record in sweep_records(plan, stacks, flight, noise)]
+) -> list[tuple]:
+    """The rows of sweep_records, listed. Unknown stack names fail before
+    any row is produced."""
+    return list(sweep_records(plan, stacks, flight, noise))
 
 
 def write_gnuplot(out, records) -> None:
@@ -177,12 +167,12 @@ def write_gnuplot(out, records) -> None:
     out.write("\n\n".join(blocks))
 
 
-def emit_csv(rows: list[SweepRow]) -> str:
-    """Render rows as CSV. The optimizer column appears only when some row
-    carries an optimizer."""
-    header = sweep_header(any(r.optimizer for r in rows))
+def emit_csv(records: list[tuple]) -> str:
+    """Render the rows of run_sweep as CSV, headed by the columns of their
+    width: the optimizer's only when the plan had optimizers."""
+    optimized = bool(records) and len(records[0]) == len(SWEEP_FIELDS)
     out = io.StringIO()
-    write_csv(out, header, map(attrgetter(*header), rows))
+    write_csv(out, sweep_header(optimized), records)
     return out.getvalue()
 
 
@@ -273,7 +263,7 @@ def estimate_savings(
     )
 
 
-def detect_thresholds_from_rows(rows: list[SweepRow], rtt_ms: float) -> list[float]:
+def detect_thresholds_from_rows(rows: list[tuple], rtt_ms: float) -> list[float]:
     """Read thresholds off a finished sweep: sizes where the mean TTFB
     at one RTT steps up by more than half an RTT. An independent check
     on find_thresholds, driven by model output rather than the flight
@@ -281,11 +271,12 @@ def detect_thresholds_from_rows(rows: list[SweepRow], rtt_ms: float) -> list[flo
     if rtt_ms <= 0:
         raise ValueError("needs a positive rtt to see steps")
     curve = sorted(
-        (r for r in rows if r.rtt_ms == rtt_ms and not r.optimizer),
-        key=lambda r: (r.stack, r.size_kb),
+        ((stack, size, mean) for stack, rtt, size, mean, _, _, *label in rows
+         if rtt == rtt_ms and not any(label)),
+        key=lambda r: r[:2],
     )
     thresholds = []
-    for prev, cur in zip(curve, curve[1:]):
-        if cur.stack == prev.stack and cur.mean_ms - prev.mean_ms > rtt_ms / 2:
-            thresholds.append(prev.size_kb)
+    for (stack, size, mean), (next_stack, _, next_mean) in zip(curve, curve[1:]):
+        if next_stack == stack and next_mean - mean > rtt_ms / 2:
+            thresholds.append(size)
     return thresholds

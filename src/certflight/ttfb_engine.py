@@ -71,7 +71,6 @@ class NetworkPath:
 class NoiseModel:
     kind: str = NOISE_NONE
     std_ms: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         check_fields(self)
@@ -138,26 +137,15 @@ def estimate_ttfb(
     )
 
 
-@dataclass(frozen=True)
-class SampleSummary:
-    mean_ms: float
-    std_ms: float
-
-
 def sample_ttfb(
-    estimate: TtfbEstimate, noise: NoiseModel, trials: int, *, seed: int | None = None
-) -> SampleSummary:
-    """Mean and ddof=1 std of trials noisy observations around an estimate.
-
-    Drawn by summary_sampler, seeded with seed (noise.seed when None), so
-    identical inputs reproduce the identical summary. Noise-free input
-    draws nothing.
+    estimate: TtfbEstimate, noise: NoiseModel, trials: int, *, seed: int
+) -> tuple[float, float]:
+    """(mean_ms, std_ms), the mean and ddof=1 std of trials noisy observations
+    around an estimate, drawn by summary_sampler with seed, so identical inputs
+    reproduce the identical pair. Noise-free input draws nothing.
     """
     draw = summary_sampler(noise, trials)
-    if draw is None:
-        return SampleSummary(mean_ms=estimate.total_ms, std_ms=0.0)
-    mean, std = draw(estimate.total_ms, noise.seed if seed is None else seed)
-    return SampleSummary(mean_ms=mean, std_ms=std)
+    return (estimate.total_ms, 0.0) if draw is None else draw(estimate.total_ms, seed)
 
 
 def summary_sampler(

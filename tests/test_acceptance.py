@@ -269,7 +269,7 @@ def test_criterion_9_sweep_determinism():
         ),
     )
     flight = FlightModel(mode=EMPIRICAL)
-    noise = NoiseModel("gaussian", std_ms=0.3, seed=0)
+    noise = NoiseModel("gaussian", std_ms=0.3)
     a = emit_csv(run_sweep(plan, DEFAULT_STACKS, flight, noise))
     b = emit_csv(run_sweep(plan, DEFAULT_STACKS, flight, noise))
     import dataclasses

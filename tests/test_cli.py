@@ -485,6 +485,14 @@ def test_bad_config_is_one_error_line_naming_the_key(tmp_path, capsys, text, key
     assert err.count("\n") == 1 and key in err
 
 
+def test_noise_seed_is_an_unknown_key(tmp_path, capsys):
+    # sweep.seed (or --seed) is the only seed, so a file naming noise.seed is refused.
+    path = tmp_path / "cfg.json"
+    path.write_text('{"noise": {"seed": 1}}')
+    code, out, err = run(capsys, "--config", str(path), "sweep")
+    assert (code, out, err) == (1, "", "error: unknown config key noise.seed\n")
+
+
 def test_kb_bytes_drives_flight_model_and_forge(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"kb_bytes": 1024}')

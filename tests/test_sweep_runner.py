@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from certflight.errors import ConfigError
 from certflight.sweep_runner import (
     REGION_FIELDS,
     SweepPlan,
-    SweepRow,
     compute_regions,
     detect_thresholds_from_rows,
     emit_csv,
@@ -105,20 +105,20 @@ def test_sweep_grid_shape_and_order():
     plan = small_plan()
     rows = run_sweep(plan, DEFAULT_STACKS, FLIGHT, QUIET)
     assert len(rows) == 2 * 4  # rtts x sizes
-    assert [(r.rtt_ms, r.size_kb) for r in rows[:4]] == [
+    assert [r[1:3] for r in rows[:4]] == [
         (10.0, 4.0), (10.0, 8.0), (10.0, 12.0), (10.0, 16.0),
     ]
-    assert all(r.stack == "ClassicalSim" for r in rows)
-    assert all(r.optimizer == "" for r in rows)
+    assert all(r[0] == "ClassicalSim" for r in rows)
+    assert all(len(r) == len(sweep_header(False)) for r in rows)  # no optimizer column
 
 
 def test_sweep_means_track_the_deterministic_model():
     rows = run_sweep(small_plan(), DEFAULT_STACKS, FLIGHT, QUIET)
-    by_size = {(r.rtt_ms, r.size_kb): r for r in rows}
-    assert by_size[(50.0, 8.0)].mean_ms == pytest.approx(108.3)
-    assert by_size[(50.0, 12.0)].mean_ms == pytest.approx(158.3)
-    assert by_size[(50.0, 8.0)].extra_rtts == 0
-    assert by_size[(50.0, 12.0)].extra_rtts == 1
+    by_size = {r[1:3]: r for r in rows}
+    assert by_size[(50.0, 8.0)][3] == pytest.approx(108.3)
+    assert by_size[(50.0, 12.0)][3] == pytest.approx(158.3)
+    assert by_size[(50.0, 8.0)][5] == 0
+    assert by_size[(50.0, 12.0)][5] == 1
 
 
 def test_sweep_unknown_stack_fails_before_running():
@@ -127,7 +127,7 @@ def test_sweep_unknown_stack_fails_before_running():
 
 
 def test_sweep_deterministic_per_seed():
-    noise = NoiseModel("gaussian", std_ms=0.4, seed=7)
+    noise = NoiseModel("gaussian", std_ms=0.4)
     a = run_sweep(small_plan(), DEFAULT_STACKS, FLIGHT, noise)
     b = run_sweep(small_plan(), DEFAULT_STACKS, FLIGHT, noise)
     assert a == b
@@ -138,13 +138,13 @@ def test_sweep_deterministic_per_seed():
 def test_row_noise_is_independent_of_grid_membership():
     # The same (stack, rtt, size) cell gets the same draws whether or
     # not other cells are in the plan.
-    noise = NoiseModel("gaussian", std_ms=0.4, seed=7)
+    noise = NoiseModel("gaussian", std_ms=0.4)
     wide = run_sweep(small_plan(), DEFAULT_STACKS, FLIGHT, noise)
     narrow = run_sweep(
         small_plan(rtts_ms=(50.0,), size_start_kb=8.0, size_end_kb=8.0),
         DEFAULT_STACKS, FLIGHT, noise,
     )
-    wide_cell = next(r for r in wide if r.rtt_ms == 50.0 and r.size_kb == 8.0)
+    wide_cell = next(r for r in wide if r[1:3] == (50.0, 8.0))
     assert narrow == [wide_cell]
 
 
@@ -169,7 +169,7 @@ def test_criterion_9_csv_is_pinned():
             SizeOptimizer(chain_model.CDN_MODERATE, factor=0.75),
         ),
     )
-    noise = NoiseModel("gaussian", std_ms=0.3, seed=0)
+    noise = NoiseModel("gaussian", std_ms=0.3)
     text = emit_csv(run_sweep(plan, DEFAULT_STACKS, FlightModel(mode=EMPIRICAL), noise))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "6ca2b79dbb573006da39e55698af6056df578a1ccaf5eb9f4c887bdde58fbb1b"
@@ -180,23 +180,23 @@ def test_optimizer_rows_shrink_the_wire_size():
     mtc1 = SizeOptimizer(chain_model.MTC_ONE_INTERMEDIATE)
     rows = run_sweep(small_plan(optimizers=(mtc1,)), DEFAULT_STACKS, FLIGHT, QUIET)
     assert len(rows) == 2 * 4 * 2
-    base = next(r for r in rows if r.rtt_ms == 50.0 and r.size_kb == 12.0 and not r.optimizer)
-    opt = next(r for r in rows if r.rtt_ms == 50.0 and r.size_kb == 12.0 and r.optimizer)
-    assert opt.optimizer == "mtc-one-intermediate"
+    base = next(r for r in rows if r[1:3] == (50.0, 12.0) and not r[6])
+    opt = next(r for r in rows if r[1:3] == (50.0, 12.0) and r[6])
+    assert opt[6] == "mtc-one-intermediate"
     # 12 KB shrinks to 7 KB, back under the first threshold.
     assert effective_size_kb(12.0, mtc1) == 7.0
-    assert base.extra_rtts == 1 and opt.extra_rtts == 0
-    assert opt.mean_ms == pytest.approx(108.3)
+    assert base[5] == 1 and opt[5] == 0
+    assert opt[3] == pytest.approx(108.3)
 
 
 def test_csv_round_trip_is_exact():
-    noise = NoiseModel("gaussian", std_ms=0.4, seed=7)
+    noise = NoiseModel("gaussian", std_ms=0.4)
     rows = run_sweep(small_plan(), DEFAULT_STACKS, FLIGHT, noise)
     parsed = list(csv.DictReader(io.StringIO(emit_csv(rows))))
     assert len(parsed) == len(rows)
     for rec, row in zip(parsed, rows):
-        expected = dataclasses.asdict(row)
-        assert expected.pop("optimizer") == "" and rec.keys() == expected.keys()
+        expected = dict(zip(sweep_header(False), row))
+        assert len(row) == len(expected) and rec.keys() == expected.keys()
         # Each field read back as its own type equals the row's value exactly.
         assert {name: type(value)(rec[name]) for name, value in expected.items()} == expected
 
@@ -212,15 +212,13 @@ def test_csv_optimizer_column_only_when_used():
 
 
 def test_json_round_trip_is_exact():
-    noise = NoiseModel("gaussian", std_ms=0.4, seed=7)
+    noise = NoiseModel("gaussian", std_ms=0.4)
     out = io.StringIO()
     write_json(out, sweep_header(False),
                sweep_records(small_plan(), DEFAULT_STACKS, FLIGHT, noise))
     rows = run_sweep(small_plan(), DEFAULT_STACKS, FLIGHT, noise)
-    expected = [dataclasses.asdict(row) for row in rows]
-    for d in expected:
-        assert d.pop("optimizer") == ""
-    assert json.loads(out.getvalue()) == expected
+    assert all(len(row) == len(sweep_header(False)) for row in rows)
+    assert json.loads(out.getvalue()) == [dict(zip(sweep_header(False), row)) for row in rows]
 
 
 def gnuplot_blocks(plan):
@@ -264,7 +262,7 @@ def test_regions_validation():
 def test_regions_csv_shape():
     out = io.StringIO()
     regions = compute_regions([10.0], [SizeOptimizer(chain_model.MTC_ONE_INTERMEDIATE)])
-    write_csv(out, REGION_FIELDS, map(dataclasses.astuple, regions))
+    write_csv(out, REGION_FIELDS, map(attrgetter(*REGION_FIELDS), regions))
     lines = out.getvalue().splitlines()
     assert lines[0] == "optimizer,threshold_kb,lower_kb,upper_kb_exact,upper_kb_rounded"
     assert lines[1].startswith("mtc-one-intermediate,10.0,10.0,18.0,18")
@@ -323,56 +321,55 @@ def oracle_rows(plan, stacks, flight, noise):
                     wire_kb = size if opt is None else effective_size_kb(size, opt)
                     estimate = estimate_ttfb(stacks[stack_name], path, wire_kb)
                     seed = _row_seed(plan.seed, stack_name, rtt, size, label)
-                    summary = sample_ttfb(estimate, noise, plan.trials, seed=seed)
-                    rows.append(SweepRow(stack_name, rtt, size, summary.mean_ms,
-                                         summary.std_ms, estimate.extra_rtts, label))
+                    mean, std = sample_ttfb(estimate, noise, plan.trials, seed=seed)
+                    rows.append((stack_name, rtt, size, mean, std, estimate.extra_rtts, label))
     return rows
 
 
 def oracle_csv(rows):
+    """rows: (stack, rtt, size, mean, std, extra, optimizer label) tuples."""
     fields = ["stack", "rtt_ms", "size_kb", "mean_ms", "std_ms", "extra_rtts"]
-    if any(r.optimizer for r in rows):
+    if any(label for *_, label in rows):
         fields.append("optimizer")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fields)
-    for r in rows:
-        record = [r.stack, repr(r.rtt_ms), repr(r.size_kb), repr(r.mean_ms),
-                  repr(r.std_ms), r.extra_rtts]
+    for stack, rtt, size, mean, std, extra, label in rows:
+        record = [stack, repr(rtt), repr(size), repr(mean), repr(std), extra]
         if len(fields) == 7:
-            record.append(r.optimizer)
+            record.append(label)
         writer.writerow(record)
     return out.getvalue()
 
 
 def oracle_json(rows):
-    keep_opt = any(r.optimizer for r in rows)
+    keep_opt = any(label for *_, label in rows)
     payload = []
-    for r in rows:
+    for stack, rtt, size, mean, std, extra, label in rows:
         d = {
-            "stack": r.stack,
-            "rtt_ms": r.rtt_ms,
-            "size_kb": r.size_kb,
-            "mean_ms": r.mean_ms,
-            "std_ms": r.std_ms,
-            "extra_rtts": r.extra_rtts,
+            "stack": stack,
+            "rtt_ms": rtt,
+            "size_kb": size,
+            "mean_ms": mean,
+            "std_ms": std,
+            "extra_rtts": extra,
         }
         if keep_opt:
-            d["optimizer"] = r.optimizer
+            d["optimizer"] = label
         payload.append(d)
     return json.dumps(payload, indent=2) + "\n"
 
 
 def oracle_gnuplot(rows):
     series = {}
-    for r in rows:
-        series.setdefault((r.stack, r.rtt_ms, r.optimizer), []).append(r)
+    for stack, rtt, size, mean, _, _, label in rows:
+        series.setdefault((stack, rtt, label), []).append((size, mean))
     blocks = []
     for (stack, rtt, optimizer), members in series.items():
         title = f"# stack={stack} rtt_ms={rtt!r}"
         if optimizer:
             title += f" optimizer={optimizer}"
-        body = "\n".join(f"{m.size_kb!r} {m.mean_ms!r}" for m in members)
+        body = "\n".join(f"{size!r} {mean!r}" for size, mean in members)
         blocks.append(f"{title}\n{body}\n")
     return "\n\n".join(blocks)
 
@@ -394,8 +391,8 @@ _flight = st.one_of(
 )
 _noise = st.one_of(
     st.just(NoiseModel("none")),
-    st.builds(NoiseModel, st.just("gaussian"), st.just(0.0), st.integers(0, 99)),
-    st.builds(NoiseModel, st.just("gaussian"), st.floats(0.01, 5.0), st.integers(0, 99)),
+    st.builds(NoiseModel, st.just("gaussian"), st.just(0.0)),
+    st.builds(NoiseModel, st.just("gaussian"), st.floats(0.01, 5.0)),
 )
 
 
