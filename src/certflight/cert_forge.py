@@ -55,6 +55,9 @@ _NOT_BEFORE = b"250101000000Z"
 _NOT_AFTER = b"350101000000Z"
 _PUBLIC_KEY_LEN = 65
 _SIGNATURE_LEN = 72
+# The parser refuses a node nested deeper: certificate fields nest a few
+# levels, and an extension's value is an opaque OCTET STRING.
+_MAX_DEPTH = 32
 
 
 @dataclass(frozen=True)
@@ -226,13 +229,17 @@ def _walk_children(buf: bytes, start: int, end: int) -> list[tuple[int, int, int
     return out
 
 
-def _check_tree(buf: bytes, tag: int, content: int, length: int) -> None:
-    if tag & 0x20:
-        for ctag, _, ccontent, clength in _walk_children(buf, content, content + length):
-            _check_tree(buf, ctag, ccontent, clength)
+def _check_tree(buf: bytes, content: int, length: int) -> None:
+    pending = [(content, content + length, 1)]  # (start, end, depth), popped in document order
+    while pending:
+        start, end, depth = pending.pop()
+        if depth > _MAX_DEPTH:
+            raise _Malformed(start, f"nested deeper than {_MAX_DEPTH} levels")
+        children = reversed(_walk_children(buf, start, end))
+        pending.extend((c, c + ln, depth + 1) for tag, _, c, ln in children if tag & 0x20)
 
 
-def _decode_oid(content: bytes, off: int) -> str:
+def _decode_oid(content: bytes, off: int) -> tuple[int, ...]:
     if not content:
         raise _Malformed(off, "empty OID")
     if content[-1] & 0x80:
@@ -245,7 +252,8 @@ def _decode_oid(content: bytes, off: int) -> str:
             arcs.append(val)
             val = 0
     first = min(arcs[0] // 40, 2)
-    return ".".join(str(a) for a in [first, arcs[0] - 40 * first] + arcs[1:])
+    # Arcs stay integers: an arc of 4,300-plus digits has no str().
+    return (first, arcs[0] - 40 * first, *arcs[1:])
 
 
 @dataclass(frozen=True)
@@ -263,10 +271,11 @@ def parse_and_measure(blob: bytes) -> ParseReport:
 
     Well-formed means: one outer SEQUENCE spanning the whole buffer,
     containing a SEQUENCE (tbs), a SEQUENCE (signature algorithm), and a
-    BIT STRING (signature); every constructed node nests exactly; any
-    [3] extensions block decodes as a SEQUENCE of extension SEQUENCEs
-    led by an OID. padding_bytes is the payload length of the extension
-    carrying PAD_EXTENSION_OID, 0 when absent.
+    BIT STRING (signature); every constructed node nests exactly, at
+    most _MAX_DEPTH levels deep; any [3] extensions block decodes as a
+    SEQUENCE of extension SEQUENCEs led by an OID. padding_bytes is the
+    payload length of the extension carrying PAD_EXTENSION_OID, 0 when
+    absent. Any blob gets a report; none raises.
     """
     try:
         tag, length, content = _read_header(blob, 0)
@@ -287,8 +296,7 @@ def parse_and_measure(blob: bytes) -> ParseReport:
             raise _Malformed(sig_off, "signature must be a BIT STRING")
         if sig_len < 1 or blob[sig_content] > 7:
             raise _Malformed(sig_content, "signature BIT STRING has bad unused-bit count")
-        for t, _, c, ln in top[:2]:
-            _check_tree(blob, t, c, ln)
+        _check_tree(blob, content, length)
 
         padding = 0
         critical = False
@@ -314,7 +322,7 @@ def parse_and_measure(blob: bytes) -> ParseReport:
                     rest = rest[1:]
                 if len(rest) != 1 or rest[0][0] != _TAG_OCTET_STRING:
                     raise _Malformed(eoff, "extension value must be an OCTET STRING")
-                if oid == PAD_EXTENSION_OID:
+                if oid == tuple(map(int, PAD_EXTENSION_OID.split("."))):
                     padding = rest[0][3]
                     critical = crit
     except _Malformed as e:

@@ -23,7 +23,7 @@ from .config import Config, resolve_config
 from .errors import ConfigError
 from .sweep_runner import REGION_FIELDS, compute_regions, estimate_savings
 from .tables import write_csv, write_json
-from .transport_flight import ANALYTIC, EMPIRICAL, find_thresholds
+from .transport_flight import ANALYTIC, EMPIRICAL, find_thresholds, grid_points
 from .ttfb_engine import NetworkPath, calibrate_stack_profile, estimate_ttfb, resolve_stack
 
 # Short names for the default optimizers, in DEFAULT_OPTIMIZERS order.
@@ -154,8 +154,8 @@ def cmd_sweep(args, cfg: Config) -> int:
         if curves:
             sweep_runner.write_gnuplot(curves, records)
     if args.out:
-        count = (len(plan.stacks) * len(plan.rtts_ms) * len(plan.sizes_kb)
-                 * (1 + len(plan.optimizers)))
+        count = (len(plan.stacks) * len(plan.rtts_ms) * (1 + len(plan.optimizers))
+                 * grid_points(plan.size_start_kb, plan.size_end_kb, plan.size_step_kb))
         print(f"wrote {count} rows to {args.out}")
     return 0
 
@@ -256,7 +256,7 @@ def cmd_analyze(args, cfg: Config) -> int:
     logs = (contextlib.nullcontext(sys.stdin) if args.logs == "-"
             else open(args.logs, encoding="utf-8", errors="replace"))
     with logs as f:
-        series = tla.time_series(tla.parse_log_stream(f, fmt=args.log_format, stats=stats), asn_map)
+        series = tla.time_series(tla.parse_log_stream(f, stats=stats), asn_map)
     aggregated = tla.class_totals(series)
     # Every bucket holds at least one record, so both of its rates are defined.
     correlations = {
@@ -397,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="aggregate a TLS connection log")
     p.add_argument("--logs", required=True, help="log file, or - for stdin")
-    p.add_argument("--log-format", choices=["auto", "tsv", "jsonl"], default="auto")
     p.add_argument("--asn-map", default=None, help="network,asn,org CSV")
     p.add_argument("--cdn-asns", default=None)
     p.add_argument("--cloud-asns", default=None)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
 from .errors import ConfigError, check_fields
 from .tables import write_csv
-from .transport_flight import FlightModel, check_grid_points, extra_rtts
+from .transport_flight import FlightModel, extra_rtts, grid_points
 from .ttfb_engine import (
     NetworkPath, NoiseModel, StackProfile, estimate_ttfb, summary_sampler, ttfb_total_ms,
 )
@@ -69,9 +69,8 @@ class SweepPlan:
 
     @property
     def sizes_kb(self) -> list[float]:
-        steps = (self.size_end_kb - self.size_start_kb) / self.size_step_kb + 1e-9
-        check_grid_points(steps + 1)
-        return [self.size_start_kb + i * self.size_step_kb for i in range(int(steps) + 1)]
+        count = grid_points(self.size_start_kb, self.size_end_kb, self.size_step_kb)
+        return [self.size_start_kb + i * self.size_step_kb for i in range(count)]
 
 
 SWEEP_FIELDS = ("stack", "rtt_ms", "size_kb", "mean_ms", "std_ms", "extra_rtts", "optimizer")

@@ -80,8 +80,6 @@ def _parse_bool(raw) -> bool | None:
     if raw is None:
         return None
     s = str(raw).strip().lower()
-    if s in _UNSET:
-        return None
     if s in _TRUE:
         return True
     if s in _FALSE:
@@ -131,28 +129,28 @@ def _record(ts, ip, version, resumed, sni, stats: ParseStats) -> TlsLogRecord | 
 
 def parse_log_stream(
     lines: Iterable[str],
-    fmt: str = "auto",
     stats: ParseStats | None = None,
 ) -> Iterator[TlsLogRecord]:
     """Yield records from a log stream, in input order, skipping bad lines.
 
-    fmt is "tsv", "jsonl", or "auto" (sniffed from the first data line).
-    Fields are read by their Zeek names (FIELDS); a TSV #fields header
-    sets the column order. Malformed lines (bad column count, no ts or
-    id.resp_h column, unparseable timestamp, timestamp outside the years
-    1-9999 that ``month_key`` can render, missing or unset address, a
-    JSON line that does not decode to an object, a JSON address that is
-    not a string, a JSON version that is neither null nor a string) are
+    Each data line is read by its own shape, so TSV and JSON lines may
+    mix: a line whose first non-blank character is "{" is a JSON object,
+    and any other is TSV under the #fields header in force, in FIELDS
+    order before one. A leading partial line, as in a log read from
+    mid-file, is one malformed line. Fields are read by their Zeek names
+    (FIELDS). Malformed lines (bad column count, no ts or id.resp_h
+    column, unparseable timestamp, timestamp outside the years 1-9999
+    that ``month_key`` can render, missing or unset address, a JSON line
+    that does not decode to an object, a JSON address that is not a
+    string, a JSON version that is neither null nor a string) are
     counted in stats and skipped. An address string that is not an IP
     address is not malformed: the record is kept and classifies as
-    Unidentified. A missing resumption field is not malformed either: the
-    record defaults to resumed=False and the line is tallied under
-    resumption_unknown. If more than half of all data lines are malformed
-    the stream itself is considered unreadable and LogFormatError is
-    raised once the stream is exhausted.
+    Unidentified. A missing resumption field is not malformed either:
+    the record defaults to resumed=False and the line is tallied under
+    resumption_unknown. If more than half of all data lines are
+    malformed the stream itself is considered unreadable and
+    LogFormatError is raised once the stream is exhausted.
     """
-    if fmt not in ("auto", "tsv", "jsonl"):
-        raise ValueError(f"unknown log format {fmt!r}")
     if stats is None:
         stats = ParseStats()
     width, pick = _columns(FIELDS)
@@ -166,22 +164,20 @@ def parse_log_stream(
             if line.startswith("#fields"):
                 width, pick = _columns(line.split("\t")[1:])
             continue
-        if fmt == "auto":
-            fmt = "jsonl" if line.lstrip().startswith("{") else "tsv"
         stats.data_lines += 1
         record = None
-        if fmt == "tsv":
-            parts = line.split("\t")
-            if len(parts) == width:
-                parts.append(None)  # read by a column the header lacks
-                record = _record(*pick(parts), stats)
-        else:
+        if line.lstrip().startswith("{"):
             try:
                 row = json.loads(line)
             except (ValueError, RecursionError):  # not JSON, too long an integer, too deep
                 row = None
             if isinstance(row, dict):
                 record = _record(*map(row.get, FIELDS), stats)
+        else:
+            parts = line.split("\t")
+            if len(parts) == width:
+                parts.append(None)  # read by a column the header lacks
+                record = _record(*pick(parts), stats)
         if record is None:
             stats.malformed += 1
             continue

@@ -36,11 +36,13 @@ EMPIRICAL = "empirical"
 MAX_GRID_POINTS = 10_000_000
 
 
-def check_grid_points(points: float) -> None:
-    """Reject a size grid of more than MAX_GRID_POINTS points (or an
-    overflowed, infinite count)."""
-    if not points <= MAX_GRID_POINTS:
-        raise ConfigError(f"size grid has {points:.4g} points; the limit is {MAX_GRID_POINTS}")
+def grid_points(start: float, end: float, step: float) -> int:
+    """How many sizes start + i * step reach end, counting one within 1e-9
+    steps past it; ConfigError past MAX_GRID_POINTS or on an overflow."""
+    steps = (end - start) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:  # int(steps) + 1 points, and int refuses inf
+        raise ConfigError(f"size grid has {steps + 1:.4g} points; the limit is {MAX_GRID_POINTS}")
+    return int(steps) + 1
 
 
 @dataclass(frozen=True)
@@ -110,24 +112,18 @@ def extra_rtts(model: FlightModel, size_kb: float) -> int:
 
 
 def find_thresholds(model: FlightModel, max_kb: float, step_kb: float) -> list[float]:
-    """Scan [0, max_kb] in step_kb increments and report plateau edges.
+    """Scan the grid of a sweep over 0:max_kb:step_kb and report plateau edges.
 
-    A threshold is the last size of a plateau: the scanned size one
-    step before the extra-RTT count increases. Empty when no increase
-    occurs below max_kb.
+    A threshold is the last size of a plateau: the grid point one step
+    before the extra-RTT count increases. Empty when no increase occurs.
     """
-    if not 0 < step_kb < math.inf:
-        raise ValueError("step_kb must be finite and positive")
-    if not step_kb < max_kb < math.inf:
-        raise ValueError("max_kb must be finite and exceed step_kb")
-    check_grid_points(max_kb / step_kb + 1)
-    steps = int(max_kb / step_kb)
+    if not 0 < step_kb < max_kb < math.inf:
+        raise ValueError(f"need 0 < step_kb < max_kb < inf, got {step_kb} and {max_kb}")
     thresholds = []
     prev = extra_rtts(model, 0.0)
-    for i in range(1, steps + 1):
-        size = i * step_kb
-        cur = extra_rtts(model, size)
+    for i in range(1, grid_points(0.0, max_kb, step_kb)):
+        cur = extra_rtts(model, i * step_kb)
         if cur > prev:
-            thresholds.append(size - step_kb)
+            thresholds.append((i - 1) * step_kb)
         prev = cur
     return thresholds

@@ -3,6 +3,8 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from certflight import cert_forge
 from certflight.cert_forge import (
@@ -241,3 +243,79 @@ def test_exact_sizes_around_every_length_field_widening(subject, issuer):
         assert len(blob) == target
         assert parse_and_measure(blob).well_formed, target
         assert _serial_content_bytes(blob) == 8, target
+
+
+def _tlv(tag: int, *parts: bytes) -> bytes:
+    return cert_forge._tlv(tag, b"".join(parts))
+
+
+_SIG_ALG = _tlv(0x30, _tlv(0x06, b"\x2a\x03"))
+_SIG = _tlv(0x03, b"\x00")
+_PAD_OID = cert_forge._der_oid(cert_forge.PAD_EXTENSION_OID)
+
+
+def _cert(tbs=b"", tbs_tag=0x30, sig_alg=_SIG_ALG, sig=_SIG):
+    return _tlv(0x30, _tlv(tbs_tag, tbs), sig_alg, sig)
+
+
+def _ext(*fields):
+    """A certificate whose tbs holds one extension made of these fields."""
+    return _cert(_tlv(0xA3, _tlv(0x30, _tlv(0x30, *fields))))
+
+
+def _nested(depth):
+    blob = b""
+    for _ in range(depth):
+        blob = _tlv(0x30, blob)
+    return blob
+
+
+@st.composite
+def _mutated_blobs(draw):
+    """A forged certificate with random byte flips, insertions and
+    deletions, most near its headers, then perhaps truncated."""
+    blob = bytearray(pad_to_size(TEMPLATE, draw(st.integers(minimum_size(TEMPLATE), 3000))))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, min(len(blob), 160)) | st.integers(0, len(blob)))
+        kind = draw(st.sampled_from(["flip", "insert", "delete"]))
+        if kind == "insert":
+            blob[at:at] = draw(st.binary(min_size=1, max_size=4))
+        elif kind == "flip" and at < len(blob):
+            blob[at] ^= draw(st.integers(1, 255))
+        else:
+            del blob[at:at + draw(st.integers(1, 4))]
+    return bytes(blob[:draw(st.none() | st.integers(0, len(blob)))])
+
+
+# Each example names the report fields it must give.
+@settings(max_examples=300, deadline=None)
+@given(_mutated_blobs(), st.just({}))
+@example(b"\x1f\x00", {"error": "multi-byte tags not supported"})
+@example(b"\x30\x80\x00\x00", {"error": "indefinite length is not DER"})
+@example(b"\x30\x82\x01", {"error": "truncated length field"})
+@example(b"\x30\x82\x00\x05", {"error": "length field has leading zero"})
+@example(_cert(b"\x04\x05"), {"error": "child overruns its parent"})
+@example(_ext(_tlv(0x06), _tlv(0x04)), {"error": "empty OID"})
+@example(_ext(_tlv(0x06, b"\x2a\x86"), _tlv(0x04)), {"error": "OID ends mid-arc"})
+@example(_cert(tbs_tag=0x31), {"error": "tbs must be a SEQUENCE"})
+@example(_cert(sig_alg=_tlv(0x31)), {"error": "signature algorithm must be a SEQUENCE"})
+@example(_cert(sig=_tlv(0x04, b"\x00")), {"error": "signature must be a BIT STRING"})
+@example(_cert(sig=_tlv(0x03, b"\x08")),
+         {"error": "signature BIT STRING has bad unused-bit count"})
+@example(_cert(_tlv(0xA3, _tlv(0x31))), {"error": "extensions block must hold one SEQUENCE"})
+@example(_cert(_tlv(0xA3, _tlv(0x30, _tlv(0x04)))), {"error": "extension must be a SEQUENCE"})
+@example(_ext(_tlv(0x04)), {"error": "extension must start with an OID"})
+@example(_ext(_tlv(0x06, b"\x2a")), {"error": "extension value must be an OCTET STRING"})
+@example(_ext(_PAD_OID, _tlv(0x01, b"\xff"), _tlv(0x04, bytes(3))),
+         {"well_formed": True, "padding_bytes": 3, "padding_critical": True})
+# A tbs 5,000 SEQUENCEs deep.
+@example(_cert(_nested(4999)), {"error": "nested deeper than 32 levels"})
+# An OID arc of 4,300-plus decimal digits.
+@example(_ext(_tlv(0x06, b"\x81" * 2100 + b"\x01"), _tlv(0x04)),
+         {"well_formed": True, "padding_bytes": 0})
+def test_any_blob_gets_a_report(blob, expected):
+    report = parse_and_measure(blob)
+    assert report.total_bytes == len(blob)
+    assert report.well_formed == (report.error is None)
+    for name, value in expected.items():
+        assert getattr(report, name) == value, name

@@ -41,6 +41,20 @@ def test_estimate_text_breakdown(capsys):
     assert "total_ms=208.3" in out
 
 
+def test_estimate_text_without_a_breakdown(tmp_path, capsys):
+    # With fewer than 2 base flights there is no TCP and TLS share to split off.
+    path = tmp_path / "cfg.json"
+    path.write_text('{"stacks": {"OneFlight": {"base_ms": 5.0, "base_flights": 1.5}}}')
+    code, out, _ = run(capsys, "--config", str(path), "estimate", "--stack", "OneFlight",
+                       "--rtt", "50", "--size-kb", "12")
+    assert code == 0
+    assert out.splitlines() == [
+        "stack=OneFlight chain_size_kb=12.0 rtt_ms=50.0 resumed=false",
+        "  breakdown unallocatable (base_flights < 2)",
+        "  extra_rtts=1 total_ms=130.0",
+    ]
+
+
 def test_estimate_resumed(capsys):
     code, out, _ = run(capsys, "estimate", "--scheme", "slh-dsa", "--rtt", "50",
                        "--resumed", "--format", "json")
@@ -210,6 +224,10 @@ def test_thresholds_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "index,threshold_kb"
     assert lines[1] == "0,10.0"
+    # The scan's grid is the sweep's: it ends at 0.30000000000000004, past 0.25.
+    _, out, _ = run(capsys, "thresholds", "--thresholds", "0.25", "--max-kb", "0.3",
+                    "--step-kb", "0.1", "--format", "csv")
+    assert out.splitlines() == ["index,threshold_kb", "0,0.2"]
 
 
 def test_regions_default_table(capsys):
@@ -265,6 +283,13 @@ def test_savings_json(capsys):
     assert payload["expected_savings_ms"] == pytest.approx(41.0333)
 
 
+def test_savings_text(capsys):
+    code, out, _ = run(capsys, "savings", "--rtt", "50", "--size-kb", "11.9", "--rate", "0.803")
+    assert code == 0
+    assert out == ("rtt_ms=50.0 chain_size_kb=11.9 rate=0.803 full_ms=158.3 resumed_ms=107.2 "
+                   "expected_savings_ms=41.03330000000001\n")
+
+
 def test_savings_rejects_bad_rate(capsys):
     code, _, err = run(capsys, "savings", "--rtt", "50", "--size-kb", "11.9",
                        "--rate", "1.5")
@@ -318,6 +343,37 @@ def test_analyze_stdin_jsonl(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["classes"]["CDN"]["total"] == 10
     assert payload["classes"]["CDN"]["resumed_all"] == 5
+
+
+_JSON_LOG = "".join(
+    json.dumps({"ts": 1735690000.0 + i, "id.resp_h": "104.16.1.1", "version": "TLSv1.3",
+                "resumed": True}) + "\n"
+    for i in range(10)
+)
+
+
+@pytest.mark.parametrize("text, records", [
+    (_JSON_LOG[30:], 9),  # cut mid-line, as `tail -c` leaves a log
+    ("\ufeff" + "".join(_JSON_LOG.splitlines(keepends=True)[:3]), 2),
+], ids=["cut-mid-line", "byte-order-mark"])
+def test_analyze_loses_only_a_leading_partial_line(tmp_path, capsys, text, records):
+    path = tmp_path / "ssl.log"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "--logs", str(path))
+    assert code == 0
+    parse = json.loads(out)["parse"]
+    assert (parse["records"], parse["malformed"]) == (records, 1)
+
+
+def test_analyze_out_prints_a_summary_line(tmp_path, capsys):
+    from certflight.config import _data_path
+
+    path = tmp_path / "stats.json"
+    code, out, _ = run(capsys, "analyze", "--logs", _data_path("sample_tls_log.tsv"),
+                       "--out", str(path))
+    assert code == 0
+    assert out == f"analyzed 20 records (0 malformed) -> {path}\n"
+    assert json.loads(path.read_text())["parse"]["records"] == 20
 
 
 def test_analyze_series_output(tmp_path, capsys):
@@ -457,6 +513,8 @@ def test_seed_flag_changes_noise_only(tmp_path, capsys):
     ("regions", "--thresholds", "1.5", "--optimizers", "mtc1"),
     ("regions", "--thresholds", "10", "--optimizers", "identity"),
     ("regions", "--thresholds", "1.0000001", "--optimizers", "mtc2"),
+    ("sweep", "--optimizers", "mtc9"),
+    ("--config", "no/such/config.json", "regions"),
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -172,15 +172,22 @@ BAD_FIELDS = [
     (FlightModel, {"growth_factor": INF}),
     (FlightModel, {"empirical_thresholds_kb": (10.0, NAN)}),
     (FlightModel, {"empirical_thresholds_kb": 10.0}),
+    (FlightModel, {"iw_bytes": 0}),
+    (FlightModel, {"handshake_overhead_bytes": -1}),
+    (FlightModel, {"kb_bytes": 0}),
     (SweepPlan, {"trials": 2.0}),
     (SweepPlan, {"size_end_kb": NAN}),
     (SweepPlan, {"rtts_ms": (-INF,)}),
     (SweepPlan, {"stacks": (["X"],)}),
     (NoiseModel, {"std_ms": NAN}),
+    (NoiseModel, {"std_ms": -0.1}),
+    (NoiseModel, {"kind": "laplace"}),
     (StackProfile, {"name": "x", "base_flights": 2.0, "base_ms": NAN}),
+    (StackProfile, {"name": "x", "base_flights": 2.0, "base_ms": -1.0}),
     (StackProfile, {"name": "x", "base_ms": 8.0, "base_flights": 2.0, "resumed_base_ms": NAN}),
     (SchemeProfile, {"name": "x", "intermediate_kb": 2.0, "leaf_kb": "1"}),
     (SchemeProfile, {"name": "x", "leaf_kb": 1.0, "intermediate_kb": 2.0, "mtc_leaf_kb": INF}),
+    (SchemeProfile, {"name": "x", "leaf_kb": 1.0, "intermediate_kb": 2.0, "mtc_leaf_kb": 0.0}),
     (SizeOptimizer, {"kind": CDN_MODERATE, "factor": NAN}),
     (NetworkPath, {"rtt_ms": NAN}),
     (Config, {"asn_map_csv": 5}),

@@ -6,7 +6,7 @@ import json
 from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certflight.chain_model import DEFAULT_OPTIMIZERS, SizeOptimizer, effective_size_kb
@@ -25,7 +25,9 @@ from certflight.sweep_runner import (
     write_gnuplot,
 )
 from certflight.tables import write_csv, write_json
-from certflight.transport_flight import ANALYTIC, EMPIRICAL, MAX_GRID_POINTS, FlightModel
+from certflight.transport_flight import (
+    ANALYTIC, EMPIRICAL, MAX_GRID_POINTS, FlightModel, find_thresholds,
+)
 from certflight.ttfb_engine import (
     DEFAULT_STACKS, NetworkPath, NoiseModel, StackProfile, estimate_ttfb, sample_ttfb,
 )
@@ -429,3 +431,20 @@ def test_factored_sweep_matches_the_per_row_oracle(plan, flight, noise):
     out = io.StringIO()
     write_gnuplot(out, records)
     assert out.getvalue() == oracle_gnuplot(expected)
+
+
+# A step of 0.01 to 5 KB and a grid end up to 400 steps on, both in whole hundredths.
+_grid_cents = st.integers(1, 500).flatmap(
+    lambda step: st.tuples(st.integers(step + 1, 400 * step), st.just(step)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flight, _grid_cents)
+# 0.3 / 0.1 is 2.9999999999999996: the grid still ends at 0.30000000000000004.
+@example(FlightModel(empirical_thresholds_kb=(0.25,)), (30, 10))
+def test_find_thresholds_reads_like_a_noise_free_sweep(flight, cents):
+    max_kb, step_kb = cents[0] / 100, cents[1] / 100
+    plan = SweepPlan(stacks=("ClassicalSim",), rtts_ms=(50.0,), size_start_kb=0.0,
+                     size_end_kb=max_kb, size_step_kb=step_kb, trials=1)
+    rows = run_sweep(plan, DEFAULT_STACKS, flight, QUIET)
+    assert find_thresholds(flight, max_kb, step_kb) == detect_thresholds_from_rows(rows, 50.0)

@@ -149,11 +149,6 @@ def test_unreadable_stream_raises_at_exhaustion():
         list(parse_log_stream(lines))
 
 
-def test_unknown_format_name_rejected():
-    with pytest.raises(ValueError):
-        list(parse_log_stream([], fmt="xml"))
-
-
 def test_repeated_column_takes_its_last_position_and_missing_key_column_is_malformed():
     lines = ["#fields\tts\tid.resp_h\tts", "1.0\t104.16.1.1\t1735690000.0"]
     assert [r.timestamp for r in parse_log_stream(lines)] == [1735690000.0]
@@ -210,24 +205,35 @@ _JSON_LINES = st.fixed_dictionaries(
 ).map(json.dumps)
 
 
+# A log read from a rotation point or while it grows can start mid-line, and
+# one may start with a byte order mark.
+_PARTIAL_LINES = st.builds(lambda line, cut: line[cut:], _TSV_LINES | _JSON_LINES,
+                           st.integers(1, 40)) | _JSON_LINES.map("\ufeff".__add__)
+_JUNK = st.text(max_size=20) | _PARTIAL_LINES
+
+
 def _stream(data_lines):
     """Mostly data lines, with a header or a junk line one time in five."""
-    return st.lists(st.one_of(data_lines, data_lines, data_lines, _HEADERS, st.text(max_size=20)),
-                    max_size=12)
+    return st.lists(st.one_of(data_lines, data_lines, data_lines, _HEADERS, _JUNK), max_size=12)
 
 
 _LOG_LINES = _stream(_TSV_LINES) | _stream(_JSON_LINES) | _stream(_TSV_LINES | _JSON_LINES)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_LOG_LINES, st.sampled_from(["auto", "tsv", "jsonl"]))
-def test_every_data_line_is_a_record_or_malformed(lines, fmt):
+def _parse(lines) -> tuple[list[TlsLogRecord], ParseStats]:
     stats = ParseStats()
     records = []
     try:
-        records.extend(parse_log_stream(lines, fmt=fmt, stats=stats))
+        records.extend(parse_log_stream(lines, stats=stats))
     except LogFormatError:
         assert stats.malformed > stats.records
+    return records, stats
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOG_LINES)
+def test_every_data_line_is_a_record_or_malformed(lines):
+    records, stats = _parse(lines)
     data_lines = sum(1 for line in lines
                      if line.rstrip("\n").strip() and not line.startswith("#"))
     assert stats.records + stats.malformed == stats.data_lines == data_lines
@@ -235,6 +241,26 @@ def test_every_data_line_is_a_record_or_malformed(lines, fmt):
     for r in records:
         assert isinstance(r.timestamp, float) and month_key(r.timestamp)
         assert isinstance(r.server_ip, str) and r.server_ip
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOG_LINES)
+def test_each_data_line_reads_as_it_would_alone(lines):
+    # Alone means behind the #fields header in force, so no line's shape
+    # decides how another line is read.
+    header, alone, counts = [], [], ParseStats()
+    for line in lines:
+        if line.startswith("#fields"):
+            header = [line]
+        elif line.rstrip("\n").strip() and not line.startswith("#"):
+            records, stats = _parse(header + [line])
+            alone += records
+            for name in vars(counts):
+                setattr(counts, name, getattr(counts, name) + getattr(stats, name))
+    records, stats = _parse(lines)
+    assert records == alone
+    assert stats == counts
+    assert stats.records + stats.malformed == stats.data_lines
 
 
 def test_longest_prefix_wins():

@@ -13,10 +13,10 @@ from certflight.transport_flight import (
     EMPIRICAL,
     MAX_GRID_POINTS,
     FlightModel,
-    check_grid_points,
     cumulative_capacity_bytes,
     extra_rtts,
     find_thresholds,
+    grid_points,
 )
 
 
@@ -108,9 +108,9 @@ def test_find_thresholds_rejects_an_oversized_grid():
     for step in (1e-9, 1e-320):
         with pytest.raises(ConfigError, match="size grid"):
             find_thresholds(FlightModel(), 80.0, step)
-    check_grid_points(MAX_GRID_POINTS)
+    assert grid_points(0.0, MAX_GRID_POINTS - 1, 1.0) == MAX_GRID_POINTS
     with pytest.raises(ConfigError):
-        check_grid_points(MAX_GRID_POINTS + 1)
+        grid_points(0.0, MAX_GRID_POINTS, 1.0)
 
 
 def test_model_validation():
