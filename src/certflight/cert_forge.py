@@ -15,7 +15,8 @@ signature sits outside the tbs, so stretching it moves the total without
 widening any of the length fields around the padding.
 
 ``parse_and_measure`` is an independent DER walker used to verify
-forged output; it shares no encoding logic with the builder.
+forged output; it shares no encoding logic with the builder but the
+padding OID's bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 from dataclasses import dataclass
 
 from .chain_model import ChainSpec, DEFAULT_KB_BYTES, chain_size_kb, kb_to_bytes
@@ -175,7 +177,12 @@ def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
 #
 # Independent of the encoder above: reads raw TLV headers, enforces
 # definite minimal-form lengths and exact nesting, and locates the
-# padding extension by decoding OIDs from the wire.
+# padding extension by comparing each OID's bytes with the padding OID's
+# DER encoding, the one thing it takes from the encoder.
+
+_PAD_OID_CONTENT = _der_oid(PAD_EXTENSION_OID)[2:]  # after its tag and one length byte
+# A subidentifier starts at the first byte or after one without the high bit.
+_PADDED_SUBIDENTIFIER = re.compile(rb"(?:^|[\x00-\x7f])\x80")
 
 
 class _Malformed(Exception):
@@ -239,21 +246,16 @@ def _check_tree(buf: bytes, content: int, length: int) -> None:
         pending.extend((c, c + ln, depth + 1) for tag, _, c, ln in children if tag & 0x20)
 
 
-def _decode_oid(content: bytes, off: int) -> tuple[int, ...]:
+def _check_oid(content: bytes, off: int) -> None:
+    """Refuse an OID encoding that is not DER: empty, ending mid-arc, or with
+    a subidentifier led by 0x80 (X.690 8.19.2). A DER encoding is unique, so
+    two OIDs are equal exactly when their encodings are."""
     if not content:
         raise _Malformed(off, "empty OID")
     if content[-1] & 0x80:
         raise _Malformed(off, "OID ends mid-arc")
-    arcs = []
-    val = 0
-    for b in content:
-        val = (val << 7) | (b & 0x7F)
-        if not b & 0x80:
-            arcs.append(val)
-            val = 0
-    first = min(arcs[0] // 40, 2)
-    # Arcs stay integers: an arc of 4,300-plus digits has no str().
-    return (first, arcs[0] - 40 * first, *arcs[1:])
+    if _PADDED_SUBIDENTIFIER.search(content):
+        raise _Malformed(off, "OID subidentifier starts with 0x80")
 
 
 @dataclass(frozen=True)
@@ -314,15 +316,19 @@ def parse_and_measure(blob: bytes) -> ParseReport:
                 if not fields or fields[0][0] != _TAG_OID:
                     raise _Malformed(eoff, "extension must start with an OID")
                 oid_tag, oid_off, oid_content, oid_len = fields[0]
-                oid = _decode_oid(blob[oid_content : oid_content + oid_len], oid_off)
+                oid = blob[oid_content : oid_content + oid_len]
+                _check_oid(oid, oid_off)
                 rest = fields[1:]
                 crit = False
                 if rest and rest[0][0] == _TAG_BOOLEAN:
-                    crit = blob[rest[0][2]] != 0
+                    _, bool_off, bool_content, bool_len = rest[0]
+                    if bool_len != 1:
+                        raise _Malformed(bool_off, "BOOLEAN must have one content byte")
+                    crit = blob[bool_content] != 0
                     rest = rest[1:]
                 if len(rest) != 1 or rest[0][0] != _TAG_OCTET_STRING:
                     raise _Malformed(eoff, "extension value must be an OCTET STRING")
-                if oid == tuple(map(int, PAD_EXTENSION_OID.split("."))):
+                if oid == _PAD_OID_CONTENT:
                     padding = rest[0][3]
                     critical = crit
     except _Malformed as e:

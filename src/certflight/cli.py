@@ -4,6 +4,8 @@ Subcommands: estimate, sweep, thresholds, regions, savings, forge,
 analyze, calibrate. Configuration comes from --config (or the
 CERTFLIGHT_CONFIG environment variable), and individual flags override
 config values. --seed overrides sweep.seed, the seed of each sweep row's draws.
+cmd_forge and cmd_analyze import their modules themselves, so that the other
+commands load neither.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 from operator import attrgetter
 
-from . import cert_forge, chain_model, sweep_runner, tls_log_analytics as tla
+from . import chain_model, sweep_runner
 from .chain_model import ChainSpec, SizeOptimizer, chain_size_kb, resolve_scheme
 from .config import Config, resolve_config
 from .errors import ConfigError
@@ -224,6 +226,8 @@ def cmd_savings(args, cfg: Config) -> int:
 
 
 def cmd_forge(args, cfg: Config) -> int:
+    from . import cert_forge
+
     scheme = resolve_scheme(args.scheme, cfg.schemes)
     spec = ChainSpec(
         scheme,
@@ -248,6 +252,8 @@ def cmd_forge(args, cfg: Config) -> int:
 
 
 def cmd_analyze(args, cfg: Config) -> int:
+    from . import tls_log_analytics as tla
+
     map_csv, cdn_file, cloud_file = cfg.resolve_asn_paths()
     asn_map = tla.AsnMap.from_files(
         args.asn_map or map_csv, args.cdn_asns or cdn_file, args.cloud_asns or cloud_file

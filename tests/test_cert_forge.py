@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -308,6 +309,13 @@ def _mutated_blobs(draw):
 @example(_ext(_tlv(0x06, b"\x2a")), {"error": "extension value must be an OCTET STRING"})
 @example(_ext(_PAD_OID, _tlv(0x01, b"\xff"), _tlv(0x04, bytes(3))),
          {"well_formed": True, "padding_bytes": 3, "padding_critical": True})
+# A zero-length BOOLEAN, whose flag must not be read from the next byte.
+@example(_ext(_PAD_OID, _tlv(0x01), _tlv(0x04, bytes(3))),
+         {"error": "BOOLEAN must have one content byte", "padding_critical": False})
+# The padding OID with its 55555 arc led by a redundant 0x80.
+@example(_ext(_tlv(0x06, _PAD_OID[2:7], b"\x80", _PAD_OID[7:]), _tlv(0x04, bytes(3))),
+         {"error": "OID subidentifier starts with 0x80"})
+@example(_ext(_tlv(0x06, b"\x80\x2a"), _tlv(0x04)), {"error": "OID subidentifier starts with 0x80"})
 # A tbs 5,000 SEQUENCEs deep.
 @example(_cert(_nested(4999)), {"error": "nested deeper than 32 levels"})
 # An OID arc of 4,300-plus decimal digits.
@@ -319,3 +327,20 @@ def test_any_blob_gets_a_report(blob, expected):
     assert report.well_formed == (report.error is None)
     for name, value in expected.items():
         assert getattr(report, name) == value, name
+
+
+@pytest.mark.parametrize("content", [b"", b"\xff\xff"], ids=["empty", "two-bytes"])
+def test_a_boolean_without_one_content_byte_is_malformed(content):
+    # X.690 8.2.1: a BOOLEAN has exactly one content byte.
+    report = parse_and_measure(_ext(_PAD_OID, _tlv(0x01, content), _tlv(0x04, bytes(3))))
+    assert not report.well_formed
+    assert report.error == "BOOLEAN must have one content byte"
+    assert not report.padding_critical and report.padding_bytes == 0
+
+
+def test_a_long_oid_arc_is_checked_in_linear_time():
+    blob = _ext(_tlv(0x06, b"\x81" * 400_000 + b"\x01"), _tlv(0x04))
+    start = time.perf_counter()
+    report = parse_and_measure(blob)
+    assert time.perf_counter() - start < 2.0
+    assert report.well_formed and report.padding_bytes == 0

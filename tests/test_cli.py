@@ -642,6 +642,38 @@ def test_cli_runs_without_numpy(tmp_path):
     assert "mean_ms" in proc.stdout and "base_flights" in proc.stdout
 
 
+LAZY_IMPORTS = """
+import importlib, sys
+before = set(sys.modules)
+import certflight.cli
+loaded = {"socket", "certflight.cert_forge", "certflight.tls_log_analytics"} & set(sys.modules)
+assert not loaded - before, loaded - before
+names = {}
+exec("from certflight import *", names)
+import certflight
+for name, module in certflight._MODULE_OF.items():
+    assert names[name] is getattr(importlib.import_module("certflight." + module), name), name
+print(len(certflight._MODULE_OF))
+"""
+
+
+def test_import_is_lazy_and_a_star_import_binds_every_name():
+    """Forge and analyze modules, and socket, load only when their command runs;
+    a star import still binds every public name to its module's object."""
+    import os
+    import subprocess
+    import sys
+
+    import certflight
+
+    src = os.path.dirname(os.path.dirname(certflight.__file__))
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "59\n"
+
+
 def test_analyze_replaces_undecodable_bytes(tmp_path, capsys):
     path = tmp_path / "log.tsv"
     path.write_bytes(

@@ -1,9 +1,10 @@
 import io
+import ipaddress
 import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certflight.config import Config
@@ -276,6 +277,64 @@ def test_range_entries_are_split_into_prefixes():
     m = AsnMap([("10.0.0.0-10.0.1.255", 64512, "LAB")])
     assert m.lookup("10.0.1.3") == (64512, "LAB")
     assert m.lookup("10.0.2.0") is None
+
+
+# The packaged map, plus IPv6 entries: nested prefixes, link-local and
+# the IPv4-mapped block.
+_LOOKUP_ENTRIES = load_asn_entries(Config().resolve_asn_paths()[0]) + [
+    ("2001:db8::/32", 64500, "DOC"), ("2001:db8:1::/48", 64501, "DOC-1"),
+    ("fe80::/10", 64502, "LINK"), ("::ffff:0:0/96", 64503, "MAPPED"),
+]
+_LOOKUP_NETS = [ipaddress.ip_network(n, strict=False) for n, _, _ in _LOOKUP_ENTRIES]
+_LOOKUP_MAP = AsnMap(_LOOKUP_ENTRIES)
+
+
+def _lookup_oracle(ip):
+    """The narrowest entry holding ip, read by ipaddress alone."""
+    try:
+        addr = ipaddress.ip_address(ip)
+    except ValueError:
+        return None
+    best = None
+    for net, (_, asn, org) in zip(_LOOKUP_NETS, _LOOKUP_ENTRIES):
+        if addr in net and (best is None or net.prefixlen >= best[0]):
+            best = (net.prefixlen, (asn, org))
+    return best and best[1]
+
+
+def _address_forms(addr):
+    """Spellings of one address that ipaddress reads."""
+    forms = [str(addr), str(addr).upper()]
+    if addr.version == 4:
+        forms.append(f"::ffff:{addr}")
+    else:
+        forms.append(addr.exploded)
+    return st.sampled_from(forms)
+
+
+_ADDRESSES = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789.", max_size=20),
+    st.text(alphabet="0123456789abcdefABCDEF:.%", max_size=48),
+    st.sampled_from(_LOOKUP_NETS).flatmap(lambda net: st.ip_addresses(network=net))
+    .flatmap(_address_forms),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_ADDRESSES)
+@example("104.16.1.1\x00")  # inet_pton raises ValueError on a NUL
+@example("104.16.1.\ud800")  # and UnicodeEncodeError on a lone surrogate
+@example("fe80::1%eth0")  # scoped: only ipaddress reads it
+@example("::ffff:104.16.1.1")
+@example("010.1.1.1")
+@example("1.1.1")
+@example("104.16.1.\u0661")  # an Arabic-Indic digit one
+@example("104.16.1.1 ")
+@example("256.1.1.1")
+@example("0x1.1.1.1")
+def test_lookup_reads_addresses_as_ipaddress_does(ip):
+    assert _LOOKUP_MAP.lookup(ip) == _lookup_oracle(ip)
 
 
 def test_classify():
