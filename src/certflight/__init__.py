@@ -29,7 +29,7 @@ _EXPORTS = {
         "estimate_savings", "run_sweep",
     ),
     "tls_log_analytics": (
-        "AsnMap", "ParseStats", "ResumptionStats", "TlsLogRecord", "aggregate_stats",
+        "AsnMap", "ParseStats", "ResumptionStats", "aggregate_stats",
         "merge_stats", "parse_log_stream", "rate_correlation", "time_series",
     ),
     "transport_flight": (

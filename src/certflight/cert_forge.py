@@ -324,7 +324,11 @@ def parse_and_measure(blob: bytes) -> ParseReport:
                     _, bool_off, bool_content, bool_len = rest[0]
                     if bool_len != 1:
                         raise _Malformed(bool_off, "BOOLEAN must have one content byte")
-                    crit = blob[bool_content] != 0
+                    # DER writes TRUE as 0xFF (X.690 11.1) and omits a critical
+                    # flag equal to its DEFAULT FALSE (X.690 11.5).
+                    if blob[bool_content] != 0xFF:
+                        raise _Malformed(bool_content, "critical flag must be DER TRUE (0xFF)")
+                    crit = True
                     rest = rest[1:]
                 if len(rest) != 1 or rest[0][0] != _TAG_OCTET_STRING:
                     raise _Malformed(eoff, "extension value must be an OCTET STRING")

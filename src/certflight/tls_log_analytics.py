@@ -22,35 +22,8 @@ from typing import Iterable, Iterator, Sequence
 from .errors import LogFormatError
 from .tables import write_csv
 
-TLS10 = "TLSv1.0"
-TLS11 = "TLSv1.1"
-TLS12 = "TLSv1.2"
-TLS13 = "TLSv1.3"
-
-_VERSION_ALIASES = {
-    "tlsv1.0": TLS10, "tlsv1": TLS10, "tls1.0": TLS10, "tlsv10": TLS10,
-    "tlsv1.1": TLS11, "tls1.1": TLS11, "tlsv11": TLS11,
-    "tlsv1.2": TLS12, "tls1.2": TLS12, "tlsv12": TLS12,
-    "tlsv1.3": TLS13, "tls1.3": TLS13, "tlsv13": TLS13,
-}
-
-
-def normalize_version(raw: str) -> str:
-    """Map common spellings to canonical names; unknown strings pass through."""
-    return _VERSION_ALIASES.get(raw.strip().lower(), raw.strip())
-
-
-@dataclass(frozen=True)
-class TlsLogRecord:
-    timestamp: float
-    server_ip: str
-    tls_version: str
-    resumed: bool
-    server_name: str | None = None
-
-    @property
-    def is_tls13(self) -> bool:
-        return self.tls_version == TLS13
+# A parsed log line: (timestamp, server_ip, tls13, resumed).
+Record = tuple[float, str, bool, bool]
 
 
 @dataclass
@@ -62,10 +35,12 @@ class ParseStats:
 
 
 # Zeek's names for the fields read, in the column order of a TSV log
-# without a #fields header.
-FIELDS = ("ts", "id.resp_h", "version", "resumed", "server_name")
+# without a #fields header. Such a log has a fifth column, server_name,
+# which is not read.
+FIELDS = ("ts", "id.resp_h", "version", "resumed")
 
 _UNSET = {"", "-", "(empty)"}
+_TLS13 = {"tlsv1.3", "tls1.3", "tlsv13"}
 _TRUE = {"t", "true", "1", "yes"}
 _FALSE = {"f", "false", "0", "no"}
 
@@ -96,7 +71,7 @@ def _columns(names: Sequence[str]) -> tuple[int, itemgetter]:
     return len(names), itemgetter(*(pos.get(name, -1) for name in FIELDS))
 
 
-def _record(ts, ip, version, resumed, sni, stats: ParseStats) -> TlsLogRecord | None:
+def _record(ts, ip, version, resumed, stats: ParseStats) -> Record | None:
     """A record from raw field values (TSV strings, JSON values, or None
     where absent), or None if the values make the line malformed."""
     try:
@@ -109,30 +84,24 @@ def _record(ts, ip, version, resumed, sni, stats: ParseStats) -> TlsLogRecord | 
         return None
     if version is not None and not isinstance(version, str):
         return None
-    if version is None or version.strip() in _UNSET:
-        version = "unknown"
-    else:
-        version = normalize_version(version)
     resumed = _parse_bool(resumed)
     if resumed is None:
         stats.resumption_unknown += 1
         resumed = False
-    if sni is not None and str(sni).strip() in _UNSET:
-        sni = None
-    return TlsLogRecord(
-        timestamp=timestamp,
-        server_ip=ip.strip(),
-        tls_version=version,
-        resumed=resumed,
-        server_name=str(sni) if sni is not None else None,
-    )
+    tls13 = version is not None and version.strip().lower() in _TLS13
+    return timestamp, ip.strip(), tls13, resumed
 
 
 def parse_log_stream(
     lines: Iterable[str],
     stats: ParseStats | None = None,
-) -> Iterator[TlsLogRecord]:
+) -> Iterator[Record]:
     """Yield records from a log stream, in input order, skipping bad lines.
+
+    A record is a tuple (timestamp, server_ip, tls13, resumed): the epoch
+    timestamp as a float, the stripped address string, whether the version
+    is TLS 1.3 (spelled TLSv1.3, TLS1.3 or TLSv13 in any case), and whether
+    the session was resumed.
 
     Each data line is read by its own shape, so TSV and JSON lines may
     mix: a line whose first non-blank character is "{" is a JSON object,
@@ -154,7 +123,7 @@ def parse_log_stream(
     """
     if stats is None:
         stats = ParseStats()
-    width, pick = _columns(FIELDS)
+    width, pick = _columns((*FIELDS, "server_name"))
 
     for line in lines:
         line = line.rstrip("\n")
@@ -285,10 +254,11 @@ def _address(ip: str) -> tuple[int, int] | None:
 def _parse_networks(spec: str):
     spec = spec.strip()
     if "-" in spec and "/" not in spec:
-        start, end = (p.strip() for p in spec.split("-", 1))
-        yield from ipaddress.summarize_address_range(
-            ipaddress.ip_address(start), ipaddress.ip_address(end)
-        )
+        try:
+            start, end = (ipaddress.ip_address(p.strip()) for p in spec.split("-", 1))
+            yield from ipaddress.summarize_address_range(start, end)
+        except (TypeError, ValueError) as e:  # TypeError: the ends differ in version
+            raise ValueError(f"address range {spec}: {e}") from None
     else:
         yield ipaddress.ip_network(spec, strict=False)
 
@@ -339,15 +309,6 @@ class ResumptionStats:
     resumed_all: int = 0
     resumed_tls13: int = 0
 
-    def add(self, record: TlsLogRecord) -> None:
-        self.total += 1
-        if record.is_tls13:
-            self.tls13 += 1
-            if record.resumed:
-                self.resumed_tls13 += 1
-        if record.resumed:
-            self.resumed_all += 1
-
     def merge(self, other: "ResumptionStats") -> "ResumptionStats":
         if other.endpoint_class != self.endpoint_class:
             raise ValueError("cannot merge stats for different classes")
@@ -393,7 +354,7 @@ def new_stats() -> ClassStats:
     return {c: ResumptionStats(c) for c in ENDPOINT_CLASSES}
 
 
-def aggregate_stats(records: Iterable[TlsLogRecord], asn_map: AsnMap) -> ClassStats:
+def aggregate_stats(records: Iterable[Record], asn_map: AsnMap) -> ClassStats:
     """Per-class totals over a record stream: the monthly fold, merged over months."""
     return class_totals(time_series(records, asn_map))
 
@@ -411,18 +372,23 @@ def month_key(timestamp: float) -> str:
     return f"{dt.year:04d}-{dt.month:02d}"
 
 
-def time_series(records: Iterable[TlsLogRecord], asn_map: AsnMap) -> Series:
+def time_series(records: Iterable[Record], asn_map: AsnMap) -> Series:
     """Monthly per-class stats, sorted by month; empty months are absent."""
-    buckets: dict[tuple[str, str], ResumptionStats] = {}
-    for record in records:
-        cls = asn_map.classify(record.server_ip)
-        key = (cls, month_key(record.timestamp))
-        if key not in buckets:
-            buckets[key] = ResumptionStats(cls)
-        buckets[key].add(record)
+    counts: dict[tuple[str, str, bool, bool], int] = {}
+    classify = asn_map.classify
+    for timestamp, ip, tls13, resumed in records:
+        key = (classify(ip), month_key(timestamp), tls13, resumed)
+        counts[key] = counts.get(key, 0) + 1
     series: Series = {}
-    for (cls, month), stats in sorted(buckets.items()):
-        series.setdefault(cls, []).append((month, stats))
+    for (cls, month, tls13, resumed), n in sorted(counts.items()):
+        points = series.setdefault(cls, [])
+        if not points or points[-1][0] != month:
+            points.append((month, ResumptionStats(cls)))
+        stats = points[-1][1]
+        stats.total += n
+        stats.tls13 += tls13 * n
+        stats.resumed_all += resumed * n
+        stats.resumed_tls13 += (tls13 and resumed) * n
     return series
 
 

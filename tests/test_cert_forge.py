@@ -309,6 +309,9 @@ def _mutated_blobs(draw):
 @example(_ext(_tlv(0x06, b"\x2a")), {"error": "extension value must be an OCTET STRING"})
 @example(_ext(_PAD_OID, _tlv(0x01, b"\xff"), _tlv(0x04, bytes(3))),
          {"well_formed": True, "padding_bytes": 3, "padding_critical": True})
+# A BOOLEAN TRUE that is not DER's 0xFF.
+@example(_ext(_PAD_OID, _tlv(0x01, b"\x01"), _tlv(0x04, bytes(3))),
+         {"error": "critical flag must be DER TRUE (0xFF)", "padding_critical": False})
 # A zero-length BOOLEAN, whose flag must not be read from the next byte.
 @example(_ext(_PAD_OID, _tlv(0x01), _tlv(0x04, bytes(3))),
          {"error": "BOOLEAN must have one content byte", "padding_critical": False})
@@ -335,6 +338,16 @@ def test_a_boolean_without_one_content_byte_is_malformed(content):
     report = parse_and_measure(_ext(_PAD_OID, _tlv(0x01, content), _tlv(0x04, bytes(3))))
     assert not report.well_formed
     assert report.error == "BOOLEAN must have one content byte"
+    assert not report.padding_critical and report.padding_bytes == 0
+
+
+@pytest.mark.parametrize("content", [b"\x00", b"\x01", b"\x7f"], ids=["false", "01", "7f"])
+def test_a_critical_flag_other_than_der_true_is_malformed(content):
+    # X.690 11.1: DER writes TRUE as 0xFF; 11.5: a FALSE critical, its
+    # DEFAULT, is omitted rather than written.
+    report = parse_and_measure(_ext(_PAD_OID, _tlv(0x01, content), _tlv(0x04, bytes(3))))
+    assert not report.well_formed
+    assert report.error == "critical flag must be DER TRUE (0xFF)"
     assert not report.padding_critical and report.padding_bytes == 0
 
 

@@ -365,6 +365,20 @@ def test_analyze_loses_only_a_leading_partial_line(tmp_path, capsys, text, recor
     assert (parse["records"], parse["malformed"]) == (records, 1)
 
 
+@pytest.mark.parametrize("network", ["1.2.3.4-::1", "10.0.0.9-10.0.0.1", "10.0.0.0-"],
+                         ids=["mixed-versions", "reversed", "no-end"])
+def test_a_bad_asn_map_range_is_one_error_line_naming_it(tmp_path, capsys, network):
+    from certflight.config import _data_path
+
+    path = tmp_path / "map.csv"
+    path.write_text(f"network,asn,org\n{network},13335,X\n")
+    code, out, err = run(capsys, "analyze", "--asn-map", str(path),
+                         "--logs", _data_path("sample_tls_log.tsv"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and network in err
+
+
 def test_analyze_out_prints_a_summary_line(tmp_path, capsys):
     from certflight.config import _data_path
 
@@ -671,7 +685,7 @@ def test_import_is_lazy_and_a_star_import_binds_every_name():
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "59\n"
+    assert proc.stdout == "58\n"
 
 
 def test_analyze_replaces_undecodable_bytes(tmp_path, capsys):

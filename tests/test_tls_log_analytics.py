@@ -19,14 +19,12 @@ from certflight.tls_log_analytics import (
     AsnMap,
     ParseStats,
     ResumptionStats,
-    TlsLogRecord,
     aggregate_stats,
     load_asn_entries,
     load_asn_list,
     merge_stats,
     month_key,
     new_stats,
-    normalize_version,
     parse_log_stream,
     rate_correlation,
     series_csv,
@@ -52,20 +50,22 @@ def make_map():
     )
 
 
-def rec(ip="104.16.1.1", version="TLSv1.3", resumed=False, ts=JAN):
-    return TlsLogRecord(ts, ip, version, resumed)
+def rec(ip="104.16.1.1", tls13=True, resumed=False, ts=JAN):
+    return (ts, ip, tls13, resumed)
 
 
-def test_normalize_version():
-    assert normalize_version("tls1.3") == "TLSv1.3"
-    assert normalize_version(" TLSv13 ") == "TLSv1.3"
-    assert normalize_version("TLSv1.2") == "TLSv1.2"
-    assert normalize_version("SSLv3") == "SSLv3"  # unknown passes through
-
-
-def test_is_tls13():
-    assert rec(version="TLSv1.3").is_tls13
-    assert not rec(version="TLSv1.2").is_tls13
+@pytest.mark.parametrize("version, tls13", [
+    ("TLSv1.3", True), (" tls1.3 ", True), ("TLSV13", True),
+    ("TLSv1.2", False), ("SSLv3", False), ("TLSv1.3.1", False),
+    ("-", False), ("(empty)", False), ("", False), (None, False),
+], ids=["TLSv1.3", "padded-tls1.3", "TLSV13", "TLSv1.2", "SSLv3", "TLSv1.3.1",
+        "dash", "(empty)", "empty", "null"])
+def test_the_tls13_flag(version, tls13):
+    row = {"ts": JAN, "id.resp_h": "104.16.1.1", "version": version, "resumed": True}
+    lines = [json.dumps(row)]
+    if version is not None:  # None is JSON null; TSV has no null
+        lines.append(f"{JAN}\t104.16.1.1\t{version}\tT\t-")
+    assert list(parse_log_stream(lines)) == [(JAN, "104.16.1.1", tls13, True)] * len(lines)
 
 
 ZEEK_HEADER = (
@@ -84,9 +84,8 @@ def test_parse_zeek_tsv():
     ).splitlines()
     records = list(parse_log_stream(lines, stats=stats))
     assert stats.records == 2 and stats.malformed == 0
-    assert records[0].resumed and records[0].server_name == "example.com"
-    assert records[1].tls_version == "TLSv1.2"
-    assert records[1].server_name is None
+    assert records == [(1735690000.5, "104.16.1.1", True, True),
+                       (1735690001.5, "73.1.2.3", False, False)]
 
 
 def test_fields_header_overrides_column_order():
@@ -95,16 +94,14 @@ def test_fields_header_overrides_column_order():
         "TLSv1.3\t1735690000.0\tT\t104.16.1.1\t-\n"
     ).splitlines()
     records = list(parse_log_stream(lines))
-    assert records[0].server_ip == "104.16.1.1"
-    assert records[0].timestamp == 1735690000.0
-    assert records[0].resumed
+    assert records == [(1735690000.0, "104.16.1.1", True, True)]
 
 
 def test_missing_resumed_defaults_false_and_is_counted():
     stats = ParseStats()
     lines = (ZEEK_HEADER + "1735690000.0\t104.16.1.1\tTLSv1.3\t-\t-\n").splitlines()
     records = list(parse_log_stream(lines, stats=stats))
-    assert records[0].resumed is False
+    assert records[0][3] is False
     assert stats.resumption_unknown == 1
     assert stats.records == 1
 
@@ -139,9 +136,9 @@ def test_parse_jsonl_and_auto_sniff():
     stats = ParseStats()
     records = list(parse_log_stream(lines, stats=stats))
     assert stats.records == 3
-    assert records[0].resumed is True
-    assert records[1].server_name is None
-    assert records[2].is_tls13 and records[2].resumed is True
+    assert records == [(1735690000.0, "104.16.1.1", True, True),
+                       (1735690001.0, "73.1.1.1", False, False),
+                       (1735690002.0, "104.16.1.1", True, True)]
 
 
 def test_unreadable_stream_raises_at_exhaustion():
@@ -152,7 +149,7 @@ def test_unreadable_stream_raises_at_exhaustion():
 
 def test_repeated_column_takes_its_last_position_and_missing_key_column_is_malformed():
     lines = ["#fields\tts\tid.resp_h\tts", "1.0\t104.16.1.1\t1735690000.0"]
-    assert [r.timestamp for r in parse_log_stream(lines)] == [1735690000.0]
+    assert [r[0] for r in parse_log_stream(lines)] == [1735690000.0]
     # Rows that would parse if the header named the missing column.
     for header, row in (("#fields\tid.resp_h\tversion", "104.16.1.1\tTLSv1.3"),
                         ("#fields\tts\tversion", "1735690000.0\tTLSv1.3")):
@@ -188,7 +185,7 @@ _TSV_VALUES = st.sampled_from(
 _TSV_LINES = (st.tuples(*(_valid_or(v, _TSV_VALUES) for v in _VALID.values()))
               | st.lists(_TSV_VALUES, max_size=7)).map("\t".join)
 # A #fields header may leave out, repeat or add columns.
-_HEADERS = st.lists(st.sampled_from(FIELDS + ("uid",)), max_size=7).map(
+_HEADERS = st.lists(st.sampled_from(FIELDS + ("server_name", "uid")), max_size=7).map(
     lambda names: "\t".join(("#fields", *names)))
 # Numbers of every size, the last beyond float range.
 _NUMBERS = st.floats() | st.integers() | st.integers(2 ** 1024, 2 ** 1330)
@@ -199,11 +196,12 @@ _JSON_VALUES = st.recursive(
     max_leaves=4,
 )
 # A JSON null reads as an absent field.
-_JSON_LINES = st.fixed_dictionaries(
+_JSON_ROWS = st.fixed_dictionaries(
     {**{name: _valid_or(value, _JSON_VALUES) for name, value in _VALID.items()},
      "ts": _valid_or(JAN, _NUMBERS | _JSON_VALUES)},
     optional={"uid": _JSON_VALUES},
-).map(json.dumps)
+)
+_JSON_LINES = _JSON_ROWS.map(json.dumps)
 
 
 # A log read from a rotation point or while it grows can start mid-line, and
@@ -221,7 +219,7 @@ def _stream(data_lines):
 _LOG_LINES = _stream(_TSV_LINES) | _stream(_JSON_LINES) | _stream(_TSV_LINES | _JSON_LINES)
 
 
-def _parse(lines) -> tuple[list[TlsLogRecord], ParseStats]:
+def _parse(lines) -> tuple[list[tuple], ParseStats]:
     stats = ParseStats()
     records = []
     try:
@@ -239,9 +237,10 @@ def test_every_data_line_is_a_record_or_malformed(lines):
                      if line.rstrip("\n").strip() and not line.startswith("#"))
     assert stats.records + stats.malformed == stats.data_lines == data_lines
     assert len(records) == stats.records
-    for r in records:
-        assert isinstance(r.timestamp, float) and month_key(r.timestamp)
-        assert isinstance(r.server_ip, str) and r.server_ip
+    for timestamp, ip, tls13, resumed in records:
+        assert isinstance(timestamp, float) and month_key(timestamp)
+        assert isinstance(ip, str) and ip
+        assert type(tls13) is bool and type(resumed) is bool
 
 
 @settings(max_examples=300, deadline=None)
@@ -262,6 +261,20 @@ def test_each_data_line_reads_as_it_would_alone(lines):
     assert records == alone
     assert stats == counts
     assert stats.records + stats.malformed == stats.data_lines
+
+
+_ROW = {"ts": JAN, "id.resp_h": "104.16.1.1", "version": "TLSv1.3", "resumed": True}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_JSON_ROWS, _JSON_VALUES), max_size=8))
+@example([(_ROW, {"a": [1]}), (_ROW, 7), (_ROW, 1.5), (_ROW, ["x"]), (_ROW, None), (_ROW, "-")])
+def test_a_json_server_name_is_never_read(rows):
+    # server_name is not one of FIELDS: whatever its value, or its absence,
+    # the line gives the same record or is malformed for another reason.
+    named = [json.dumps({**row, "server_name": name}) for row, name in rows]
+    unnamed = [json.dumps({k: v for k, v in row.items() if k != "server_name"}) for row, _ in rows]
+    assert _parse(named) == _parse(unnamed)
 
 
 def test_longest_prefix_wins():
@@ -386,7 +399,7 @@ def test_merge_matches_single_pass():
     records = [
         rec(
             ip=rng.choice(ips),
-            version=rng.choice(["TLSv1.3", "TLSv1.2"]),
+            tls13=rng.choice([True, False]),
             resumed=rng.random() < 0.5,
             ts=JAN + rng.uniform(0, 5e6),
         )
@@ -412,7 +425,7 @@ def test_rates_are_none_without_denominator():
     assert s.tls13_adoption is None
     assert s.resumption_rate_tls13 is None
     assert s.resumption_rate_all is None
-    s.add(rec(version="TLSv1.2"))
+    s = ResumptionStats(CLASS_CDN, total=1)  # one connection, not TLS 1.3
     assert s.tls13_adoption == 0.0
     assert s.resumption_rate_tls13 is None  # still no 1.3 connections
     assert json.loads(json.dumps(s.to_dict()))["resumption_rate_tls13"] is None
@@ -431,7 +444,7 @@ def test_time_series_and_csv():
         rec(ts=JAN, resumed=True),
         rec(ts=FEB),
         rec(ts=FEB + 3600, resumed=True),
-        rec(ip="73.5.5.5", ts=MAR, version="TLSv1.2"),
+        rec(ip="73.5.5.5", ts=MAR, tls13=False),
     ]
     series = time_series(records, m)
     assert [month for month, _ in series[CLASS_CDN]] == ["2025-01", "2025-02"]
@@ -479,7 +492,5 @@ def test_jsonl_values_of_the_wrong_type_are_malformed(bad):
     stats = ParseStats()
     records = list(parse_log_stream(lines, stats=stats))
     assert (stats.records, stats.malformed) == (2, 1)
-    assert [(r.server_ip, r.tls_version) for r in records] == [
-        ("104.16.1.1", "unknown"), ("not-an-ip", "TLSv1.3")
-    ]
-    assert make_map().classify(records[1].server_ip) == CLASS_UNIDENTIFIED
+    assert [r[1:3] for r in records] == [("104.16.1.1", False), ("not-an-ip", True)]
+    assert make_map().classify(records[1][1]) == CLASS_UNIDENTIFIED
