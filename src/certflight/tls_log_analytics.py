@@ -263,32 +263,57 @@ def _parse_networks(spec: str):
         yield ipaddress.ip_network(spec, strict=False)
 
 
+def _lines(path, newline=None) -> Iterator[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 is an error naming it."""
+    with open(path, newline=newline, encoding="utf-8") as f:
+        try:
+            yield from f
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+def _asn(raw: str) -> int | None:
+    """The ASN spelled as 13335 or AS13335 (any case, blanks around), or None."""
+    body = raw.strip().upper().removeprefix("AS").strip()
+    return int(body) if body.isascii() and body.isdigit() else None
+
+
 def load_asn_entries(path) -> list[tuple[str, int, str]]:
-    """Read a network,asn,org CSV (header optional, extra columns ignored)."""
+    """Read a network,asn,org CSV (extra columns ignored). The first row that
+    is not blank or a '#' comment may be a header; any later row whose ASN is
+    not a number, and CSV the csv module refuses, is an error naming the file
+    and line."""
     entries = []
-    with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.reader(f):
-            if not row or row[0].lstrip().startswith("#"):
+    rows = csv.reader(_lines(path, newline=""), strict=True)
+    header = True  # the first row may be one
+    try:
+        for row in rows:
+            if not any(cell.strip() for cell in row) or row[0].lstrip().startswith("#"):
                 continue
-            if len(row) < 2:
-                continue
-            asn_raw = row[1].strip().upper().removeprefix("AS")
-            if not asn_raw.isdigit():
-                continue  # header or junk row
-            org = row[2].strip() if len(row) > 2 else ""
-            entries.append((row[0].strip(), int(asn_raw), org))
+            raw = row[1].strip() if len(row) > 1 else ""
+            asn = _asn(raw)
+            if asn is not None:
+                entries.append((row[0].strip(), asn, row[2].strip() if len(row) > 2 else ""))
+            elif not header:
+                raise ValueError(f"{path}:{rows.line_num}: ASN {raw!r} is not a number")
+            header = False
+    except csv.Error as e:  # an unclosed quote, a field over the csv module's limit
+        raise ValueError(f"{path}:{rows.line_num}: {e}") from None
     return entries
 
 
 def load_asn_list(path) -> frozenset[int]:
-    """Read one ASN per line; '#' comments and blanks are skipped."""
+    """Read one ASN per line; '#' comments and blanks are skipped, and any
+    other line that is not an ASN is an error naming the file and line."""
     out = set()
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            out.add(int(body.upper().removeprefix("AS")))
+    for n, line in enumerate(_lines(path), 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        asn = _asn(body)
+        if asn is None:
+            raise ValueError(f"{path}:{n}: ASN {body!r} is not a number")
+        out.add(asn)
     return frozenset(out)
 
 
@@ -373,11 +398,24 @@ def month_key(timestamp: float) -> str:
 
 
 def time_series(records: Iterable[Record], asn_map: AsnMap) -> Series:
-    """Monthly per-class stats, sorted by month; empty months are absent."""
+    """Monthly per-class stats, sorted by month; empty months are absent.
+
+    A UTC month starts at midnight, so each distinct UTC day's month is
+    rendered once. datetime rounds a timestamp to the microsecond, half to
+    even, so one within a microsecond of midnight takes month_key itself.
+    """
     counts: dict[tuple[str, str, bool, bool], int] = {}
+    months: dict[float, str] = {}  # UTC day number -> its month
     classify = asn_map.classify
     for timestamp, ip, tls13, resumed in records:
-        key = (classify(ip), month_key(timestamp), tls13, resumed)
+        day = timestamp // 86400.0
+        if 1e-6 <= timestamp - day * 86400.0 <= 86400.0 - 1e-6:
+            month = months.get(day)
+            if month is None:
+                month = months[day] = month_key(day * 86400.0)
+        else:
+            month = month_key(timestamp)
+        key = (classify(ip), month, tls13, resumed)
         counts[key] = counts.get(key, 0) + 1
     series: Series = {}
     for (cls, month, tls13, resumed), n in sorted(counts.items()):

@@ -379,6 +379,25 @@ def test_a_bad_asn_map_range_is_one_error_line_naming_it(tmp_path, capsys, netwo
     assert err.startswith("error: ") and err.count("\n") == 1 and network in err
 
 
+@pytest.mark.parametrize("flag, name, data", [
+    ("--asn-map", "map.csv", b"network,asn,org\n104.16.0.0/13,13335x,CLOUDFLARENET\n"),
+    ("--asn-map", "map.csv", b"network,asn,org\n104.16.0.0/13,\"13335,X\n"),
+    ("--asn-map", "map.csv", b"\xff\xfenetwork,asn,org\n"),
+    ("--cdn-asns", "cdn.txt", b"abc\n"),
+    ("--cloud-asns", "cloud.txt", b"\xff\xfe1\n"),
+], ids=["map-typo", "map-open-quote", "map-not-utf8", "list-not-a-number", "list-not-utf8"])
+def test_a_bad_asn_file_is_one_error_line_naming_it(tmp_path, capsys, flag, name, data):
+    from certflight.config import _data_path
+
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = run(capsys, "analyze", flag, str(path),
+                         "--logs", _data_path("sample_tls_log.tsv"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
 def test_analyze_out_prints_a_summary_line(tmp_path, capsys):
     from certflight.config import _data_path
 

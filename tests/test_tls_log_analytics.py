@@ -1,6 +1,7 @@
 import io
 import ipaddress
 import json
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from certflight.config import Config
 from certflight.errors import LogFormatError
+from certflight import tls_log_analytics as tla
 from certflight.tls_log_analytics import (
     CLASS_CDN,
     CLASS_CLOUD,
@@ -379,6 +381,32 @@ def test_load_asn_list(tmp_path):
     assert load_asn_list(path) == frozenset({13335, 54113})
 
 
+@pytest.mark.parametrize("text, line, value", [
+    ("network,asn,org\n104.16.0.0/13,13335x,CLOUDFLARENET\n", 2, "13335x"),
+    ("# only comments may come before a header\n\n104.16.0.0/13,13335,CF\n"
+     "network,asn,org\n", 4, "asn"),
+    ("104.16.0.0/13,13335,CF\n73.0.0.0/8\n", 2, ""),
+], ids=["typo", "second-header", "no-asn"])
+def test_a_map_row_without_an_asn_after_the_first_is_an_error(tmp_path, text, line, value):
+    path = tmp_path / "map.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as e:
+        load_asn_entries(path)
+    assert str(e.value) == f"{path}:{line}: ASN {value!r} is not a number"
+
+
+def test_asn_list_errors_name_the_file_and_line(tmp_path):
+    path = tmp_path / "cdn.txt"
+    path.write_text("13335\n\nabc  # typo\n")
+    with pytest.raises(ValueError) as e:
+        load_asn_list(path)
+    assert str(e.value) == f"{path}:3: ASN 'abc' is not a number"
+    path.write_bytes(b"\xff\xfe1\n")
+    with pytest.raises(ValueError) as e:
+        load_asn_list(path)
+    assert str(e.value).startswith(f"{path}: not UTF-8 text")
+
+
 def test_packaged_sample_data_aggregates():
     cfg = Config()
     asn_map = AsnMap.from_files(*cfg.resolve_asn_paths())
@@ -436,6 +464,43 @@ def test_month_key_is_utc():
     assert month_key(FEB - 1) == "2025-01"
     assert month_key(FEB) == "2025-02"
     assert month_key(MAR) == "2025-03"
+
+
+FEB_2024 = 1706745600.0  # 2024-02-01T00:00:00Z
+FEB_1970 = 2678400.0  # where floats still resolve tenths of a microsecond
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(tla._TS_MIN, tla._TS_MAX, exclude_max=True))
+@example(math.nextafter(FEB_2024, -math.inf))  # datetime rounds it up to 2024-02
+@example(math.nextafter(FEB_2024, math.inf))
+@example(FEB_1970 - 5e-7)  # its float lies just beyond the half: 1970-01
+@example(FEB_1970 - 4.9e-7)  # rounds up to midnight: 1970-02
+@example(FEB_1970 - 5.1e-7)  # rounds down: 1970-01
+@example(-3e-7)  # the day before the epoch, rounded up to 1970-01
+@example(-1e-300)
+@example(-0.0)
+@example(tla._TS_MIN)
+@example(math.nextafter(tla._TS_MAX, 0))
+def test_time_series_names_each_month_as_month_key_does(ts):
+    series = time_series([rec(ip="9.9.9.9", ts=ts)], make_map())
+    assert series == {CLASS_UNIDENTIFIED: [(month_key(ts), ResumptionStats(CLASS_UNIDENTIFIED, 1, 1))]}
+
+
+def test_time_series_renders_each_day_once(monkeypatch):
+    calls = []
+
+    def counting(ts):
+        calls.append(ts)
+        return month_key(ts)
+
+    monkeypatch.setattr(tla, "month_key", counting)
+    rng = random.Random(1506)
+    records = [rec(ts=JAN + rng.uniform(0, 730 * 86400)) for _ in range(5000)]
+    series = time_series(records, make_map())
+    days = {ts // 86400 for ts, *_ in records}
+    assert len(series[CLASS_CDN]) == 24
+    assert len(calls) <= len(days) < len(records)
 
 
 def test_time_series_and_csv():
