@@ -293,13 +293,18 @@ def cmd_analyze(args, cfg: Config) -> int:
 def cmd_calibrate(args, cfg: Config) -> int:
     with open(args.csv, newline="", encoding="utf-8") as f:
         pts = []
-        for row in csv.reader(f):
+        rows = csv.reader(f)
+        header = True  # the first row that is not blank may be one
+        for row in rows:
             if not row or not row[0].strip():
                 continue
             try:
                 pts.append((float(row[0]), float(row[1])))
             except (ValueError, IndexError):
-                continue  # header or junk
+                if not header:
+                    raise ValueError(f"{args.csv}:{rows.line_num}: {','.join(row)!r} "
+                                     "is not an rtt_ms,ttfb_ms row") from None
+            header = False
     profile = calibrate_stack_profile(
         pts, penalty_rtts=args.penalty, name=args.name, resumed_base_ms=args.resumed_base
     )

@@ -12,8 +12,9 @@ The grid is factored: the wire size and extra round trips depend only on
 (size, optimizer), and the totals only on (stack, rtt, extra round trips),
 so each is computed once. A row's mean_ms and std_ms are an exact draw of
 the summary of plan.trials noisy trials (see summary_sampler), so the trial
-count costs no time. Per-row RNG seeds are derived by hashing the plan seed
-with the row's grid coordinates, so results are reproducible regardless of
+count costs no time. A row's seed hashes the plan seed with the row's grid
+coordinates, and its summary is a pure function of that hash, with no
+generator state between rows, so results are reproducible regardless of
 evaluation order and rows can be computed concurrently and merged.
 """
 

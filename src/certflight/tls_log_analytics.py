@@ -251,16 +251,16 @@ def _address(ip: str) -> tuple[int, int] | None:
     return addr.version, int(addr)
 
 
-def _parse_networks(spec: str):
+def _parse_networks(spec: str) -> list:
+    """The networks a CIDR or "start-end" spec covers; ValueError if it does not parse."""
     spec = spec.strip()
     if "-" in spec and "/" not in spec:
         try:
             start, end = (ipaddress.ip_address(p.strip()) for p in spec.split("-", 1))
-            yield from ipaddress.summarize_address_range(start, end)
+            return list(ipaddress.summarize_address_range(start, end))
         except (TypeError, ValueError) as e:  # TypeError: the ends differ in version
             raise ValueError(f"address range {spec}: {e}") from None
-    else:
-        yield ipaddress.ip_network(spec, strict=False)
+    return [ipaddress.ip_network(spec, strict=False)]
 
 
 def _lines(path, newline=None) -> Iterator[str]:
@@ -281,8 +281,8 @@ def _asn(raw: str) -> int | None:
 def load_asn_entries(path) -> list[tuple[str, int, str]]:
     """Read a network,asn,org CSV (extra columns ignored). The first row that
     is not blank or a '#' comment may be a header; any later row whose ASN is
-    not a number, and CSV the csv module refuses, is an error naming the file
-    and line."""
+    not a number, a row whose network does not parse, and CSV the csv module
+    refuses, are errors naming the file and line."""
     entries = []
     rows = csv.reader(_lines(path, newline=""), strict=True)
     header = True  # the first row may be one
@@ -293,7 +293,12 @@ def load_asn_entries(path) -> list[tuple[str, int, str]]:
             raw = row[1].strip() if len(row) > 1 else ""
             asn = _asn(raw)
             if asn is not None:
-                entries.append((row[0].strip(), asn, row[2].strip() if len(row) > 2 else ""))
+                network = row[0].strip()
+                try:
+                    _parse_networks(network)
+                except ValueError as e:
+                    raise ValueError(f"{path}:{rows.line_num}: {e}") from None
+                entries.append((network, asn, row[2].strip() if len(row) > 2 else ""))
             elif not header:
                 raise ValueError(f"{path}:{rows.line_num}: ASN {raw!r} is not a number")
             header = False

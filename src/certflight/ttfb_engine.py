@@ -22,7 +22,6 @@ Profiles are calibrated from (rtt, ttfb) measurements. Two fitters:
 from __future__ import annotations
 
 import math
-import random
 import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -158,24 +157,56 @@ def summary_sampler(
     N(mu, sigma^2) the mean is mu + sigma/sqrt(n) * Z and the std is
     sigma * sqrt(chi2(n-1) / (n-1)), independent by Cochran's theorem.
     Both are exact draws of an n-trial summary, so the cost does not grow
-    with trials. One trial has std 0. Each call reseeds one generator with
-    seed, which gives the stream of a new random.Random(seed).
+    with trials. One trial has std 0.
+
+    A draw keeps no generator state: its summary is a pure function of
+    sha256(seed), the counter-based idea of Salmon et al. (SC'11). The seed
+    is hashed as its shortest two's-complement bytes, so any int is a seed
+    and s and -s differ (Random.seed made them collide). The digest's four
+    64-bit words w give uniforms (w + 1) * 2**-64 in (0, 1]. Box-Muller on
+    the first two gives Z and the Marsaglia-Tsang candidate for
+    gamma((n-1)/2) = chi2(n-1)/2 (ACM TOMS 26(3), 2000); the third is its
+    accept test. A shape below 1 (n = 2) draws gamma(a+1) * U**(1/a), U the
+    fourth. A rejected candidate takes fresh words from sha256(digest || k).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if noise.kind == NOISE_NONE or noise.std_ms == 0.0:
         return None
-    rng = random.Random()
+    from hashlib import sha256
+    from struct import Struct
+
+    words = Struct(">4Q").unpack
+    log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
+    unit, turn = 2.0**-64, 2.0**-64 * math.tau
     sigma = noise.std_ms
     scale = sigma / math.sqrt(trials)
     dof = trials - 1
+    shape = dof / 2  # chi2(dof) = 2 * gamma(dof / 2)
+    d = shape + (shape < 1) - 1 / 3  # Marsaglia-Tsang's d and c, for shape + 1 below 1
+    c = 1 / math.sqrt(9 * d)
 
     def draw(mu: float, seed: int) -> tuple[float, float]:
-        rng.seed(seed)
-        mean = rng.gauss(mu, scale)
+        digest = sha256(seed.to_bytes(seed.bit_length() // 8 + 1, "big", signed=True)).digest()
+        w0, w1, w2, w3 = words(digest)
+        r, t = sqrt(-2.0 * log((w0 + 1) * unit)), (w1 + 1) * turn
+        mean = mu + scale * r * cos(t)
         if not dof:
             return mean, 0.0
-        return mean, sigma * math.sqrt(rng.gammavariate(dof / 2, 2.0) / dof)
+        x, k = r * sin(t), 0
+        while True:
+            v = 1.0 + c * x
+            if v > 0.0:
+                v = v * v * v
+                if log((w2 + 1) * unit) < 0.5 * x * x + d - d * v + d * log(v):
+                    break
+            k += 1
+            w0, w1, w2, _ = words(sha256(digest + k.to_bytes(8, "big")).digest())
+            x = sqrt(-2.0 * log((w0 + 1) * unit)) * sin((w1 + 1) * turn)
+        gamma = d * v
+        if shape < 1:
+            gamma *= ((w3 + 1) * unit) ** (1 / shape)
+        return mean, sigma * sqrt(2.0 * gamma / dof)
 
     return draw
 

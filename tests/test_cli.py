@@ -398,6 +398,18 @@ def test_a_bad_asn_file_is_one_error_line_naming_it(tmp_path, capsys, flag, name
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
 
 
+def test_an_asn_map_network_that_does_not_parse_names_the_file_and_line(tmp_path, capsys):
+    from certflight.config import _data_path
+
+    path = tmp_path / "map.csv"
+    path.write_text("network,asn,org\n104.16.0.0/33,13335,X\n")
+    code, out, err = run(capsys, "analyze", "--asn-map", str(path),
+                         "--logs", _data_path("sample_tls_log.tsv"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}:2: ") and err.count("\n") == 1
+    assert "104.16.0.0/33" in err
+
+
 def test_analyze_out_prints_a_summary_line(tmp_path, capsys):
     from certflight.config import _data_path
 
@@ -449,6 +461,15 @@ def test_calibrate_rejects_single_rtt(tmp_path, capsys):
     code, _, err = run(capsys, "calibrate", "--csv", str(path))
     assert code == 1
     assert "distinct" in err
+
+
+def test_calibrate_takes_only_the_first_row_as_a_header(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text("size_kb,ttfb_ms\n10,100\n20x,150\n30,200\n40,260\n")
+    code, out, err = run(capsys, "calibrate", "--csv", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}:3: ") and err.count("\n") == 1
+    assert "20x" in err
 
 
 def test_config_file_overrides_defaults(tmp_path, capsys):

@@ -153,10 +153,12 @@ def test_row_noise_is_independent_of_grid_membership():
 def test_criterion_9_csv_is_pinned():
     """The noisy sweep of acceptance criterion 9 hashes to one golden value.
 
-    This pins the sampled values, and with them CPython's random.gauss and
-    random.gammavariate streams for a seeded random.Random: any change to
-    how a row's summary is drawn (or to those streams) must update this
-    hash in a visible test edit.
+    This pins the sampled values, and with them summary_sampler's draws:
+    sha256 of each row seed, Box-Muller and the Marsaglia-Tsang gamma. The
+    draws also run through math.log, math.cos and math.sin, which come from
+    the platform's libm, as random.gauss's do. Any change to how a
+    row's summary is drawn (or to those functions' last bits) must update
+    this hash in a visible test edit.
     """
     plan = SweepPlan(
         stacks=("ClassicalSim", "OqsMldsa"),
@@ -174,7 +176,7 @@ def test_criterion_9_csv_is_pinned():
     noise = NoiseModel("gaussian", std_ms=0.3)
     text = emit_csv(run_sweep(plan, DEFAULT_STACKS, FlightModel(mode=EMPIRICAL), noise))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "6ca2b79dbb573006da39e55698af6056df578a1ccaf5eb9f4c887bdde58fbb1b"
+        "ceb23ff513379cac6b9c2576ce5df156c7539efb920bf7f0184b3917161057eb"
     )
 
 

@@ -158,6 +158,65 @@ def test_sampled_summary_has_the_n_trial_distribution(n):
     assert statistics.correlation(z, q) ** 2 <= (band**2) / seeds
 
 
+@pytest.mark.parametrize("n, statistic, cdf", [
+    (100, "z", statistics.NormalDist().cdf),
+    (2, "q", lambda q: math.erf(math.sqrt(q / 2))),  # chi-square(1)
+    (3, "q", lambda q: -math.expm1(-q / 2)),  # chi-square(2)
+], ids=["normal-n100", "chi2-dof1", "chi2-dof2"])
+def test_sampled_summary_passes_a_goodness_of_fit_test(n, statistic, cdf):
+    """The probability-integral transform of z = (mean - mu) * sqrt(n) / sigma,
+    or of q = (n - 1) s^2 / sigma^2, over 20,000 seeds, binned in 20 equal
+    bins, must look uniform: its chi-square(19) statistic stays below 64,
+    which a correct sampler exceeds with probability about 1e-6. This sees
+    errors of shape that moments miss. n = 2 draws its chi-square through
+    the shape-below-1 boost."""
+    seeds, bins, sigma = 20_000, 20, 0.7
+    est = estimate_ttfb(CLASSICAL, path(50.0), 12.0)
+    noise = NoiseModel("gaussian", std_ms=sigma)
+    counts = [0] * bins
+    for seed in range(seeds):
+        mean, std = sample_ttfb(est, noise, n, seed=seed)
+        if statistic == "z":
+            value = (mean - est.total_ms) * math.sqrt(n) / sigma
+        else:
+            value = (n - 1) * std**2 / sigma**2
+        counts[min(int(cdf(value) * bins), bins - 1)] += 1
+    expected = seeds / bins
+    assert sum((count - expected) ** 2 / expected for count in counts) < 64
+
+
+# (trials, seed, sha256 calls of one draw). The seeds were found by
+# instrumenting the gamma loop: the first candidate of 2792 at n = 2 and of
+# 36 at n = 3 has 1 + c*x <= 0; that of 35 and 32, and of 3556 at n = 100,
+# fails the log test; 2368 is rejected three times. Seed 0 is accepted at once.
+@pytest.mark.parametrize("trials, seed, hashes", [
+    (2, 2792, 2), (3, 36, 2), (2, 35, 2), (3, 32, 2), (100, 3556, 2), (3, 2368, 4),
+    (2, 2368, 4), (3, 0, 1),
+])
+def test_a_rejected_gamma_candidate_draws_fresh_words(monkeypatch, trials, seed, hashes):
+    import hashlib
+
+    real, calls = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or real(data))
+    est = estimate_ttfb(CLASSICAL, path(50.0), 12.0)
+    noise = NoiseModel("gaussian", std_ms=0.5)
+    mean, std = sample_ttfb(est, noise, trials, seed=seed)
+    assert len(calls) == hashes
+    assert sample_ttfb(est, noise, trials, seed=seed) == (mean, std)
+    assert math.isfinite(mean) and math.isfinite(std) and std > 0
+
+
+def test_any_int_is_a_seed():
+    """Negative seeds and seeds of 2**64 and up draw finite summaries, and
+    distinct seeds distinct ones, s and -s included."""
+    est = estimate_ttfb(CLASSICAL, path(50.0), 12.0)
+    noise = NoiseModel("gaussian", std_ms=0.5)
+    seeds = [-1, 0, 1, 2**64 - 1, 2**64, 2**200, -(2**200)]
+    summaries = [sample_ttfb(est, noise, 10, seed=seed) for seed in seeds]
+    assert all(math.isfinite(value) for summary in summaries for value in summary)
+    assert len(set(summaries)) == len(seeds)
+
+
 def test_calibration_recovers_synthetic_profile_exactly():
     base, flights = 12.5, 3.25
     pts = [(r, base + flights * r) for r in (0.0, 10.0, 50.0, 100.0, 200.0)]
