@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from operator import attrgetter
@@ -24,7 +24,7 @@ from .chain_model import ChainSpec, SizeOptimizer, chain_size_kb, resolve_scheme
 from .config import Config, resolve_config
 from .errors import ConfigError
 from .sweep_runner import REGION_FIELDS, compute_regions, estimate_savings
-from .tables import write_csv, write_json
+from .tables import csv_cells, read_rows, write_csv, write_json
 from .transport_flight import ANALYTIC, EMPIRICAL, find_thresholds, grid_points
 from .ttfb_engine import NetworkPath, calibrate_stack_profile, estimate_ttfb, resolve_stack
 
@@ -290,24 +290,25 @@ def cmd_analyze(args, cfg: Config) -> int:
     return 0
 
 
+def _point(line: str) -> tuple[float, float]:
+    """One rtt_ms,ttfb_ms row (cells after the second ignored) as two finite numbers."""
+    try:
+        rtt, ttfb = map(float, csv_cells(line)[:2])
+        if math.isfinite(rtt) and math.isfinite(ttfb):
+            return rtt, ttfb
+    except ValueError:
+        pass
+    raise ValueError(f"{line.strip()!r} is not an rtt_ms,ttfb_ms row of two finite numbers")
+
+
 def cmd_calibrate(args, cfg: Config) -> int:
-    with open(args.csv, newline="", encoding="utf-8") as f:
-        pts = []
-        rows = csv.reader(f)
-        header = True  # the first row that is not blank may be one
-        for row in rows:
-            if not row or not row[0].strip():
-                continue
-            try:
-                pts.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                if not header:
-                    raise ValueError(f"{args.csv}:{rows.line_num}: {','.join(row)!r} "
-                                     "is not an rtt_ms,ttfb_ms row") from None
-            header = False
-    profile = calibrate_stack_profile(
-        pts, penalty_rtts=args.penalty, name=args.name, resumed_base_ms=args.resumed_base
-    )
+    pts = list(read_rows(args.csv, _point, header=True))
+    try:
+        profile = calibrate_stack_profile(
+            pts, penalty_rtts=args.penalty, name=args.name, resumed_base_ms=args.resumed_base
+        )
+    except ValueError as e:
+        raise ValueError(f"{args.csv}: {e}") from None
     payload = {
         "name": profile.name,
         "base_ms": profile.base_ms,
@@ -431,7 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, resolve_config(args.config))
+        code = args.func(args, resolve_config(args.config))
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): its choice, not a failure.
+        # stdout now writes to devnull, so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as e:
         # Every certflight error is a ValueError: bad input ends with one line.
         print(f"error: {e}", file=sys.stderr)

@@ -1,6 +1,7 @@
-"""The CSV and JSON writers of every table certflight prints. A table is a
-header of column names and rows of values in header order; both writers
-stream, writing each row as soon as it is read."""
+"""The CSV and JSON writers of every table certflight prints, and the reader
+of every table a user hands in. A table is a header of column names and rows
+of values in header order; both writers stream, writing each row as soon as
+it is read."""
 
 import csv
 import json
@@ -28,3 +29,32 @@ def write_json(out, header, rows) -> None:
         out.write(f"{sep}  {{\n    {body}\n  }}")
         sep = ",\n"
     out.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
+def csv_cells(line: str) -> list[str]:
+    """The cells of one CSV line; csv.Error if csv refuses it (a quote left open)."""
+    return next(csv.reader((line,), strict=True))
+
+
+def read_rows(path, parse, header=False):
+    """Yield parse(line) for each line of the user table at path: UTF-8 text,
+    a leading BOM dropped. Blank lines, lines of commas and blanks only (as
+    spreadsheets export) and '#' lines are skipped. With header, a first line
+    that parse refuses and that holds no digit names the columns and is skipped.
+    Any other line parse refuses (ValueError or csv.Error) is an error that
+    starts path:line:, and a byte that is not UTF-8 one that starts path:."""
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        try:
+            for n, line in enumerate(f, 1):
+                if not line.replace(",", "").strip() or line.lstrip().startswith("#"):
+                    continue
+                first, header = header, False
+                try:
+                    row = parse(line)
+                except (ValueError, csv.Error) as e:
+                    if first and not any(c.isdigit() for c in line):
+                        continue
+                    raise ValueError(f"{path}:{n}: {e}") from None
+                yield row
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None

@@ -9,7 +9,6 @@ counters, so chunked processing of large logs gives identical results.
 
 from __future__ import annotations
 
-import csv
 import ipaddress
 import json
 import statistics
@@ -20,7 +19,7 @@ from socket import AF_INET, AF_INET6, inet_pton
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LogFormatError
-from .tables import write_csv
+from .tables import csv_cells, read_rows, write_csv
 
 # A parsed log line: (timestamp, server_ip, tls13, resumed).
 Record = tuple[float, str, bool, bool]
@@ -263,63 +262,37 @@ def _parse_networks(spec: str) -> list:
     return [ipaddress.ip_network(spec, strict=False)]
 
 
-def _lines(path, newline=None) -> Iterator[str]:
-    """The lines of a UTF-8 text file; a byte that is not UTF-8 is an error naming it."""
-    with open(path, newline=newline, encoding="utf-8") as f:
-        try:
-            yield from f
-        except UnicodeDecodeError as e:
-            raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
-
-
-def _asn(raw: str) -> int | None:
-    """The ASN spelled as 13335 or AS13335 (any case, blanks around), or None."""
+def _asn(raw: str) -> int:
+    """The ASN spelled as 13335 or AS13335 (any case, blanks around)."""
     body = raw.strip().upper().removeprefix("AS").strip()
-    return int(body) if body.isascii() and body.isdigit() else None
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"ASN {raw.strip()!r} is not a number")
+    return int(body)
+
+
+def _asn_entry(line: str) -> tuple[str, int, str]:
+    """A network,asn,org row (extra columns ignored) whose network parses."""
+    row = csv_cells(line)
+    asn = _asn(row[1] if len(row) > 1 else "")
+    network = row[0].strip()
+    _parse_networks(network)
+    return network, asn, row[2].strip() if len(row) > 2 else ""
 
 
 def load_asn_entries(path) -> list[tuple[str, int, str]]:
-    """Read a network,asn,org CSV (extra columns ignored). The first row that
-    is not blank or a '#' comment may be a header; any later row whose ASN is
-    not a number, a row whose network does not parse, and CSV the csv module
-    refuses, are errors naming the file and line."""
-    entries = []
-    rows = csv.reader(_lines(path, newline=""), strict=True)
-    header = True  # the first row may be one
-    try:
-        for row in rows:
-            if not any(cell.strip() for cell in row) or row[0].lstrip().startswith("#"):
-                continue
-            raw = row[1].strip() if len(row) > 1 else ""
-            asn = _asn(raw)
-            if asn is not None:
-                network = row[0].strip()
-                try:
-                    _parse_networks(network)
-                except ValueError as e:
-                    raise ValueError(f"{path}:{rows.line_num}: {e}") from None
-                entries.append((network, asn, row[2].strip() if len(row) > 2 else ""))
-            elif not header:
-                raise ValueError(f"{path}:{rows.line_num}: ASN {raw!r} is not a number")
-            header = False
-    except csv.Error as e:  # an unclosed quote, a field over the csv module's limit
-        raise ValueError(f"{path}:{rows.line_num}: {e}") from None
-    return entries
+    """Read a network,asn,org CSV by tables.read_rows's rules: its first row
+    may be a header, and a later row whose ASN is not a number or whose
+    network does not parse is an error naming the file and line. A row lies
+    on one line: a quoted field left open at the end of its line is refused
+    at that line."""
+    return list(read_rows(path, _asn_entry, header=True))
 
 
 def load_asn_list(path) -> frozenset[int]:
-    """Read one ASN per line; '#' comments and blanks are skipped, and any
-    other line that is not an ASN is an error naming the file and line."""
-    out = set()
-    for n, line in enumerate(_lines(path), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        asn = _asn(body)
-        if asn is None:
-            raise ValueError(f"{path}:{n}: ASN {body!r} is not a number")
-        out.add(asn)
-    return frozenset(out)
+    """Read one ASN per line, each line's trailing '#' comment dropped, by
+    tables.read_rows's rules: a line that is not an ASN is an error naming the
+    file and line."""
+    return frozenset(read_rows(path, lambda line: _asn(line.split("#", 1)[0])))
 
 
 # ------------------------------------------------------------- aggregation

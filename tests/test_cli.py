@@ -472,6 +472,56 @@ def test_calibrate_takes_only_the_first_row_as_a_header(tmp_path, capsys):
     assert "20x" in err
 
 
+def test_calibrate_reads_a_headerless_csv_saved_with_a_bom(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_bytes(b"\xef\xbb\xbf0,8.06\n10,28.71\n50,109.00\n100,208.84\n200,409.10\n")
+    code, out, _ = run(capsys, "calibrate", "--csv", str(path))
+    assert code == 0
+    assert json.loads(out)["points"] == 5
+
+
+@pytest.mark.parametrize("row", ["10,inf", "10,nan", "1e400,20", ",500"])
+def test_calibrate_refuses_a_non_finite_or_blank_cell_at_its_line(tmp_path, capsys, row):
+    path = tmp_path / "points.csv"
+    path.write_text(f"rtt_ms,ttfb_ms\n0,8\n{row}\n50,109\n100,208\n")
+    code, out, err = run(capsys, "calibrate", "--csv", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}:3: {row!r} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"50,100\n50,101\n", ": need measurements at two or more distinct RTTs"),
+    ((Path(__file__).parent / "data" / "overflow_points.csv").read_bytes(),
+     ": measurements too large to fit"),
+    (b"0,8\n10,\xff\n", ": not UTF-8 text"),
+    (b"0,8\n" + b"1" * 200_000 + b",5\n", ":2: field larger than field limit"),
+], ids=["one-rtt", "overflow", "not-utf8", "huge-field"])
+def test_every_calibrate_error_names_its_file(tmp_path, capsys, data, message):
+    path = tmp_path / "points.csv"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "calibrate", "--csv", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}{message}") and err.count("\n") == 1
+
+
+def test_a_reader_that_closes_stdout_early_is_not_an_error():
+    import os
+    import subprocess
+    import sys
+
+    import certflight
+
+    src = os.path.dirname(os.path.dirname(certflight.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-m", "certflight.cli", "sweep", "--rtts", "10", "--sizes", "4:2000:0.5"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"stack,")
+        proc.stdout.close()  # about 250 KB is still to come, more than a pipe holds
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+
+
 def test_config_file_overrides_defaults(tmp_path, capsys):
     import dataclasses
 

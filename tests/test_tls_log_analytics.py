@@ -381,6 +381,20 @@ def test_load_asn_list(tmp_path):
     assert load_asn_list(path) == frozenset({13335, 54113})
 
 
+def test_load_asn_list_saved_with_a_bom(tmp_path):
+    path = tmp_path / "cdn.txt"
+    path.write_bytes(b"\xef\xbb\xbf13335  # Cloudflare, Inc.\n54113\n")
+    assert load_asn_list(path) == frozenset({13335, 54113})
+
+
+def test_a_map_quote_left_open_is_refused_at_its_own_line(tmp_path):
+    path = tmp_path / "map.csv"
+    path.write_text('network,asn,org\n104.16.0.0/13,"13335,X\n73.0.0.0/8,7922,COMCAST\n')
+    with pytest.raises(ValueError) as e:
+        load_asn_entries(path)
+    assert str(e.value).startswith(f"{path}:2: ")
+
+
 @pytest.mark.parametrize("text, line, value", [
     ("network,asn,org\n104.16.0.0/13,13335x,CLOUDFLARENET\n", 2, "13335x"),
     ("# only comments may come before a header\n\n104.16.0.0/13,13335,CF\n"
