@@ -22,10 +22,10 @@ _EXPORTS = {
         "DerCertTemplate", "ForgedChain", "ForgedCert", "ParseReport", "forge_chain",
         "pad_to_size", "parse_and_measure", "write_chain",
     ),
-    "config": ("Config", "load_config", "resolve_config", "save_config"),
+    "config": ("Config", "SweepPlan", "load_config", "resolve_config", "save_config"),
     "errors": ("CalibrationError", "ConfigError", "LogFormatError", "PaddingError"),
     "sweep_runner": (
-        "OptimizationRegion", "SavingsEstimate", "SweepPlan", "compute_regions", "emit_csv",
+        "OptimizationRegion", "SavingsEstimate", "compute_regions", "emit_csv",
         "estimate_savings", "run_sweep",
     ),
     "tls_log_analytics": (

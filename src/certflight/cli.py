@@ -4,8 +4,9 @@ Subcommands: estimate, sweep, thresholds, regions, savings, forge,
 analyze, calibrate. Configuration comes from --config (or the
 CERTFLIGHT_CONFIG environment variable), and individual flags override
 config values. --seed overrides sweep.seed, the seed of each sweep row's draws.
-cmd_forge and cmd_analyze import their modules themselves, so that the other
-commands load neither.
+A command imports the code that only it runs (the sweep, the table writers
+and readers, the forge, the log analytics) inside its own function, so that
+estimate and forge load no sweep, table or statistics code.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ import os
 import sys
 from operator import attrgetter
 
-from . import chain_model, sweep_runner
+from . import chain_model
 from .chain_model import ChainSpec, SizeOptimizer, chain_size_kb, resolve_scheme
 from .config import Config, resolve_config
 from .errors import ConfigError
-from .sweep_runner import REGION_FIELDS, compute_regions, estimate_savings
-from .tables import csv_cells, read_rows, write_csv, write_json
 from .transport_flight import ANALYTIC, EMPIRICAL, find_thresholds, grid_points
 from .ttfb_engine import NetworkPath, calibrate_stack_profile, estimate_ttfb, resolve_stack
 
@@ -125,6 +124,9 @@ def cmd_estimate(args, cfg: Config) -> int:
 
 
 def cmd_sweep(args, cfg: Config) -> int:
+    from . import sweep_runner
+    from .tables import write_csv, write_json
+
     plan = cfg.sweep
     updates: dict = {}
     if args.trials is not None:
@@ -182,6 +184,8 @@ def cmd_thresholds(args, cfg: Config) -> int:
         "note": note,
     }
     if args.format == "csv":
+        from .tables import write_csv
+
         write_csv(sys.stdout, ("index", "threshold_kb"), enumerate(found))
         if note:
             print(f"# {note}")
@@ -191,6 +195,9 @@ def cmd_thresholds(args, cfg: Config) -> int:
 
 
 def cmd_regions(args, cfg: Config) -> int:
+    from .sweep_runner import REGION_FIELDS, compute_regions
+    from .tables import write_csv, write_json
+
     thresholds = (
         list(_parse_floats(args.thresholds))
         if args.thresholds is not None
@@ -211,6 +218,8 @@ def cmd_regions(args, cfg: Config) -> int:
 
 
 def cmd_savings(args, cfg: Config) -> int:
+    from .sweep_runner import estimate_savings
+
     stack = resolve_stack(args.stack, cfg.stacks)
     path = NetworkPath(rtt_ms=args.rtt, flight=_flight_for(args, cfg))
     est = estimate_savings(stack, path, args.size_kb, args.rate)
@@ -253,6 +262,7 @@ def cmd_forge(args, cfg: Config) -> int:
 
 def cmd_analyze(args, cfg: Config) -> int:
     from . import tls_log_analytics as tla
+    from .tables import write_csv
 
     map_csv, cdn_file, cloud_file = cfg.resolve_asn_paths()
     asn_map = tla.AsnMap.from_files(
@@ -292,6 +302,8 @@ def cmd_analyze(args, cfg: Config) -> int:
 
 def _point(line: str) -> tuple[float, float]:
     """One rtt_ms,ttfb_ms row (cells after the second ignored) as two finite numbers."""
+    from .tables import csv_cells
+
     try:
         rtt, ttfb = map(float, csv_cells(line)[:2])
         if math.isfinite(rtt) and math.isfinite(ttfb):
@@ -302,6 +314,12 @@ def _point(line: str) -> tuple[float, float]:
 
 
 def cmd_calibrate(args, cfg: Config) -> int:
+    from .tables import read_rows
+
+    # The fit would blame the CSV for these, so they are refused before it is read.
+    for flag, value in (("--penalty", args.penalty), ("--resumed-base", args.resumed_base)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number, got {value!r}")
     pts = list(read_rows(args.csv, _point, header=True))
     try:
         profile = calibrate_stack_profile(

@@ -16,8 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass,
 
 from .chain_model import DEFAULT_SCHEMES, SchemeProfile, SizeOptimizer
 from .errors import ConfigError, check_fields
-from .sweep_runner import SweepPlan
-from .transport_flight import FlightModel
+from .transport_flight import FlightModel, grid_points
 from .ttfb_engine import DEFAULT_STACKS, NoiseModel, StackProfile
 
 ENV_CONFIG = "CERTFLIGHT_CONFIG"
@@ -28,6 +27,44 @@ _PROFILES = {"schemes": SchemeProfile, "stacks": StackProfile}
 
 def _data_path(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "data", name)
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    stacks: tuple[str, ...] = ("ClassicalSim",)
+    rtts_ms: tuple[float, ...] = (0.0, 10.0, 50.0, 100.0, 200.0)
+    size_start_kb: float = 4.0
+    size_end_kb: float = 80.0
+    size_step_kb: float = 2.0
+    trials: int = 100
+    seed: int = 1234
+    optimizers: tuple[SizeOptimizer, ...] = ()
+
+    def __post_init__(self):
+        check_fields(self)
+        if not self.stacks:
+            raise ConfigError("plan needs at least one stack")
+        if not self.rtts_ms:
+            raise ConfigError("plan needs at least one rtt")
+        if self.size_step_kb <= 0:
+            raise ConfigError("size_step_kb must be positive")
+        if self.size_end_kb < self.size_start_kb:
+            raise ConfigError("size_end_kb must be >= size_start_kb")
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        # Each of these keys a row's seed, and the rtt enters it by repr.
+        for what, keys in (("stack", self.stacks), ("rtt", map(repr, self.rtts_ms)),
+                           ("optimizer", (opt.label for opt in self.optimizers))):
+            seen = set()
+            for key in keys:
+                if key in seen:
+                    raise ConfigError(f"{what} {key} is listed twice; each needs its own rows")
+                seen.add(key)
+
+    @property
+    def sizes_kb(self) -> list[float]:
+        count = grid_points(self.size_start_kb, self.size_end_kb, self.size_step_kb)
+        return [self.size_start_kb + i * self.size_step_kb for i in range(count)]
 
 
 @dataclass

@@ -20,59 +20,18 @@ evaluation order and rows can be computed concurrently and merged.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 from dataclasses import dataclass, fields
 
 from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
-from .errors import ConfigError, check_fields
+from .config import SweepPlan  # re-exported: the plan is a section of the config
+from .errors import ConfigError
 from .tables import write_csv
-from .transport_flight import FlightModel, extra_rtts, grid_points
+from .transport_flight import FlightModel, extra_rtts
 from .ttfb_engine import (
     NetworkPath, NoiseModel, StackProfile, estimate_ttfb, summary_sampler, ttfb_total_ms,
 )
-
-DEFAULT_RTTS_MS = (0.0, 10.0, 50.0, 100.0, 200.0)
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    stacks: tuple[str, ...] = ("ClassicalSim",)
-    rtts_ms: tuple[float, ...] = DEFAULT_RTTS_MS
-    size_start_kb: float = 4.0
-    size_end_kb: float = 80.0
-    size_step_kb: float = 2.0
-    trials: int = 100
-    seed: int = 1234
-    optimizers: tuple[SizeOptimizer, ...] = ()
-
-    def __post_init__(self):
-        check_fields(self)
-        if not self.stacks:
-            raise ConfigError("plan needs at least one stack")
-        if not self.rtts_ms:
-            raise ConfigError("plan needs at least one rtt")
-        if self.size_step_kb <= 0:
-            raise ConfigError("size_step_kb must be positive")
-        if self.size_end_kb < self.size_start_kb:
-            raise ConfigError("size_end_kb must be >= size_start_kb")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        # Each of these keys a row's seed, and the rtt enters it by repr.
-        for what, keys in (("stack", self.stacks), ("rtt", map(repr, self.rtts_ms)),
-                           ("optimizer", (opt.label for opt in self.optimizers))):
-            seen = set()
-            for key in keys:
-                if key in seen:
-                    raise ConfigError(f"{what} {key} is listed twice; each needs its own rows")
-                seen.add(key)
-
-    @property
-    def sizes_kb(self) -> list[float]:
-        count = grid_points(self.size_start_kb, self.size_end_kb, self.size_step_kb)
-        return [self.size_start_kb + i * self.size_step_kb for i in range(count)]
-
 
 SWEEP_FIELDS = ("stack", "rtt_ms", "size_kb", "mean_ms", "std_ms", "extra_rtts", "optimizer")
 
@@ -98,6 +57,8 @@ def sweep_records(
     This call checks every stack, rtt, size and total before it returns,
     so the generator itself raises nothing.
     """
+    import hashlib  # here, so that only a sweep loads it
+
     missing = [name for name in plan.stacks if name not in stacks]
     if missing:
         raise ConfigError(f"unknown stacks in plan: {', '.join(missing)}")

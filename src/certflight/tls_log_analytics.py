@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ipaddress
 import json
-import statistics
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
@@ -430,6 +429,8 @@ def rate_correlation(pairs: Iterable[tuple[float, float]]) -> float | None:
     Needs at least 3 points; a constant series has no defined
     correlation and yields None.
     """
+    import statistics  # here: only a series of three or more months needs it
+
     pts = [(x, y) for x, y in pairs if x is not None and y is not None]
     if len(pts) < 3:
         raise ValueError("need at least 3 buckets with defined rates")

@@ -22,7 +22,6 @@ Profiles are calibrated from (rtt, ttfb) measurements. Two fitters:
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -223,6 +222,8 @@ def calibrate_stack_profile(
     chain by the flight model; it is subtracted from the fitted slope so
     base_flights reflects the penalty-free flight count.
     """
+    import statistics  # here, so that only calibrate loads it
+
     pts = [(float(r), float(t)) for r, t in measurements]
     if len({r for r, _ in pts}) < 2:
         raise CalibrationError("need measurements at two or more distinct RTTs")

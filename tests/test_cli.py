@@ -480,6 +480,18 @@ def test_calibrate_reads_a_headerless_csv_saved_with_a_bom(tmp_path, capsys):
     assert json.loads(out)["points"] == 5
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "=-inf"])
+@pytest.mark.parametrize("flag", ["--penalty", "--resumed-base"])
+def test_calibrate_refuses_a_non_finite_flag_naming_the_flag(tmp_path, capsys, flag, value):
+    path = tmp_path / "points.csv"
+    path.write_text("rtt_ms,ttfb_ms\n0,8.06\n10,28.71\n50,109.00\n")
+    flags = [flag + value] if value.startswith("=") else [flag, value]
+    code, out, err = run(capsys, "calibrate", "--csv", str(path), *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    assert str(path) not in err
+
+
 @pytest.mark.parametrize("row", ["10,inf", "10,nan", "1e400,20", ",500"])
 def test_calibrate_refuses_a_non_finite_or_blank_cell_at_its_line(tmp_path, capsys, row):
     path = tmp_path / "points.csv"
@@ -776,6 +788,47 @@ def test_import_is_lazy_and_a_star_import_binds_every_name():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "58\n"
+
+
+COMMAND_IMPORTS = """
+import json, sys
+from certflight.cli import main
+out_dir, points = sys.argv[1:]
+codes = {"estimate": main(["estimate", "--rtt", "50", "--format", "json"]),
+         "forge": main(["forge", "--scheme", "ml-dsa", "--out-dir", out_dir])}
+unneeded = {"certflight.sweep_runner", "certflight.tables", "csv", "hashlib", "statistics"}
+loaded = sorted(unneeded & set(sys.modules))
+for argv in (["sweep", "--rtts", "10", "--sizes", "4:8:4", "--trials", "3"], ["regions"],
+             ["savings", "--rtt", "50", "--size-kb", "12", "--rate", "0.5", "--format", "json"],
+             ["thresholds", "--format", "csv"], ["calibrate", "--csv", points]):
+    codes[argv[0]] = main(argv)
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_estimate_and_forge_load_no_sweep_table_or_statistics_code(tmp_path):
+    """estimate and forge load none of the sweep, the table code, csv, hashlib or
+    statistics; the commands that do need them import them and still run."""
+    import os
+    import subprocess
+    import sys
+
+    import certflight
+
+    points = tmp_path / "points.csv"
+    points.write_text("rtt_ms,ttfb_ms\n0,8.06\n10,28.71\n50,109.00\n")
+    src = os.path.dirname(os.path.dirname(certflight.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("CERTFLIGHT_CONFIG", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", COMMAND_IMPORTS, str(tmp_path / "chain"), str(points)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["loaded"] == []
+    assert report["codes"] == dict.fromkeys(
+        ["estimate", "forge", "sweep", "regions", "savings", "thresholds", "calibrate"], 0)
 
 
 def test_analyze_replaces_undecodable_bytes(tmp_path, capsys):
