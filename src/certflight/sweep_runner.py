@@ -12,9 +12,9 @@ The grid is factored: the wire size and extra round trips depend only on
 (size, optimizer), and the totals only on (stack, rtt, extra round trips),
 so each is computed once. A row's mean_ms and std_ms are an exact draw of
 the summary of plan.trials noisy trials (see summary_sampler), so the trial
-count costs no time. A row's seed hashes the plan seed with the row's grid
-coordinates, and its summary is a pure function of that hash, with no
-generator state between rows, so results are reproducible regardless of
+count costs no time. A row's key joins the plan seed with the row's grid
+coordinates, and its summary is a pure function of sha256 of that key, with
+no generator state between rows, so results are reproducible regardless of
 evaluation order and rows can be computed concurrently and merged.
 """
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import math
+import struct
 from dataclasses import dataclass, fields
 
 from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
@@ -53,19 +54,17 @@ def sweep_records(
 
     With optimizers in the plan, each grid point also gets one row per
     optimizer, keyed by the raw size but charged the optimized size's
-    round trips. A row's seed hashes f"{seed}|{stack}|{rtt!r}|{size!r}|{label}".
-    This call checks every stack, rtt, size and total before it returns,
-    so the generator itself raises nothing.
+    round trips. A row's draws come from sha256 of its key, the bytes of
+    f"{seed}|{stack}|{rtt!r}|{size!r}|{label}". This call checks every stack,
+    rtt, size and total before it returns, so the generator itself raises nothing.
     """
-    import hashlib  # here, so that only a sweep loads it
-
     missing = [name for name in plan.stacks if name not in stacks]
     if missing:
         raise ConfigError(f"unknown stacks in plan: {', '.join(missing)}")
     for rtt in plan.rtts_ms:
         NetworkPath(rtt_ms=rtt, flight=flight)
     variants = [("", None)] + [(opt.label, opt) for opt in plan.optimizers]
-    # Per size and variant: the seed key's tail, the extra round trips, and the
+    # Per size and variant: the row key's tail, the extra round trips, and the
     # row's last columns: its label, where the plan has optimizers.
     cells = []
     for size in plan.sizes_kb:
@@ -76,12 +75,12 @@ def sweep_records(
                         (label,) if plan.optimizers else ()))
         cells.append((size, row))
     extras = {extra for _, row in cells for _, extra, _ in row}
-    # Per (stack, rtt): the seed key's hashed head, and the total of each extra.
+    # Per (stack, rtt): the row key's head, and the total of each extra.
     lines = []
     for name in plan.stacks:
         stack = stacks[name]
         for rtt in plan.rtts_ms:
-            head = hashlib.sha256(f"{plan.seed}|{name}|{rtt!r}|".encode())
+            head = f"{plan.seed}|{name}|{rtt!r}|".encode()
             totals = {e: ttfb_total_ms(stack.base_ms, stack.base_flights + e, rtt) for e in extras}
             lines.append((name, rtt, head, totals))
     return _records(lines, cells, summary_sampler(noise, plan.trials))
@@ -93,9 +92,7 @@ def _records(lines, cells, draw):
             for tail, extra, last in row:
                 mean, std = totals[extra], 0.0
                 if draw is not None:
-                    key = head.copy()
-                    key.update(tail)
-                    mean, std = draw(mean, int.from_bytes(key.digest()[:8], "big"))
+                    mean, std = draw(mean, head + tail)
                 yield (name, rtt, size, mean, std, extra) + last
 
 
@@ -145,8 +142,9 @@ class OptimizationRegion:
     """Chain sizes for which an optimizer keeps the wire size at or
     under a flight threshold that the raw size would exceed.
 
-    upper_kb_exact solves effective_size(upper) == threshold in closed
-    form; upper_kb_rounded is its round-half-even integer display form.
+    upper_kb_exact is the largest float size whose effective size is at
+    most the threshold; upper_kb_rounded is its round-half-even integer
+    display form.
     """
 
     optimizer: str
@@ -157,6 +155,35 @@ class OptimizationRegion:
 
 
 REGION_FIELDS = tuple(field.name for field in fields(OptimizationRegion))
+_DOUBLE = struct.Struct(">d")
+_MAX_BITS = 0x7FEF_FFFF_FFFF_FFFF  # the bit pattern of the largest finite float
+
+
+def _region_upper(threshold: float, optimizer: SizeOptimizer, upper: float) -> float:
+    """The largest float size that optimizer keeps at or under threshold.
+
+    upper, the closed form, may miss it by a few ulps, or by very many where
+    adding the offset rounds a long run of small sizes to one wire size. So
+    the search runs over the bit patterns of the floats >= 0, which order as
+    the floats do: it gallops from upper to a bracket, then bisects, at most
+    64 steps each.
+    """
+    def fits(bits):
+        return bits <= _MAX_BITS and effective_size_kb(
+            _DOUBLE.unpack(bits.to_bytes(8, "big"))[0], optimizer) <= threshold
+
+    lo = hi = int.from_bytes(_DOUBLE.pack(upper), "big")
+    step = 1
+    if fits(lo):
+        while fits(hi):
+            lo, hi, step = hi, hi + step, 2 * step
+    else:  # size 0 fits: its wire size is the offset, at most 1 KB, under threshold
+        while not fits(lo):
+            hi, lo, step = lo, max(lo - step, 0), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return _DOUBLE.unpack(lo.to_bytes(8, "big"))[0]
 
 
 def compute_regions(
@@ -174,6 +201,7 @@ def compute_regions(
             upper = original_size_kb(threshold, optimizer)
             if upper == math.inf:
                 raise ConfigError(f"threshold {threshold} KB: no finite {optimizer.label} region")
+            upper = _region_upper(threshold, optimizer, upper)
             regions.append(
                 OptimizationRegion(
                     optimizer=optimizer.label,

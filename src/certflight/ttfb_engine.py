@@ -139,17 +139,18 @@ def sample_ttfb(
     estimate: TtfbEstimate, noise: NoiseModel, trials: int, *, seed: int
 ) -> tuple[float, float]:
     """(mean_ms, std_ms), the mean and ddof=1 std of trials noisy observations
-    around an estimate, drawn by summary_sampler with seed, so identical inputs
-    reproduce the identical pair. Noise-free input draws nothing.
+    around an estimate, drawn by summary_sampler keyed by the seed's shortest
+    two's-complement bytes, so s and -s differ. Noise-free input draws nothing.
     """
     draw = summary_sampler(noise, trials)
-    return (estimate.total_ms, 0.0) if draw is None else draw(estimate.total_ms, seed)
+    key = seed.to_bytes(seed.bit_length() // 8 + 1, "big", signed=True)
+    return (estimate.total_ms, 0.0) if draw is None else draw(estimate.total_ms, key)
 
 
 def summary_sampler(
     noise: NoiseModel, trials: int
-) -> Callable[[float, int], tuple[float, float]] | None:
-    """A draw(mu, seed) -> (mean, std) of trials noisy observations around mu,
+) -> Callable[[float, bytes], tuple[float, float]] | None:
+    """A draw(mu, key) -> (mean, std) of trials noisy observations around mu,
     or None when the noise model adds no noise.
 
     The summary is drawn directly instead of the trials: for n draws of
@@ -159,14 +160,13 @@ def summary_sampler(
     with trials. One trial has std 0.
 
     A draw keeps no generator state: its summary is a pure function of
-    sha256(seed), the counter-based idea of Salmon et al. (SC'11). The seed
-    is hashed as its shortest two's-complement bytes, so any int is a seed
-    and s and -s differ (Random.seed made them collide). The digest's four
-    64-bit words w give uniforms (w + 1) * 2**-64 in (0, 1]. Box-Muller on
-    the first two gives Z and the Marsaglia-Tsang candidate for
-    gamma((n-1)/2) = chi2(n-1)/2 (ACM TOMS 26(3), 2000); the third is its
-    accept test. A shape below 1 (n = 2) draws gamma(a+1) * U**(1/a), U the
-    fourth. A rejected candidate takes fresh words from sha256(digest || k).
+    sha256(key), the counter-based idea of Salmon et al. (SC'11). The
+    digest's four 64-bit words w give uniforms (w + 1) * 2**-64 in (0, 1].
+    Box-Muller on the first two gives Z and the Marsaglia-Tsang candidate
+    for gamma((n-1)/2) = chi2(n-1)/2 (ACM TOMS 26(3), 2000); the third is
+    its accept test. A shape below 1 (n = 2) draws gamma(a+1) * U**(1/a), U
+    the fourth. A rejected candidate takes fresh words from
+    sha256(digest || k), so an accepted first candidate costs one hash.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -185,8 +185,8 @@ def summary_sampler(
     d = shape + (shape < 1) - 1 / 3  # Marsaglia-Tsang's d and c, for shape + 1 below 1
     c = 1 / math.sqrt(9 * d)
 
-    def draw(mu: float, seed: int) -> tuple[float, float]:
-        digest = sha256(seed.to_bytes(seed.bit_length() // 8 + 1, "big", signed=True)).digest()
+    def draw(mu: float, key: bytes) -> tuple[float, float]:
+        digest = sha256(key).digest()
         w0, w1, w2, w3 = words(digest)
         r, t = sqrt(-2.0 * log((w0 + 1) * unit)), (w1 + 1) * turn
         mean = mu + scale * r * cos(t)

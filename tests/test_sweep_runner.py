@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
+import sys
 from operator import attrgetter
 
 import pytest
@@ -29,7 +31,7 @@ from certflight.transport_flight import (
     ANALYTIC, EMPIRICAL, MAX_GRID_POINTS, FlightModel, find_thresholds,
 )
 from certflight.ttfb_engine import (
-    DEFAULT_STACKS, NetworkPath, NoiseModel, StackProfile, estimate_ttfb, sample_ttfb,
+    DEFAULT_STACKS, NetworkPath, NoiseModel, StackProfile, estimate_ttfb, summary_sampler,
 )
 
 from reference_data import REGION_UPPERS
@@ -154,7 +156,8 @@ def test_criterion_9_csv_is_pinned():
     """The noisy sweep of acceptance criterion 9 hashes to one golden value.
 
     This pins the sampled values, and with them summary_sampler's draws:
-    sha256 of each row seed, Box-Muller and the Marsaglia-Tsang gamma. The
+    each row is drawn from sha256 of its key (no seed is derived from that
+    hash), by Box-Muller and the Marsaglia-Tsang gamma. The
     draws also run through math.log, math.cos and math.sin, which come from
     the platform's libm, as random.gauss's do. Any change to how a
     row's summary is drawn (or to those functions' last bits) must update
@@ -176,8 +179,32 @@ def test_criterion_9_csv_is_pinned():
     noise = NoiseModel("gaussian", std_ms=0.3)
     text = emit_csv(run_sweep(plan, DEFAULT_STACKS, FlightModel(mode=EMPIRICAL), noise))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ceb23ff513379cac6b9c2576ce5df156c7539efb920bf7f0184b3917161057eb"
+        "f36f9fc7961750588958ffef3b44037e1e8dbd1709d644972191913798ab4643"
     )
+
+
+def test_row_key_draws_are_unbiased_and_uncorrelated():
+    """Over 12,240 rows, each drawn from sha256 of its own key, the mean's
+    normal z = (mean_ms - total) / (sigma / sqrt(n)) has mean 0, variance 1
+    and no lag-1 correlation between consecutive rows, and (n - 1) std^2 /
+    sigma^2 has the chi2(n - 1) mean n - 1. The seed is fixed, so the test
+    is deterministic; each band is about 6 standard errors of its statistic."""
+    plan = SweepPlan(stacks=tuple(DEFAULT_STACKS), rtts_ms=tuple(range(0, 200, 10)),
+                     size_start_kb=4.0, size_end_kb=80.0, size_step_kb=0.5, trials=20, seed=2024)
+    sigma, n = 0.3, plan.trials
+    noisy = run_sweep(plan, DEFAULT_STACKS, FLIGHT, NoiseModel("gaussian", std_ms=sigma))
+    quiet = run_sweep(plan, DEFAULT_STACKS, FLIGHT, QUIET)
+    rows = len(noisy)
+    assert rows == len(quiet) == 12_240
+    z = [(row[3] - exact[3]) / (sigma / math.sqrt(n)) for row, exact in zip(noisy, quiet)]
+    chi2 = [(n - 1) * row[4] ** 2 / sigma**2 for row in noisy]
+    z_mean = sum(z) / rows
+    z_var = sum((v - z_mean) ** 2 for v in z) / (rows - 1)
+    lag1 = sum((a - z_mean) * (b - z_mean) for a, b in zip(z, z[1:])) / ((rows - 1) * z_var)
+    assert abs(z_mean) < 6 / math.sqrt(rows)
+    assert abs(z_var - 1) < 6 * math.sqrt(2 / rows)
+    assert abs(lag1) < 6 / math.sqrt(rows)
+    assert abs(sum(chi2) / rows - (n - 1)) < 6 * math.sqrt(2 * (n - 1) / rows)
 
 
 def test_optimizer_rows_shrink_the_wire_size():
@@ -305,17 +332,53 @@ def test_a_threshold_without_a_finite_region_names_itself_and_the_optimizer():
             compute_regions([10.0, 1.7e308], [optimizer])
 
 
+MTC1, MTC2, CDN25, CDN40 = DEFAULT_OPTIMIZERS
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1.0, 1e300, exclude_min=True), st.sampled_from(DEFAULT_OPTIMIZERS))
+# The closed form put these edges one ulp outside or inside their regions.
+@example(14.0, CDN40)
+@example(94.0, CDN40)
+@example(38.0, CDN25)
+@example(94.0, CDN25)
+# Adding mtc's 1 KB offset rounds a long run of tiny sizes to one wire size.
+@example(math.nextafter(1.0, 2.0), MTC1)
+@example(1.0000001, MTC2)
+def test_a_region_edge_is_the_last_float_inside_it(threshold, optimizer):
+    (region,) = compute_regions([threshold], [optimizer])
+    upper = region.upper_kb_exact
+    assert effective_size_kb(upper, optimizer) <= threshold
+    assert threshold < effective_size_kb(math.nextafter(upper, math.inf), optimizer)
+
+
+def test_region_edges_near_the_float_limit():
+    # mtc's offset leaves every finite size under 1e308 KB: no finite region.
+    for optimizer in (MTC1, MTC2):
+        with pytest.raises(ConfigError, match="no finite"):
+            compute_regions([1e308], [optimizer])
+    for optimizer in (CDN25, CDN40):
+        (region,) = compute_regions([1e308], [optimizer])
+        upper = region.upper_kb_exact
+        assert effective_size_kb(upper, optimizer) <= 1e308
+        assert 1e308 < effective_size_kb(math.nextafter(upper, math.inf), optimizer)
+    # The largest finite float itself fits cdn25 here, so the edge is that float.
+    threshold = effective_size_kb(sys.float_info.max, CDN25)
+    (region,) = compute_regions([threshold], [CDN25])
+    assert region.upper_kb_exact == sys.float_info.max
+
+
 # ------------------------------------------------------------ per-row oracle
 
 
-def _row_seed(plan_seed, stack, rtt, size, optimizer):
-    key = f"{plan_seed}|{stack}|{rtt!r}|{size!r}|{optimizer}"
-    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+def _row_key(plan_seed, stack, rtt, size, optimizer):
+    return f"{plan_seed}|{stack}|{rtt!r}|{size!r}|{optimizer}".encode()
 
 
 def oracle_rows(plan, stacks, flight, noise):
     """The sweep evaluated one row at a time, each row on its own."""
     variants = [("", None)] + [(opt.label, opt) for opt in plan.optimizers]
+    draw = summary_sampler(noise, plan.trials)
     rows = []
     for stack_name in plan.stacks:
         for rtt in plan.rtts_ms:
@@ -324,8 +387,10 @@ def oracle_rows(plan, stacks, flight, noise):
                 for label, opt in variants:
                     wire_kb = size if opt is None else effective_size_kb(size, opt)
                     estimate = estimate_ttfb(stacks[stack_name], path, wire_kb)
-                    seed = _row_seed(plan.seed, stack_name, rtt, size, label)
-                    mean, std = sample_ttfb(estimate, noise, plan.trials, seed=seed)
+                    mean, std = estimate.total_ms, 0.0
+                    if draw is not None:
+                        key = _row_key(plan.seed, stack_name, rtt, size, label)
+                        mean, std = draw(mean, key)
                     rows.append((stack_name, rtt, size, mean, std, estimate.extra_rtts, label))
     return rows
 
