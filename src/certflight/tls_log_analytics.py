@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
@@ -169,12 +170,17 @@ ENDPOINT_CLASSES = (CLASS_CDN, CLASS_CLOUD, CLASS_NONCDN, CLASS_UNIDENTIFIED)
 
 
 class AsnMap:
-    """Longest-prefix IP-to-ASN map with CDN and cloud ASN sets.
+    """IP-to-ASN map with CDN and cloud ASN sets; the narrowest entry wins.
 
     Entries are (network, asn, org) where network is a CIDR string or an
     inclusive "start-end" address range (ranges are split into covering
-    prefixes). Lookups probe prefix lengths from most to least specific,
-    so nested allocations resolve to the narrowest entry.
+    prefixes). A network listed more than once keeps its last row. The
+    map is built into one sorted boundary table per address family: the
+    points where the narrowest entry holding an address can change
+    (address 0, each network's first address, and the address after its
+    last), as packed big-endian bytes, each with the (asn, org) and class
+    of the interval it starts. Packed bytes of one length order as the
+    addresses do, so a lookup is one bisect whatever the prefix lengths.
     """
 
     def __init__(
@@ -183,19 +189,21 @@ class AsnMap:
         cdn_asns: Iterable[int] = (),
         cloud_asns: Iterable[int] = (),
     ):
-        tables: dict[int, dict[int, dict[int, tuple[int, str]]]] = {4: {}, 6: {}}
-        for network, asn, org in entries:
-            for net in _parse_networks(network):
-                table = tables[net.version]
-                table.setdefault(net.prefixlen, {})[int(net.network_address)] = (int(asn), org)
-        # Per version, (mask, table) for each prefix length, most specific first.
-        self._probes = {
-            v: [(((1 << plen) - 1) << (bits - plen), tables[v][plen])
-                for plen in sorted(tables[v], reverse=True)]
-            for v, bits in ((4, 32), (6, 128))
-        }
         self.cdn_asns = frozenset(int(a) for a in cdn_asns)
         self.cloud_asns = frozenset(int(a) for a in cloud_asns)
+        # Per address width, first address << 8 | prefix length -> (asn, org),
+        # so that keys sort by address, wider first; a later row overwrites.
+        nets: dict[int, dict[int, tuple[int, str]]] = {32: {}, 128: {}}
+        for network, asn, org in entries:
+            for net in _parse_networks(network):
+                key = int(net.network_address) << 8 | net.prefixlen
+                nets[net.max_prefixlen][key] = (int(asn), org)
+        # Per packed length: the interval starts, and each interval's (asn, org) and class.
+        self._starts, self._hits, self._classes = {}, {}, {}
+        for bits, table in nets.items():
+            size = bits // 8
+            self._starts[size], self._hits[size] = _boundaries(table, bits)
+            self._classes[size] = [self._class(hit) for hit in self._hits[size]]
 
     @classmethod
     def from_files(cls, map_csv, cdn_file=None, cloud_file=None) -> "AsnMap":
@@ -205,48 +213,78 @@ class AsnMap:
             cloud_asns=load_asn_list(cloud_file) if cloud_file else (),
         )
 
-    def lookup(self, ip: str) -> tuple[int, str] | None:
-        """The (asn, org) of the narrowest entry holding ip; None if no entry
-        does or ip is not an address that ipaddress.ip_address reads."""
-        address = _address(ip)
-        if address is None:
-            return None
-        version, value = address
-        for mask, table in self._probes[version]:
-            hit = table.get(value & mask)
-            if hit is not None:
-                return hit
-        return None
-
-    def classify(self, ip: str) -> str:
-        hit = self.lookup(ip)
+    def _class(self, hit: tuple[int, str] | None) -> str:
         if hit is None:
             return CLASS_UNIDENTIFIED
-        asn = hit[0]
-        if asn in self.cdn_asns:
+        if hit[0] in self.cdn_asns:
             return CLASS_CDN
-        if asn in self.cloud_asns:
+        if hit[0] in self.cloud_asns:
             return CLASS_CLOUD
         return CLASS_NONCDN
 
+    def _interval(self, ip: str) -> tuple[int, int] | None:
+        """(packed length, index of the interval holding ip), or None if ip is
+        not an address that ipaddress.ip_address reads. inet_pton reads the
+        common forms several times faster; what it refuses goes to
+        ipaddress, which also reads a scoped fe80::1%eth0."""
+        try:
+            return 4, bisect_right(self._starts[4], inet_pton(AF_INET, ip)) - 1
+        except (OSError, ValueError):  # ValueError: a NUL or, as UnicodeEncodeError, a lone surrogate
+            pass
+        try:
+            return 16, bisect_right(self._starts[16], inet_pton(AF_INET6, ip)) - 1
+        except (OSError, ValueError):
+            pass
+        try:
+            packed = ipaddress.ip_address(ip).packed
+        except ValueError:
+            return None
+        return len(packed), bisect_right(self._starts[len(packed)], packed) - 1
 
-def _address(ip: str) -> tuple[int, int] | None:
-    """(version, integer value) of an IP address string, as ipaddress.ip_address
-    reads it, or None. inet_pton reads the common forms several times faster;
-    what it refuses goes to ipaddress, which also reads a scoped fe80::1%eth0."""
-    try:
-        return 4, int.from_bytes(inet_pton(AF_INET, ip), "big")
-    except (OSError, ValueError):  # ValueError: a NUL or, as UnicodeEncodeError, a lone surrogate
-        pass
-    try:
-        return 6, int.from_bytes(inet_pton(AF_INET6, ip), "big")
-    except (OSError, ValueError):
-        pass
-    try:
-        addr = ipaddress.ip_address(ip)
-    except ValueError:
-        return None
-    return addr.version, int(addr)
+    def lookup(self, ip: str) -> tuple[int, str] | None:
+        """The (asn, org) of the narrowest entry holding ip; None if no entry
+        does or ip is not an address that ipaddress.ip_address reads."""
+        at = self._interval(ip)
+        return None if at is None else self._hits[at[0]][at[1]]
+
+    def classify(self, ip: str) -> str:
+        at = self._interval(ip)
+        return CLASS_UNIDENTIFIED if at is None else self._classes[at[0]][at[1]]
+
+
+def _boundaries(nets: dict[int, tuple[int, str]], bits: int) -> tuple[list[bytes], list]:
+    """The starts of the intervals over all addresses `bits` wide, as packed
+    bytes in address order, and per interval the value of the narrowest
+    network holding it (None where none does). nets maps first address << 8
+    | prefix length to a value. Prefixes nest or are disjoint, so the
+    networks holding the sweep point form a stack, narrowest on top."""
+    top, size = 1 << bits, bits // 8
+    starts: list[bytes] = [bytes(size)]
+    values: list[tuple[int, str] | None] = [None]
+    # (end, value) of the networks holding the sweep point, narrowest last.
+    held: list[tuple[int, tuple[int, str]]] = []
+
+    def mark(point: int, value: tuple[int, str] | None) -> None:
+        start = point.to_bytes(size, "big")
+        if start == starts[-1]:
+            values[-1] = value
+        else:
+            starts.append(start)
+            values.append(value)
+
+    def close(before: int) -> None:
+        while held and held[-1][0] <= before:
+            end = held.pop()[0]
+            if end < top:
+                mark(end, held[-1][1] if held else None)
+
+    for key in sorted(nets):
+        first = key >> 8
+        close(first)
+        mark(first, nets[key])
+        held.append((first + (1 << bits - (key & 255)), nets[key]))
+    close(top)
+    return starts, values
 
 
 def _parse_networks(spec: str) -> list:

@@ -184,6 +184,15 @@ def summary_sampler(
     shape = dof / 2  # chi2(dof) = 2 * gamma(dof / 2)
     d = shape + (shape < 1) - 1 / 3  # Marsaglia-Tsang's d and c, for shape + 1 below 1
     c = 1 / math.sqrt(9 * d)
+    # A uniform is at least 2**-64, so |Z| and |x| are at most r_max = sqrt(128 ln 2),
+    # and the gamma draw at most d * (1 + c * r_max)**3: refuse a sigma whose
+    # largest draw overflows a float, before any is drawn.
+    r_max = sqrt(-2.0 * log(unit))
+    v_max = 1.0 + c * r_max
+    if not (scale * r_max < math.inf
+            and (not dof or sigma * sqrt(2.0 * (d * (v_max * v_max * v_max)) / dof) < math.inf)):
+        raise ConfigError(f"noise.std_ms {sigma!r} is too large: a {trials}-trial draw "
+                          "could overflow a float")
 
     def draw(mu: float, key: bytes) -> tuple[float, float]:
         digest = sha256(key).digest()

@@ -605,6 +605,19 @@ def test_seed_flag_changes_noise_only(tmp_path, capsys):
     assert row_a[5] == row_b[5] == "0"  # same structure
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("trials", ["1", "100"])
+def test_a_noise_sigma_a_draw_could_overflow_is_refused_before_any_row(tmp_path, capsys,
+                                                                        trials, fmt):
+    path = tmp_path / "big.json"
+    path.write_text('{"noise": {"kind": "gaussian", "std_ms": 1.7e308}}')
+    code, out, err = run(capsys, "--config", str(path), "--seed", "1", "sweep", "--trials", trials,
+                         "--rtts", "10", "--stacks", "ClassicalSim", "--sizes", "4:80:1",
+                         "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: noise.std_ms 1.7e+308 ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("estimate", "--rtt", "10", "--size-kb", "-1"),
     ("thresholds", "--step-kb", "0"),

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -62,12 +63,12 @@ _PIECES = [",", ",,", "#", '"', " ", "\ufeff", "\x00", "inf", "nan", "1e400", "-
 
 
 @st.composite
-def _mutated(draw, text):
+def _mutated(draw, text, pieces=_PIECES):
     """text with lines deleted, repeated, spliced or replaced by drawn ones."""
     lines = text.splitlines()
     line = st.one_of(
         st.sampled_from(lines),
-        st.lists(st.sampled_from(_PIECES + lines), max_size=4).map("".join),
+        st.lists(st.sampled_from(pieces + lines), max_size=4).map("".join),
         st.text(max_size=20),
     )
     for _ in range(draw(st.integers(0, 4))):
@@ -117,3 +118,55 @@ def test_a_user_table_is_read_or_refused_naming_it(tmp_path_factory, case, want)
     else:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+# Pieces of Zeek TSV and JSON-lines logs, for splicing into the packaged sample.
+_LOG_PIECES = ["\t", "#fields\tts\tid.resp_h\tversion\tresumed", "#", "-", "(empty)", "{",
+               "}", '{"ts": 1e400}', '"id.resp_h": ', "T", "F", "TLSv1.3", "1735690000",
+               "nan", "-inf", "1e300", "253402300800", "fe80::1%eth0", "::ffff:104.16.1.1",
+               "\x00", "\ufeff"]
+
+
+@st.composite
+def _fields_replaced(draw, text, pieces):
+    """text with a few of its tab-separated fields replaced by drawn pieces."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split("\t")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(pieces))
+        lines[i] = "\t".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+_LOGS = st.one_of(
+    st.binary(max_size=4096),
+    _fields_replaced(Path(_SAMPLE_LOG).read_text(), _PIECES + _LOG_PIECES).flatmap(
+        lambda text: _mutated(text, _PIECES + _LOG_PIECES)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LOGS)
+@example(b"")
+@example(b"\xff\xfe\x00\n")
+@example(b'{"ts": 1735690000, "id.resp_h": "104.16.1.1", "resumed": true}\n{"ts": NaN}\n')
+def test_an_analyzed_log_is_read_or_refused_in_one_line(tmp_path_factory, data):
+    """Any log bytes run analyze to exit 0 and JSON without NaN or Infinity, or
+    end with exit 1, no output and one error line."""
+    path = tmp_path_factory.mktemp("log") / "ssl.log"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", "--logs", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1)
+    if code == 0:
+        assert err == ""
+        json.loads(out, parse_constant=_refuse_constant)
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -300,21 +300,43 @@ _LOOKUP_ENTRIES = load_asn_entries(Config().resolve_asn_paths()[0]) + [
     ("2001:db8::/32", 64500, "DOC"), ("2001:db8:1::/48", 64501, "DOC-1"),
     ("fe80::/10", 64502, "LINK"), ("::ffff:0:0/96", 64503, "MAPPED"),
 ]
-_LOOKUP_NETS = [ipaddress.ip_network(n, strict=False) for n, _, _ in _LOOKUP_ENTRIES]
 _LOOKUP_MAP = AsnMap(_LOOKUP_ENTRIES)
 
 
-def _lookup_oracle(ip):
-    """The narrowest entry holding ip, read by ipaddress alone."""
+def _oracle_rows(entries):
+    """(network, (asn, org)) per network of each entry, in row order, read by ipaddress alone."""
+    rows = []
+    for spec, asn, org in entries:
+        if "-" in spec:
+            start, end = map(ipaddress.ip_address, spec.split("-"))
+            nets = ipaddress.summarize_address_range(start, end)
+        else:
+            nets = [ipaddress.ip_network(spec, strict=False)]
+        rows += [(net, (asn, org)) for net in nets]
+    return rows
+
+
+def _narrowest(rows, ip):
+    """The (asn, org) of the narrowest network holding ip, the last row among
+    equals; None if none does or ipaddress does not read ip."""
     try:
         addr = ipaddress.ip_address(ip)
     except ValueError:
         return None
     best = None
-    for net, (_, asn, org) in zip(_LOOKUP_NETS, _LOOKUP_ENTRIES):
+    for net, hit in rows:
         if addr in net and (best is None or net.prefixlen >= best[0]):
-            best = (net.prefixlen, (asn, org))
+            best = (net.prefixlen, hit)
     return best and best[1]
+
+
+_LOOKUP_ROWS = _oracle_rows(_LOOKUP_ENTRIES)
+_LOOKUP_NETS = [net for net, _ in _LOOKUP_ROWS]
+
+
+def _lookup_oracle(ip):
+    """The narrowest entry holding ip, read by ipaddress alone."""
+    return _narrowest(_LOOKUP_ROWS, ip)
 
 
 def _address_forms(addr):
@@ -350,6 +372,69 @@ _ADDRESSES = st.one_of(
 @example("0x1.1.1.1")
 def test_lookup_reads_addresses_as_ipaddress_does(ip):
     assert _LOOKUP_MAP.lookup(ip) == _lookup_oracle(ip)
+
+
+@st.composite
+def _nested_maps(draw):
+    """Map entries of both families whose networks nest: prefixes of a few
+    base addresses (the ends of the space among them), the default routes,
+    host routes, start-end ranges and a network repeated with another ASN."""
+    entries = []
+    for cls, bits in ((ipaddress.IPv4Address, 32), (ipaddress.IPv6Address, 128)):
+        top = 2**bits - 1
+        bases = draw(st.lists(st.one_of(st.sampled_from([0, top]), st.integers(0, top)),
+                              min_size=1, max_size=3))
+        for _ in range(draw(st.integers(0, 6))):
+            base, plen = draw(st.sampled_from(bases)), draw(st.integers(0, bits))
+            first = base >> (bits - plen) << (bits - plen)
+            entries.append((f"{cls(first)}/{plen}", draw(st.integers(1, 4)), f"ORG{len(entries)}"))
+        for _ in range(draw(st.integers(0, 2))):
+            start = draw(st.sampled_from(bases))
+            end = min(top, start + draw(st.integers(0, 2**draw(st.integers(0, bits)))))
+            spec = f"{cls(start)}-{cls(end)}"
+            entries.append((spec, draw(st.integers(1, 4)), f"ORG{len(entries)}"))
+    if entries and draw(st.booleans()):
+        network, asn, org = draw(st.sampled_from(entries))
+        entries.append((network, asn % 4 + 1, org + "-AGAIN"))
+    return draw(st.permutations(entries))
+
+
+def _spellings(addr):
+    """Spellings of one address that ipaddress reads, scoped ones among them."""
+    if addr.version == 4:
+        return [str(addr), f"::ffff:{addr}", f"::FFFF:{addr}"]
+    return [str(addr), str(addr).upper(), addr.exploded, f"{addr}%eth0"]
+
+
+_ENDS = ["0.0.0.0/0", "255.255.255.255/32", "::/0", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nested_maps())
+@example([("0.0.0.0/0", 1, "ALL"), ("::/0", 2, "ALL6")])
+@example([(net, asn, "END") for asn, net in enumerate(_ENDS, 1)])
+@example([("255.255.255.0/24", 1, "TOP"), ("255.255.255.255/32", 2, "HOST"),
+          ("255.255.255.254-255.255.255.255", 3, "RANGE"), ("255.255.255.255/32", 4, "AGAIN")])
+@example([("ffff::/16", 1, "TOP6"), ("ffff:ffff:ffff:ffff:ffff:ffff:ffff:fffe/127", 2, "TOP6-127")])
+def test_lookup_and_classify_read_the_boundary_table_as_ipaddress_does(entries):
+    """At each network's first and last address and one past each, in several
+    spellings, lookup and classify agree with the narrowest network holding
+    the address, the last row winning among equals."""
+    asn_map = AsnMap(entries, cdn_asns=[1], cloud_asns=[2])
+    rows = _oracle_rows(entries)
+    classes = {None: CLASS_UNIDENTIFIED, 1: CLASS_CDN, 2: CLASS_CLOUD, 3: CLASS_NONCDN,
+               4: CLASS_NONCDN}
+    probes = set()
+    for net, _ in rows:
+        first, last = int(net.network_address), int(net.broadcast_address)
+        for value in (first - 1, first, last, last + 1):
+            if 0 <= value < 2**net.max_prefixlen:
+                probes.add(type(net.network_address)(value))
+    for addr in probes:
+        for ip in _spellings(addr):
+            want = _narrowest(rows, ip)
+            assert asn_map.lookup(ip) == want, ip
+            assert asn_map.classify(ip) == classes[want and want[0]], ip
 
 
 def test_classify():

@@ -1,6 +1,12 @@
+import contextlib
+import io
+import json
 import math
 import random
 import statistics
+import struct
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +22,7 @@ from certflight.ttfb_engine import (
     estimate_ttfb,
     resolve_stack,
     sample_ttfb,
+    summary_sampler,
 )
 
 from reference_data import (
@@ -215,6 +222,74 @@ def test_any_int_is_a_seed():
     summaries = [sample_ttfb(est, noise, 10, seed=seed) for seed in seeds]
     assert all(math.isfinite(value) for summary in summaries for value in summary)
     assert len(set(summaries)) == len(seeds)
+
+
+def _largest_accepted_std_ms(trials):
+    """The largest std_ms summary_sampler takes for trials, bisected over the
+    bit patterns of the positive floats, which order as the floats do."""
+    as_bits = lambda x: struct.unpack(">q", struct.pack(">d", x))[0]
+    as_float = lambda b: struct.unpack(">d", struct.pack(">q", b))[0]
+
+    def accepted(bits):
+        try:
+            summary_sampler(NoiseModel("gaussian", std_ms=as_float(bits)), trials)
+        except ConfigError:
+            return False
+        return True
+
+    lo, hi = as_bits(1.0), as_bits(sys.float_info.max)
+    assert accepted(lo) and not accepted(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    return as_float(lo)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 100, 10**6])
+def test_the_largest_noise_sigma_taken_draws_finite_extremes(monkeypatch, trials):
+    """At the largest std_ms the sampler takes, the digests that give the
+    extreme normals (|Z| or |x| = sqrt(128 ln 2), words 0) still draw finite
+    summaries; one float more is refused, naming the key."""
+    import hashlib
+
+    sigma = _largest_accepted_std_ms(trials)
+    assert sigma > 1e306
+    real = hashlib.sha256
+    # t = (w1 + 1) * 2**-64 * 2 pi at 2 pi, pi, pi / 2 and 3 pi / 2: cos = 1 and -1, sin = 1 and -1.
+    for w1 in (2**64 - 1, 2**63 - 1, 2**62 - 1, 3 * 2**62 - 1):
+        digest = struct.pack(">4Q", 0, w1, 0, 2**64 - 1)
+        monkeypatch.setattr(hashlib, "sha256", lambda data: (
+            SimpleNamespace(digest=lambda: digest) if data == b"k" else real(data)))
+        draw = summary_sampler(NoiseModel("gaussian", std_ms=sigma), trials)
+        for mu in (0.0, 100.0):
+            mean, std = draw(mu, b"k")
+            assert math.isfinite(mean) and math.isfinite(std), (w1, mu, mean, std)
+    with pytest.raises(ConfigError, match=r"^noise\.std_ms "):
+        summary_sampler(NoiseModel("gaussian", std_ms=math.nextafter(sigma, math.inf)), trials)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("trials", [1, 100])
+def test_a_sweep_just_under_the_noise_limit_prints_finite_rows(tmp_path, trials, fmt):
+    from certflight.cli import main
+
+    config = tmp_path / "noise.json"
+    sigma = _largest_accepted_std_ms(trials)
+    config.write_text(json.dumps({"noise": {"kind": "gaussian", "std_ms": sigma}}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--config", str(config), "--seed", "1", "sweep", "--trials", str(trials),
+                     "--rtts", "10", "--stacks", "ClassicalSim", "--sizes", "4:80:1",
+                     "--format", fmt])
+    assert code == 0
+    if fmt == "json":
+        rows = json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(name))
+        values = [row[key] for row in rows for key in ("mean_ms", "std_ms")]
+    else:
+        values = [float(cell) for line in out.getvalue().splitlines()[1:]
+                  for cell in line.split(",")[3:5]]
+    assert len(values) == 2 * 77 and all(map(math.isfinite, values))
+    assert max(map(abs, values)) > 1e300
 
 
 def test_calibration_recovers_synthetic_profile_exactly():
