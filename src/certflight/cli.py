@@ -23,7 +23,7 @@ from operator import attrgetter
 from . import chain_model
 from .chain_model import ChainSpec, SizeOptimizer, chain_size_kb, resolve_scheme
 from .config import Config, resolve_config
-from .errors import ConfigError
+from .errors import ConfigError, LogFormatError
 from .transport_flight import ANALYTIC, EMPIRICAL, find_thresholds, grid_points
 from .ttfb_engine import NetworkPath, calibrate_stack_profile, estimate_ttfb, resolve_stack
 
@@ -271,8 +271,11 @@ def cmd_analyze(args, cfg: Config) -> int:
     stats = tla.ParseStats()
     logs = (contextlib.nullcontext(sys.stdin) if args.logs == "-"
             else open(args.logs, encoding="utf-8", errors="replace"))
-    with logs as f:
-        series = tla.time_series(tla.parse_log_stream(f, stats=stats), asn_map)
+    try:
+        with logs as f:
+            series = tla.time_series(tla.parse_log_stream(f, stats=stats), asn_map)
+    except LogFormatError as e:
+        raise LogFormatError(f"{'<stdin>' if args.logs == '-' else args.logs}: {e}") from None
     aggregated = tla.class_totals(series)
     # Every bucket holds at least one record, so both of its rates are defined.
     correlations = {

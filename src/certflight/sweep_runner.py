@@ -31,7 +31,8 @@ from .errors import ConfigError
 from .tables import write_csv
 from .transport_flight import FlightModel, extra_rtts
 from .ttfb_engine import (
-    NetworkPath, NoiseModel, StackProfile, estimate_ttfb, summary_sampler, ttfb_total_ms,
+    MAX_NORMAL, NetworkPath, NoiseModel, StackProfile, estimate_ttfb, summary_sampler,
+    ttfb_total_ms,
 )
 
 SWEEP_FIELDS = ("stack", "rtt_ms", "size_kb", "mean_ms", "std_ms", "extra_rtts", "optimizer")
@@ -56,7 +57,8 @@ def sweep_records(
     optimizer, keyed by the raw size but charged the optimized size's
     round trips. A row's draws come from sha256 of its key, the bytes of
     f"{seed}|{stack}|{rtt!r}|{size!r}|{label}". This call checks every stack,
-    rtt, size and total before it returns, so the generator itself raises nothing.
+    rtt, size and total, and that no total plus its largest noise draw
+    overflows, before it returns, so the generator itself raises nothing.
     """
     missing = [name for name in plan.stacks if name not in stacks]
     if missing:
@@ -83,7 +85,13 @@ def sweep_records(
             head = f"{plan.seed}|{name}|{rtt!r}|".encode()
             totals = {e: ttfb_total_ms(stack.base_ms, stack.base_flights + e, rtt) for e in extras}
             lines.append((name, rtt, head, totals))
-    return _records(lines, cells, summary_sampler(noise, plan.trials))
+    draw = summary_sampler(noise, plan.trials)
+    if draw is not None:
+        top = max((t for *_, totals in lines for t in totals.values()), default=0.0)
+        if not top + noise.std_ms / math.sqrt(plan.trials) * MAX_NORMAL < math.inf:
+            raise ConfigError(f"noise.std_ms {noise.std_ms!r} is too large for a mean of "
+                              f"{top!r} ms: a {plan.trials}-trial draw could overflow a float")
+    return _records(lines, cells, draw)
 
 
 def _records(lines, cells, draw):

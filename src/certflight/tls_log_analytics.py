@@ -40,26 +40,56 @@ FIELDS = ("ts", "id.resp_h", "version", "resumed")
 
 _UNSET = {"", "-", "(empty)"}
 _TLS13 = {"tlsv1.3", "tls1.3", "tlsv13"}
-_TRUE = {"t", "true", "1", "yes"}
-_FALSE = {"f", "false", "0", "no"}
+# A resumed value, lowercased: (resumed, known).
+_RESUMED = {**dict.fromkeys(("t", "true", "1", "yes"), (True, True)),
+            **dict.fromkeys(("f", "false", "0", "no"), (False, True))}
 
 
 # The epoch timestamps datetime can represent, so month_key never fails.
 _TS_MIN = datetime.min.replace(tzinfo=timezone.utc).timestamp()
 _TS_MAX = datetime.max.replace(tzinfo=timezone.utc).timestamp()
 
+# The most entries a memo holds: a full one is cleared before its next entry,
+# so memory does not grow with the number of distinct values in a log.
+MEMO_LIMIT = 1 << 16
 
-def _parse_bool(raw) -> bool | None:
+
+class _Memo(dict):
+    """memo[key] is fn(key), worked out on the first lookup of key and then
+    read from the dict, until MEMO_LIMIT entries fill it and it is cleared."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        if len(self) >= MEMO_LIMIT:
+            self.clear()
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _address(raw) -> str:
+    """The stripped address, or "" where the field is unset or not a string,
+    which makes the line malformed."""
+    if not isinstance(raw, str):
+        return ""
+    ip = raw.strip()
+    return "" if ip in _UNSET else ip
+
+
+def _tls13(version: str | None) -> bool:
+    """Whether a version (None where absent) is TLS 1.3, in any case with blanks around."""
+    return version is not None and version.strip().lower() in _TLS13
+
+
+def _resumption(raw) -> tuple[bool, bool]:
+    """(resumed, known): a JSON bool, or a true or false spelling in any case
+    with blanks around; (False, False) for anything else, None among them."""
     if isinstance(raw, bool):
-        return raw
+        return raw, True
     if raw is None:
-        return None
-    s = str(raw).strip().lower()
-    if s in _TRUE:
-        return True
-    if s in _FALSE:
-        return False
-    return None
+        return False, False
+    return _RESUMED.get(str(raw).strip().lower(), (False, False))
 
 
 def _columns(names: Sequence[str]) -> tuple[int, itemgetter]:
@@ -70,25 +100,20 @@ def _columns(names: Sequence[str]) -> tuple[int, itemgetter]:
     return len(names), itemgetter(*(pos.get(name, -1) for name in FIELDS))
 
 
-def _record(ts, ip, version, resumed, stats: ParseStats) -> Record | None:
-    """A record from raw field values (TSV strings, JSON values, or None
-    where absent), or None if the values make the line malformed."""
+def _json_fields(line: str) -> tuple | None:
+    """(raw ts, address, tls13, resumed, known) of a JSON line, the last four
+    read as a TSV line's are; None if the line is not an object or a value
+    has the wrong type."""
     try:
-        timestamp = float(ts)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge JSON integer
+        row = json.loads(line)
+    except (ValueError, RecursionError):  # not JSON, too long an integer, too deep
         return None
-    if isinstance(ts, bool) or not _TS_MIN <= timestamp < _TS_MAX:  # a bool or NaN
+    if not isinstance(row, dict):
         return None
-    if not isinstance(ip, str) or ip.strip() in _UNSET:
+    ts, ip, version, resumed = map(row.get, FIELDS)
+    if isinstance(ts, bool) or not (version is None or isinstance(version, str)):
         return None
-    if version is not None and not isinstance(version, str):
-        return None
-    resumed = _parse_bool(resumed)
-    if resumed is None:
-        stats.resumption_unknown += 1
-        resumed = False
-    tls13 = version is not None and version.strip().lower() in _TLS13
-    return timestamp, ip.strip(), tls13, resumed
+    return (ts, _address(ip), _tls13(version), *_resumption(resumed))
 
 
 def parse_log_stream(
@@ -119,39 +144,60 @@ def parse_log_stream(
     resumption_unknown. If more than half of all data lines are
     malformed the stream itself is considered unreadable and
     LogFormatError is raised once the stream is exhausted.
+
+    A TSV line's address, version and resumed strings are each read once
+    per distinct value, through a memo of at most MEMO_LIMIT entries per
+    field; its timestamp is read on every line. The counts are added to
+    stats when the stream ends or is closed.
     """
     if stats is None:
         stats = ParseStats()
     width, pick = _columns((*FIELDS, "server_name"))
-
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            # Zeek metadata; a #fields header overrides column order.
-            if line.startswith("#fields"):
-                width, pick = _columns(line.split("\t")[1:])
-            continue
-        stats.data_lines += 1
-        record = None
-        if line.lstrip().startswith("{"):
-            try:
-                row = json.loads(line)
-            except (ValueError, RecursionError):  # not JSON, too long an integer, too deep
-                row = None
-            if isinstance(row, dict):
-                record = _record(*map(row.get, FIELDS), stats)
-        else:
-            parts = line.split("\t")
-            if len(parts) == width:
+    addresses, versions, resumptions = _Memo(_address), _Memo(_tls13), _Memo(_resumption)
+    data_lines = records = malformed = unknown = 0
+    try:
+        for line in lines:
+            line = line.rstrip("\n")
+            head = line.lstrip()
+            if not head:
+                continue
+            if line[0] == "#":
+                # Zeek metadata; a #fields header overrides column order.
+                if line.startswith("#fields"):
+                    width, pick = _columns(line.split("\t")[1:])
+                continue
+            data_lines += 1
+            if head[0] == "{":
+                fields = _json_fields(line)
+                if fields is None:
+                    malformed += 1
+                    continue
+                ts, ip, tls13, resumed, known = fields
+            else:
+                parts = line.split("\t")
+                if len(parts) != width:
+                    malformed += 1
+                    continue
                 parts.append(None)  # read by a column the header lacks
-                record = _record(*pick(parts), stats)
-        if record is None:
-            stats.malformed += 1
-            continue
-        stats.records += 1
-        yield record
+                ts, ip, version, resumed = pick(parts)
+                ip, tls13 = addresses[ip], versions[version]
+                resumed, known = resumptions[resumed]
+            try:
+                timestamp = float(ts)
+            except (TypeError, ValueError, OverflowError):  # OverflowError: a huge JSON integer
+                malformed += 1
+                continue
+            if not (ip and _TS_MIN <= timestamp < _TS_MAX):  # the range test also fails for NaN
+                malformed += 1
+                continue
+            unknown += not known
+            records += 1
+            yield timestamp, ip, tls13, resumed
+    finally:
+        stats.data_lines += data_lines
+        stats.records += records
+        stats.malformed += malformed
+        stats.resumption_unknown += unknown
 
     if stats.data_lines and stats.malformed > stats.records:
         raise LogFormatError(
@@ -204,6 +250,7 @@ class AsnMap:
             size = bits // 8
             self._starts[size], self._hits[size] = _boundaries(table, bits)
             self._classes[size] = [self._class(hit) for hit in self._hits[size]]
+        self._class_of = _Memo(self._classify)
 
     @classmethod
     def from_files(cls, map_csv, cdn_file=None, cloud_file=None) -> "AsnMap":
@@ -248,6 +295,12 @@ class AsnMap:
         return None if at is None else self._hits[at[0]][at[1]]
 
     def classify(self, ip: str) -> str:
+        """The endpoint class of ip: that of the narrowest entry holding it,
+        Unidentified if none does or ip is not an address. Each distinct ip
+        is looked up once, through a memo of at most MEMO_LIMIT entries."""
+        return self._class_of[ip]
+
+    def _classify(self, ip: str) -> str:
         at = self._interval(ip)
         return CLASS_UNIDENTIFIED if at is None else self._classes[at[0]][at[1]]
 

@@ -147,6 +147,12 @@ def sample_ttfb(
     return (estimate.total_ms, 0.0) if draw is None else draw(estimate.total_ms, key)
 
 
+# The largest |Z| summary_sampler draws: a uniform is at least 2**-64, so
+# Box-Muller's radius is at most sqrt(128 ln 2). A draw's mean is at most
+# mu + std_ms / sqrt(trials) * MAX_NORMAL, computed in that order.
+MAX_NORMAL = math.sqrt(-2.0 * math.log(2.0**-64))
+
+
 def summary_sampler(
     noise: NoiseModel, trials: int
 ) -> Callable[[float, bytes], tuple[float, float]] | None:
@@ -184,12 +190,11 @@ def summary_sampler(
     shape = dof / 2  # chi2(dof) = 2 * gamma(dof / 2)
     d = shape + (shape < 1) - 1 / 3  # Marsaglia-Tsang's d and c, for shape + 1 below 1
     c = 1 / math.sqrt(9 * d)
-    # A uniform is at least 2**-64, so |Z| and |x| are at most r_max = sqrt(128 ln 2),
-    # and the gamma draw at most d * (1 + c * r_max)**3: refuse a sigma whose
-    # largest draw overflows a float, before any is drawn.
-    r_max = sqrt(-2.0 * log(unit))
-    v_max = 1.0 + c * r_max
-    if not (scale * r_max < math.inf
+    # |Z| and |x| are at most MAX_NORMAL, and the gamma draw at most
+    # d * (1 + c * MAX_NORMAL)**3: refuse a sigma whose largest draw overflows
+    # a float, before any is drawn.
+    v_max = 1.0 + c * MAX_NORMAL
+    if not (scale * MAX_NORMAL < math.inf
             and (not dof or sigma * sqrt(2.0 * (d * (v_max * v_max * v_max)) / dof) < math.inf)):
         raise ConfigError(f"noise.std_ms {sigma!r} is too large: a {trials}-trial draw "
                           "could overflow a float")

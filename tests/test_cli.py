@@ -365,6 +365,114 @@ def test_analyze_loses_only_a_leading_partial_line(tmp_path, capsys, text, recor
     assert (parse["records"], parse["malformed"]) == (records, 1)
 
 
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["path", "stdin"])
+def test_an_unreadable_log_is_one_error_line_naming_it(tmp_path, capsys, monkeypatch,
+                                                        from_stdin):
+    import io
+
+    path = tmp_path / "g.log"
+    path.write_text("hello\nworld\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+    code, out, err = run(capsys, "analyze", "--logs", "-" if from_stdin else str(path))
+    assert (code, out) == (1, "")
+    name = "<stdin>" if from_stdin else str(path)
+    assert err == (f"error: {name}: 2 of 2 lines are malformed; "
+                   "stream does not look like a TLS log in the expected format\n")
+
+
+def _tsv(*rows):
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+def _class_totals(payload):
+    return {cls: stats["total"] for cls, stats in payload["classes"].items()}
+
+
+def _row(ts, ip):
+    """A five-column line's fields: a resumed TLS 1.3 connection to ip at ts."""
+    return (ts, ip, "TLSv1.3", "T", "-")
+
+
+_FIVE_COLUMNS = _tsv(("1735690000", "104.16.1.1", "TLSv1.3", "T", "any text"),
+                     ("1735690100", "52.1.1.1", "tls1.2", "F", '{"sni": [1]}'),
+                     ("1735690200", "8.8.8.1", "TLSV13", "-", "-"))
+_FOUR_FIELDS = "#fields\tts\tid.resp_h\tversion\tresumed\n" + _tsv(
+    *(line.split("\t")[:4] for line in _FIVE_COLUMNS.splitlines()))
+_ENDS_MAP = ("network,asn,org\n0.0.0.0/0,64500,ALL4\n255.255.255.255/32,13335,TOP\n"
+             "::/0,64501,ALL6\n2001:db8::/32,16509,DOC\n2001:db8::/32,13335,DOC-AGAIN\n")
+
+
+def _check_cut_stream(result, analyze):
+    parse = json.loads(result[1])["parse"]
+    assert (parse["records"], parse["malformed"]) == (4, 1)
+
+
+def _check_odd_addresses(result, analyze):
+    assert _class_totals(json.loads(result[1])) == {
+        "CDN": 1, "Cloud": 1, "NonCDN": 0, "Unidentified": 3}
+
+
+def _check_map_ends(result, analyze):
+    assert _class_totals(json.loads(result[1])) == {
+        "CDN": 2, "Cloud": 0, "NonCDN": 4, "Unidentified": 0}
+
+
+def _check_same_as_four_fields(result, analyze):
+    assert result == analyze(_FOUR_FIELDS)
+    assert result[0] == 0
+
+
+def _check_one_error_line(result, analyze):
+    code, out, err = result
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _check_edge_months(result, analyze):
+    assert json.loads(result[1])["months"] == {"CDN": ["2024-01", "2024-02"], "Cloud": ["1970-01"]}
+
+
+# The analyze checks of the installed-package step in .github/workflows/tests.yml,
+# each run here through main on stdin in a temp directory.
+@pytest.mark.parametrize("stdin, asn_map, check", [
+    ("".join(json.dumps({"ts": 1735690000 + i, "id.resp_h": "104.16.1.1", "version": "TLSv1.3",
+                         "resumed": True}) + "\n" for i in range(5))[29:],  # tail -c +30
+     None, _check_cut_stream),
+    (_tsv(*(_row("1735690000", ip) for ip in (
+        "104.16.1.1", "fe80::1%eth0", "::ffff:104.16.1.1", "010.1.1.1", "8.8.8.1"))),
+     None, _check_odd_addresses),
+    (_tsv(*(_row("1735690000", ip) for ip in (
+        "0.0.0.0", "255.255.255.255", "255.255.255.254", "::", "2001:db8::1", "fe80::1%eth0"))),
+     _ENDS_MAP, _check_map_ends),
+    (_FIVE_COLUMNS, None, _check_same_as_four_fields),
+    (None, "1.2.3.4-::1,13335,X\n", _check_one_error_line),
+    (_tsv(_row("1706745599.9999996", "104.16.1.1"), _row("1706745599.999999", "104.16.1.1"),
+          _row("-0.0000003", "52.1.1.1")),
+     None, _check_edge_months),
+], ids=["cut-json-stream", "odd-addresses", "map-ends", "five-columns", "mixed-range-map",
+        "edge-timestamps"])
+def test_analyze_checks_the_installed_package_step_runs(tmp_path, capsys, monkeypatch,
+                                                       stdin, asn_map, check):
+    import io
+
+    from certflight.config import _data_path
+
+    monkeypatch.chdir(tmp_path)
+    flags = ()
+    if asn_map is not None:
+        (tmp_path / "map.csv").write_text(asn_map)
+        flags = ("--asn-map", "map.csv")
+    if stdin is None:  # the packaged sample, as the step reads it
+        with open(_data_path("sample_tls_log.tsv"), encoding="utf-8") as f:
+            stdin = f.read()
+
+    def analyze(text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        return run(capsys, "analyze", *flags, "--logs", "-")
+
+    check(analyze(stdin), analyze)
+
+
 @pytest.mark.parametrize("network", ["1.2.3.4-::1", "10.0.0.9-10.0.0.1", "10.0.0.0-"],
                          ids=["mixed-versions", "reversed", "no-end"])
 def test_a_bad_asn_map_range_is_one_error_line_naming_it(tmp_path, capsys, network):
@@ -616,6 +724,20 @@ def test_a_noise_sigma_a_draw_could_overflow_is_refused_before_any_row(tmp_path,
                          "--format", fmt)
     assert (code, out) == (1, "")
     assert err.startswith("error: noise.std_ms 1.7e+308 ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_mean_plus_noise_that_could_overflow_is_refused_before_any_row(tmp_path, capsys, fmt):
+    # The sigma alone passes the sampler's check; the total of about 1.6e308 ms
+    # plus its largest draw does not.
+    path = tmp_path / "mid.json"
+    path.write_text('{"noise": {"kind": "gaussian", "std_ms": 1e307}}')
+    code, out, err = run(capsys, "--config", str(path), "--seed", "1", "sweep", "--trials", "1",
+                         "--rtts", "4e307", "--stacks", "ClassicalSim", "--sizes", "4:80:1",
+                         "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: noise.std_ms 1e+307 is too large for a mean of ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

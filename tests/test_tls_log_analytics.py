@@ -279,6 +279,108 @@ def test_a_json_server_name_is_never_read(rows):
     assert _parse(named) == _parse(unnamed)
 
 
+# Field strings as a TSV log holds them. No value holds a tab or a newline, and
+# none a "{" or "#", which would make its TSV line a JSON line or a comment.
+_TEXT = st.text(st.characters(blacklist_characters="\t\n{#"), max_size=6)
+_STRINGS = {
+    "ts": st.sampled_from(["1735690000.5", " 1735690000 ", "nan", "inf", "-inf", "1e999",
+                           "-62135596801", "253402300800", "-", ""])
+    | st.floats(allow_nan=False).map(repr) | _TEXT,
+    "id.resp_h": st.sampled_from(["104.16.1.1", " 52.1.1.1 ", "-", "(empty)", "", "  ",
+                                  "not-an-ip"]) | _TEXT,
+    "version": st.sampled_from(["TLSv1.3", " tlsV1.3 ", "TLS1.3", "TLSV13", "TLSv1.2", "-", ""])
+    | _TEXT,
+    "resumed": st.sampled_from(["T", " t ", "F", "yes", "No", "TRUE", "0", "1", "-", "",
+                                "junk"]) | _TEXT,
+}
+_DEFAULT_COLUMNS = (*FIELDS, "server_name")
+
+
+@st.composite
+def _twin_segments(draw):
+    """Segments of a TSV log, each a #fields header's names (None for the
+    default columns, first only) and rows of field strings in its column order."""
+    segments = []
+    for i in range(draw(st.integers(1, 3))):
+        names = None if i == 0 and draw(st.booleans()) else tuple(draw(st.lists(
+            st.sampled_from(_DEFAULT_COLUMNS + ("uid",)), min_size=1, max_size=5, unique=True)))
+        columns = names or _DEFAULT_COLUMNS
+        rows = draw(st.lists(st.tuples(*(_STRINGS.get(name, _TEXT) for name in columns)),
+                             max_size=6))
+        segments.append((names, rows))
+    return segments
+
+
+def _twin_logs(segments):
+    """A TSV log and its JSON-lines twin: one JSON object per TSV data line,
+    holding the same strings under the same names."""
+    tsv, jsonl = [], []
+    for names, rows in segments:
+        if names is not None:
+            tsv.append("\t".join(("#fields", *names)))
+        for values in rows:
+            line = "\t".join(values)
+            if line.strip():  # a blank TSV line is no data line
+                tsv.append(line)
+                jsonl.append(json.dumps(dict(zip(names or _DEFAULT_COLUMNS, values))))
+    return tsv, jsonl
+
+
+def _one_field(name, values):
+    """Rows of the default columns, a valid record's strings but for name's value."""
+    return [(None, [tuple(value if n == name else _VALID[n] for n in _DEFAULT_COLUMNS)
+                    for value in values])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_twin_segments())
+@example(_one_field("version", ["TLSv1.3", " tlsV1.3 ", "TLS1.3 ", "TlSv13", "TLSv1.2",
+                                "tlsv1.3", "-"]))
+@example(_one_field("id.resp_h", ["-", "(empty)", "", "  ", " 104.16.1.1 ", "-", "not-an-ip"]))
+@example(_one_field("resumed", ["T", "yes", "-", "junk", "-", "junk", " F ", "(empty)"]))
+@example(_one_field("ts", ["nan", "inf", "1e999", "-62135596801", "253402300800",
+                           "-62135596800", "253402300799.9", "nan"]))
+@example([(("ts", "id.resp_h", "resumed"), [("1735690000", "104.16.1.1", "T")] * 2),
+          (("id.resp_h", "ts", "version", "uid"), [("52.1.1.1", "1735690000", "TLSv1.3", "x")] * 2)])
+@example(_one_field("ts", ["nan", "1735690000.5", "nan"]))  # one address, malformed then valid
+@example([(("ts", "id.resp_h", "version", "resumed"), [("1", "52.1.1.1", "TLSv1.3", "F")] * 2),
+          (("ts", "id.resp_h", "resumed", "version"), [("2", "52.1.1.1", "TLSv1.3", "F")] * 2)])
+def test_a_tsv_log_and_its_json_twin_read_alike(segments):
+    # A TSV line's fields are read through memos, a JSON line's directly: each
+    # log gives the same records and the same counts. The last example swaps
+    # the version and resumed columns, so the same strings change meaning.
+    tsv, jsonl = _twin_logs(segments)
+    assert _parse(tsv) == _parse(jsonl)
+
+
+def test_memos_at_their_bound_change_no_result(monkeypatch):
+    rng = random.Random(2121)
+    ips = [f"104.16.{i}.1" for i in range(6)] + ["73.5.5.5", "52.1.1.1", "-", "not-an-ip"]
+    versions = ["TLSv1.3", " tlsv1.3", "TLS1.3", "TLSv1.2", "SSLv3", "-"]
+    resumptions = ["T", "F", "yes", "no", "-", "junk"]
+    lines = [f"{JAN + rng.uniform(0, 1e7)}\t{rng.choice(ips)}\t{rng.choice(versions)}\t"
+             f"{rng.choice(resumptions)}\t-" for _ in range(2000)]
+
+    def fold():
+        stats = ParseStats()
+        return time_series(parse_log_stream(lines, stats=stats), make_map()), stats
+
+    want = fold()
+    sizes = []
+
+    class Watched(tla._Memo):
+        def __missing__(self, key):
+            value = super().__missing__(key)
+            sizes.append(len(self))
+            return value
+
+    monkeypatch.setattr(tla, "MEMO_LIMIT", 2)
+    monkeypatch.setattr(tla, "_Memo", Watched)
+    assert fold() == want
+    assert max(sizes) == 2
+    assert sizes.count(2) > 100  # full many times, so values were read again after a clear
+
+
 def test_longest_prefix_wins():
     m = make_map()
     assert m.lookup("12.0.0.5") == (7018, "ATT")
