@@ -31,8 +31,7 @@ from .errors import ConfigError
 from .tables import write_csv
 from .transport_flight import FlightModel, extra_rtts
 from .ttfb_engine import (
-    MAX_NORMAL, NetworkPath, NoiseModel, StackProfile, estimate_ttfb, summary_sampler,
-    ttfb_total_ms,
+    NetworkPath, NoiseModel, StackProfile, estimate_ttfb, summary_sampler, ttfb_total_ms,
 )
 
 SWEEP_FIELDS = ("stack", "rtt_ms", "size_kb", "mean_ms", "std_ms", "extra_rtts", "optimizer")
@@ -85,13 +84,8 @@ def sweep_records(
             head = f"{plan.seed}|{name}|{rtt!r}|".encode()
             totals = {e: ttfb_total_ms(stack.base_ms, stack.base_flights + e, rtt) for e in extras}
             lines.append((name, rtt, head, totals))
-    draw = summary_sampler(noise, plan.trials)
-    if draw is not None:
-        top = max((t for *_, totals in lines for t in totals.values()), default=0.0)
-        if not top + noise.std_ms / math.sqrt(plan.trials) * MAX_NORMAL < math.inf:
-            raise ConfigError(f"noise.std_ms {noise.std_ms!r} is too large for a mean of "
-                              f"{top!r} ms: a {plan.trials}-trial draw could overflow a float")
-    return _records(lines, cells, draw)
+    top = max((t for *_, totals in lines for t in totals.values()), default=0.0)
+    return _records(lines, cells, summary_sampler(noise, plan.trials, top))
 
 
 def _records(lines, cells, draw):

@@ -145,15 +145,15 @@ def parse_log_stream(
     malformed the stream itself is considered unreadable and
     LogFormatError is raised once the stream is exhausted.
 
-    A TSV line's address, version and resumed strings are each read once
-    per distinct value, through a memo of at most MEMO_LIMIT entries per
-    field; its timestamp is read on every line. The counts are added to
-    stats when the stream ends or is closed.
+    A TSV line's version and resumed strings are each read once per
+    distinct value, through a memo of at most MEMO_LIMIT entries per field;
+    its timestamp and address are read on every line. The counts are added
+    to stats when the stream ends or is closed.
     """
     if stats is None:
         stats = ParseStats()
     width, pick = _columns((*FIELDS, "server_name"))
-    addresses, versions, resumptions = _Memo(_address), _Memo(_tls13), _Memo(_resumption)
+    versions, resumptions = _Memo(_tls13), _Memo(_resumption)
     data_lines = records = malformed = unknown = 0
     try:
         for line in lines:
@@ -180,7 +180,7 @@ def parse_log_stream(
                     continue
                 parts.append(None)  # read by a column the header lacks
                 ts, ip, version, resumed = pick(parts)
-                ip, tls13 = addresses[ip], versions[version]
+                ip, tls13 = _address(ip), versions[version]
                 resumed, known = resumptions[resumed]
             try:
                 timestamp = float(ts)
@@ -250,7 +250,6 @@ class AsnMap:
             size = bits // 8
             self._starts[size], self._hits[size] = _boundaries(table, bits)
             self._classes[size] = [self._class(hit) for hit in self._hits[size]]
-        self._class_of = _Memo(self._classify)
 
     @classmethod
     def from_files(cls, map_csv, cdn_file=None, cloud_file=None) -> "AsnMap":
@@ -296,11 +295,7 @@ class AsnMap:
 
     def classify(self, ip: str) -> str:
         """The endpoint class of ip: that of the narrowest entry holding it,
-        Unidentified if none does or ip is not an address. Each distinct ip
-        is looked up once, through a memo of at most MEMO_LIMIT entries."""
-        return self._class_of[ip]
-
-    def _classify(self, ip: str) -> str:
+        Unidentified if none does or ip is not an address."""
         at = self._interval(ip)
         return CLASS_UNIDENTIFIED if at is None else self._classes[at[0]][at[1]]
 

@@ -147,17 +147,12 @@ def sample_ttfb(
     return (estimate.total_ms, 0.0) if draw is None else draw(estimate.total_ms, key)
 
 
-# The largest |Z| summary_sampler draws: a uniform is at least 2**-64, so
-# Box-Muller's radius is at most sqrt(128 ln 2). A draw's mean is at most
-# mu + std_ms / sqrt(trials) * MAX_NORMAL, computed in that order.
-MAX_NORMAL = math.sqrt(-2.0 * math.log(2.0**-64))
-
-
 def summary_sampler(
-    noise: NoiseModel, trials: int
+    noise: NoiseModel, trials: int, mu_max: float = 0.0
 ) -> Callable[[float, bytes], tuple[float, float]] | None:
     """A draw(mu, key) -> (mean, std) of trials noisy observations around mu,
-    or None when the noise model adds no noise.
+    or None when the noise model adds no noise. ConfigError is raised, before
+    any draw, if a draw could overflow a float for some mu up to mu_max.
 
     The summary is drawn directly instead of the trials: for n draws of
     N(mu, sigma^2) the mean is mu + sigma/sqrt(n) * Z and the std is
@@ -190,14 +185,18 @@ def summary_sampler(
     shape = dof / 2  # chi2(dof) = 2 * gamma(dof / 2)
     d = shape + (shape < 1) - 1 / 3  # Marsaglia-Tsang's d and c, for shape + 1 below 1
     c = 1 / math.sqrt(9 * d)
-    # |Z| and |x| are at most MAX_NORMAL, and the gamma draw at most
-    # d * (1 + c * MAX_NORMAL)**3: refuse a sigma whose largest draw overflows
-    # a float, before any is drawn.
-    v_max = 1.0 + c * MAX_NORMAL
-    if not (scale * MAX_NORMAL < math.inf
+    # A uniform is at least 2**-64, so |Z| and |x| are at most r_max = sqrt(128 ln 2),
+    # and the gamma draw at most d * (1 + c * r_max)**3: refuse a sigma whose
+    # largest draw overflows a float, before any is drawn.
+    r_max = sqrt(-2.0 * log(unit))
+    v_max = 1.0 + c * r_max
+    if not (scale * r_max < math.inf
             and (not dof or sigma * sqrt(2.0 * (d * (v_max * v_max * v_max)) / dof) < math.inf)):
         raise ConfigError(f"noise.std_ms {sigma!r} is too large: a {trials}-trial draw "
                           "could overflow a float")
+    if not mu_max + scale * r_max < math.inf:  # the largest mean, summed as draw sums it
+        raise ConfigError(f"noise.std_ms {sigma!r} is too large for a mean of {mu_max!r} ms: "
+                          f"a {trials}-trial draw could overflow a float")
 
     def draw(mu: float, key: bytes) -> tuple[float, float]:
         digest = sha256(key).digest()

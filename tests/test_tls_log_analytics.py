@@ -346,9 +346,10 @@ def _one_field(name, values):
 @example([(("ts", "id.resp_h", "version", "resumed"), [("1", "52.1.1.1", "TLSv1.3", "F")] * 2),
           (("ts", "id.resp_h", "resumed", "version"), [("2", "52.1.1.1", "TLSv1.3", "F")] * 2)])
 def test_a_tsv_log_and_its_json_twin_read_alike(segments):
-    # A TSV line's fields are read through memos, a JSON line's directly: each
-    # log gives the same records and the same counts. The last example swaps
-    # the version and resumed columns, so the same strings change meaning.
+    # A TSV line's version and resumed are read through memos, a JSON line's
+    # directly: each log gives the same records and the same counts. The last
+    # example swaps the version and resumed columns, so the same strings
+    # change meaning.
     tsv, jsonl = _twin_logs(segments)
     assert _parse(tsv) == _parse(jsonl)
 

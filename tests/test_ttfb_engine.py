@@ -224,15 +224,16 @@ def test_any_int_is_a_seed():
     assert len(set(summaries)) == len(seeds)
 
 
-def _largest_accepted_std_ms(trials):
-    """The largest std_ms summary_sampler takes for trials, bisected over the
-    bit patterns of the positive floats, which order as the floats do."""
+def _largest_accepted(sampler):
+    """The largest float x >= 1 for which sampler(x) raises no ConfigError,
+    bisected over the bit patterns of the positive floats, which order as
+    the floats do."""
     as_bits = lambda x: struct.unpack(">q", struct.pack(">d", x))[0]
     as_float = lambda b: struct.unpack(">d", struct.pack(">q", b))[0]
 
     def accepted(bits):
         try:
-            summary_sampler(NoiseModel("gaussian", std_ms=as_float(bits)), trials)
+            sampler(as_float(bits))
         except ConfigError:
             return False
         return True
@@ -243,6 +244,11 @@ def _largest_accepted_std_ms(trials):
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
     return as_float(lo)
+
+
+def _largest_accepted_std_ms(trials):
+    """The largest std_ms summary_sampler takes for trials."""
+    return _largest_accepted(lambda sigma: summary_sampler(NoiseModel("gaussian", std_ms=sigma), trials))
 
 
 @pytest.mark.parametrize("trials", [1, 2, 3, 100, 10**6])
@@ -266,6 +272,26 @@ def test_the_largest_noise_sigma_taken_draws_finite_extremes(monkeypatch, trials
             assert math.isfinite(mean) and math.isfinite(std), (w1, mu, mean, std)
     with pytest.raises(ConfigError, match=r"^noise\.std_ms "):
         summary_sampler(NoiseModel("gaussian", std_ms=math.nextafter(sigma, math.inf)), trials)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 100])
+def test_the_largest_mean_taken_draws_a_finite_extreme_mean(monkeypatch, trials):
+    """At the largest mu_max the sampler takes for a sigma, the digest that
+    gives the largest mean (Z = sqrt(128 ln 2)) still draws a finite mean at
+    mu = mu_max; one float more is refused, naming the mean."""
+    import hashlib
+
+    noise = NoiseModel("gaussian", std_ms=1e307)
+    mu_max = _largest_accepted(lambda mu: summary_sampler(noise, trials, mu))
+    assert 8e307 < mu_max < sys.float_info.max
+    real = hashlib.sha256
+    digest = struct.pack(">4Q", 0, 2**64 - 1, 0, 2**64 - 1)  # r at its largest, cos t = 1
+    monkeypatch.setattr(hashlib, "sha256", lambda data: (
+        SimpleNamespace(digest=lambda: digest) if data == b"k" else real(data)))
+    mean, std = summary_sampler(noise, trials, mu_max)(mu_max, b"k")
+    assert math.isfinite(mean) and math.isfinite(std)
+    with pytest.raises(ConfigError, match=r"^noise\.std_ms 1e\+307 is too large for a mean of "):
+        summary_sampler(noise, trials, math.nextafter(mu_max, math.inf))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
