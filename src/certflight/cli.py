@@ -125,7 +125,7 @@ def cmd_estimate(args, cfg: Config) -> int:
 
 def cmd_sweep(args, cfg: Config) -> int:
     from . import sweep_runner
-    from .tables import write_csv, write_json
+    from .tables import write_json
 
     plan = cfg.sweep
     updates: dict = {}
@@ -148,15 +148,22 @@ def cmd_sweep(args, cfg: Config) -> int:
     if args.seed is not None:
         updates["seed"] = args.seed
     plan = dataclasses.replace(plan, **updates)
-    # Rows stream to the output; sweep_records raises every input error before it opens.
-    records = sweep_runner.sweep_records(plan, cfg.stacks, _flight_for(args, cfg), cfg.noise)
-    if args.gnuplot:
-        records = list(records)  # read twice: by the table and by the curves
-    write = write_json if args.format == "json" else write_csv
+    sweep = (plan, cfg.stacks, _flight_for(args, cfg), cfg.noise)
+    # The table streams to the output. sweep_csv and sweep_records raise every input
+    # error before it opens. A row is a pure function of its key, so the curves'
+    # own pass over sweep_records draws the table's values.
+    if args.format == "json":
+        table = sweep_runner.sweep_records(*sweep)
+    else:
+        table = sweep_runner.sweep_csv(*sweep)
+    points = sweep_runner.sweep_records(*sweep) if args.gnuplot else None
     with _outputs(args.out, args.gnuplot) as (f, curves):
-        write(f, sweep_runner.sweep_header(bool(plan.optimizers)), records)
+        if args.format == "json":
+            write_json(f, sweep_runner.sweep_header(bool(plan.optimizers)), table)
+        else:
+            f.writelines(table)
         if curves:
-            sweep_runner.write_gnuplot(curves, records)
+            sweep_runner.write_gnuplot(curves, points)
     if args.out:
         count = (len(plan.stacks) * len(plan.rtts_ms) * (1 + len(plan.optimizers))
                  * grid_points(plan.size_start_kb, plan.size_end_kb, plan.size_step_kb))

@@ -143,16 +143,22 @@ def config_to_dict(cfg: Config) -> dict:
 
 
 def load_config(path) -> Config:
+    """The config in the JSON file at path. Every error names the file; a
+    refused key or value reads path: message, as analyze's log errors do."""
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    # ValueError: not JSON, or not UTF-8; RecursionError: arrays nested too deep.
+    except (OSError, ValueError, RecursionError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    raw = dict(_expect("file", raw))
-    cfg = Config()
-    if "kb_bytes" in raw:
-        cfg.kb_bytes = raw.pop("kb_bytes")
-    return _build("", cfg, raw)
+    try:
+        raw = dict(_expect("file", raw))
+        cfg = Config()
+        if "kb_bytes" in raw:
+            cfg.kb_bytes = raw.pop("kb_bytes")
+        return _build("", cfg, raw)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def save_config(cfg: Config, path) -> None:

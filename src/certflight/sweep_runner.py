@@ -2,20 +2,23 @@
 
 sweep_records evaluates the TTFB model over a (stack, rtt, size) grid with
 optional size optimizers and per-row noise sampling, and yields the rows
-one at a time, as tuples in the columns sweep_header names. The table
-writers stream them, so memory grows with the size axis, not with the
-number of rows; write_gnuplot needs them listed, and run_sweep lists
-them. Every input error is raised when sweep_records is called, before
-the first row exists, so a failed sweep writes nothing.
+one at a time, as tuples in the columns sweep_header names. sweep_csv
+yields the same rows as CSV text, one chunk per (stack, rtt) line of the
+grid. Both stream, so memory grows with the size axis, not with the number
+of rows; write_gnuplot collects the rows into curves, and run_sweep lists
+them. Every input error is raised when sweep_records or sweep_csv is
+called, before the first row exists, so a failed sweep writes nothing.
 
 The grid is factored: the wire size and extra round trips depend only on
 (size, optimizer), and the totals only on (stack, rtt, extra round trips),
-so each is computed once. A row's mean_ms and std_ms are an exact draw of
+so each is computed once; sweep_csv likewise renders each line's and each
+cell's fixed columns once. A row's mean_ms and std_ms are an exact draw of
 the summary of plan.trials noisy trials (see summary_sampler), so the trial
 count costs no time. A row's key joins the plan seed with the row's grid
 coordinates, and its summary is a pure function of sha256 of that key, with
 no generator state between rows, so results are reproducible regardless of
-evaluation order and rows can be computed concurrently and merged.
+evaluation order and rows can be computed apart and merged: a sweep is the
+concatenation, in plan order, of the sweeps of its one-stack, one-rtt plans.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, fields
 from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
 from .config import SweepPlan  # re-exported: the plan is a section of the config
 from .errors import ConfigError
-from .tables import write_csv
+from .tables import csv_line, write_csv
 from .transport_flight import FlightModel, extra_rtts
 from .ttfb_engine import (
     NetworkPath, NoiseModel, StackProfile, estimate_ttfb, summary_sampler, ttfb_total_ms,
@@ -43,22 +46,11 @@ def sweep_header(optimized: bool) -> tuple[str, ...]:
     return SWEEP_FIELDS if optimized else SWEEP_FIELDS[:-1]
 
 
-def sweep_records(
-    plan: SweepPlan,
-    stacks: dict[str, StackProfile],
-    flight: FlightModel,
-    noise: NoiseModel = NoiseModel(),
-):
-    """A generator of the grid's rows in canonical order (stack, rtt, size,
-    optimizer), as tuples of the values sweep_header(bool(plan.optimizers)) names.
-
-    With optimizers in the plan, each grid point also gets one row per
-    optimizer, keyed by the raw size but charged the optimized size's
-    round trips. A row's draws come from sha256 of its key, the bytes of
-    f"{seed}|{stack}|{rtt!r}|{size!r}|{label}". This call checks every stack,
-    rtt, size and total, and that no total plus its largest noise draw
-    overflows, before it returns, so the generator itself raises nothing.
-    """
+def _grid(plan: SweepPlan, stacks: dict[str, StackProfile], flight: FlightModel,
+          noise: NoiseModel):
+    """Check every stack, rtt, size and total, and that no total plus its largest
+    noise draw overflows; then factor the plan's grid into its cells, its lines
+    and the draw, which sweep_records and sweep_csv both read."""
     missing = [name for name in plan.stacks if name not in stacks]
     if missing:
         raise ConfigError(f"unknown stacks in plan: {', '.join(missing)}")
@@ -85,7 +77,26 @@ def sweep_records(
             totals = {e: ttfb_total_ms(stack.base_ms, stack.base_flights + e, rtt) for e in extras}
             lines.append((name, rtt, head, totals))
     top = max((t for *_, totals in lines for t in totals.values()), default=0.0)
-    return _records(lines, cells, summary_sampler(noise, plan.trials, top))
+    return lines, cells, summary_sampler(noise, plan.trials, top)
+
+
+def sweep_records(
+    plan: SweepPlan,
+    stacks: dict[str, StackProfile],
+    flight: FlightModel,
+    noise: NoiseModel = NoiseModel(),
+):
+    """A generator of the grid's rows in canonical order (stack, rtt, size,
+    optimizer), as tuples of the values sweep_header(bool(plan.optimizers)) names.
+
+    With optimizers in the plan, each grid point also gets one row per
+    optimizer, keyed by the raw size but charged the optimized size's
+    round trips. A row's draws come from sha256 of its key, the bytes of
+    f"{seed}|{stack}|{rtt!r}|{size!r}|{label}". This call checks every stack,
+    rtt, size and total, and that no total plus its largest noise draw
+    overflows, before it returns, so the generator itself raises nothing.
+    """
+    return _records(*_grid(plan, stacks, flight, noise))
 
 
 def _records(lines, cells, draw):
@@ -96,6 +107,39 @@ def _records(lines, cells, draw):
                 if draw is not None:
                     mean, std = draw(mean, head + tail)
                 yield (name, rtt, size, mean, std, extra) + last
+
+
+def sweep_csv(
+    plan: SweepPlan,
+    stacks: dict[str, StackProfile],
+    flight: FlightModel,
+    noise: NoiseModel = NoiseModel(),
+):
+    """The rows of sweep_records as CSV text, byte for byte as write_csv writes
+    them under sweep_header: a generator of the header line, then of one chunk
+    per (stack, rtt) line. Its inputs are checked as sweep_records checks them,
+    before it returns. Each line's and each cell's fixed columns are rendered
+    once, by csv_line, so csv decides their quoting; a row formats only its
+    mean_ms and std_ms, floats, which csv would write as their repr."""
+    lines, cells, draw = _grid(plan, stacks, flight, noise)
+    return _csv_chunks(sweep_header(bool(plan.optimizers)), lines, cells, draw)
+
+
+def _csv_chunks(header, lines, cells, draw):
+    yield csv_line(header) + "\n"
+    # Per size and variant: the row key's tail, the extra round trips, and the
+    # row's text before and after its mean_ms,std_ms.
+    fixed = [(tail, extra, csv_line((size,)) + ",", "," + csv_line((extra, *last)) + "\n")
+             for size, row in cells for tail, extra, last in row]
+    for name, rtt, head, totals in lines:
+        lead = csv_line((name, rtt)) + ","
+        parts = []
+        for tail, extra, before, after in fixed:
+            mean, std = totals[extra], 0.0
+            if draw is not None:
+                mean, std = draw(mean, head + tail)
+            parts.append(f"{lead}{before}{mean!r},{std!r}{after}")
+        yield "".join(parts)
 
 
 def run_sweep(

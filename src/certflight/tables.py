@@ -1,9 +1,10 @@
 """The CSV and JSON writers of every table certflight prints, and the reader
 of every table a user hands in. A table is a header of column names and rows
 of values in header order; both writers stream, writing each row as soon as
-it is read."""
+it is read. The sweep renders its CSV from parts that csv_line writes."""
 
 import csv
+import io
 import json
 
 
@@ -13,6 +14,15 @@ def write_csv(out, header, rows) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def csv_line(values) -> str:
+    """The values as write_csv writes them on one line, without the line terminator.
+    The writer keeps write_csv's terminator: csv quotes a field that holds any of its
+    characters."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(values)
+    return out.getvalue()[:-1]
 
 
 # json's C encoder with the separators of indent=2 at an object's depth: the

@@ -1,5 +1,8 @@
+import csv
 import hashlib
+import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -331,8 +334,6 @@ def test_analyze_packaged_sample(capsys):
 
 
 def test_analyze_stdin_jsonl(capsys, monkeypatch):
-    import io
-
     lines = "\n".join(
         json.dumps({"ts": 1735690000.0 + i, "id.resp_h": "104.16.1.1",
                     "version": "TLSv1.3", "resumed": i % 2 == 0})
@@ -368,8 +369,6 @@ def test_analyze_loses_only_a_leading_partial_line(tmp_path, capsys, text, recor
 @pytest.mark.parametrize("from_stdin", [False, True], ids=["path", "stdin"])
 def test_an_unreadable_log_is_one_error_line_naming_it(tmp_path, capsys, monkeypatch,
                                                         from_stdin):
-    import io
-
     path = tmp_path / "g.log"
     path.write_text("hello\nworld\n")
     monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
@@ -453,8 +452,6 @@ def _check_edge_months(result, analyze):
         "edge-timestamps"])
 def test_analyze_checks_the_installed_package_step_runs(tmp_path, capsys, monkeypatch,
                                                        stdin, asn_map, check):
-    import io
-
     from certflight.config import _data_path
 
     monkeypatch.chdir(tmp_path)
@@ -471,6 +468,71 @@ def test_analyze_checks_the_installed_package_step_runs(tmp_path, capsys, monkey
         return run(capsys, "analyze", *flags, "--logs", "-")
 
     check(analyze(stdin), analyze)
+
+
+_MTC1_SWEEP = ("--seed", "1", "sweep", "--trials", "5", "--optimizers", "mtc1")
+
+
+def _csv_rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def _check_csv_out_is_stdout(sweep):
+    sweep(*_MTC1_SWEEP, "--out", "a.csv")
+    assert Path("a.csv").read_text() == sweep(*_MTC1_SWEEP)
+
+
+def _check_a_saved_default_config_changes_nothing(sweep):
+    save_config(Config(), "c.json")
+    assert sweep("--config", "c.json", *_MTC1_SWEEP) == sweep(*_MTC1_SWEEP)
+
+
+def _check_json_out_is_stdout_and_parses(sweep):
+    sweep(*_MTC1_SWEEP, "--format", "json", "--out", "a.json")
+    text = Path("a.json").read_text()
+    assert text == sweep(*_MTC1_SWEEP, "--format", "json")
+    json.loads(text)
+
+
+def _check_trials_set_the_spread(sweep):
+    rows = {n: [(float(r["mean_ms"]), float(r["std_ms"]))
+                for r in _csv_rows(sweep("--seed", "1", "sweep", "--trials", str(n)))]
+            for n in (1, 2)}
+    assert all(rows.values())
+    assert all(math.isfinite(v) for table in rows.values() for row in table for v in row)
+    assert all(s == 0 for _, s in rows[1]) and all(s > 0 for _, s in rows[2])
+
+
+def _check_noisy_sweep_is_unbiased(sweep):
+    Path("quiet.json").write_text('{"noise": {"kind": "none"}}')
+    argv = ("--seed", "1", "sweep", "--trials", "100", "--sizes", "4:80:0.5")
+    noisy, quiet = _csv_rows(sweep(*argv)), _csv_rows(sweep("--config", "quiet.json", *argv))
+    assert len(noisy) == len(quiet) > 0
+    assert all((a["stack"], a["rtt_ms"], a["size_kb"]) == (b["stack"], b["rtt_ms"], b["size_kb"])
+               for a, b in zip(noisy, quiet))
+    sigma, n = 0.2, 100
+    z = sum((float(a["mean_ms"]) - float(b["mean_ms"])) / (sigma / math.sqrt(n))
+            for a, b in zip(noisy, quiet)) / len(noisy)
+    s2 = sum(float(a["std_ms"]) ** 2 / sigma**2 for a in noisy) / len(noisy)
+    assert abs(z) <= 0.1 and abs(s2 - 1) <= 0.05, (z, s2)
+
+
+# The sweep checks of the installed-package steps in .github/workflows/tests.yml,
+# each run here through main in a temp directory.
+@pytest.mark.parametrize("check", [
+    _check_csv_out_is_stdout, _check_a_saved_default_config_changes_nothing,
+    _check_json_out_is_stdout_and_parses, _check_trials_set_the_spread,
+    _check_noisy_sweep_is_unbiased,
+], ids=["csv-out", "saved-config", "json-out", "trials-spread", "noisy-unbiased"])
+def test_sweep_checks_the_installed_package_steps_run(tmp_path, capsys, monkeypatch, check):
+    monkeypatch.chdir(tmp_path)
+
+    def sweep(*argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        return out
+
+    check(sweep)
 
 
 @pytest.mark.parametrize("network", ["1.2.3.4-::1", "10.0.0.9-10.0.0.1", "10.0.0.0-"],
@@ -799,7 +861,34 @@ def test_noise_seed_is_an_unknown_key(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"noise": {"seed": 1}}')
     code, out, err = run(capsys, "--config", str(path), "sweep")
-    assert (code, out, err) == (1, "", "error: unknown config key noise.seed\n")
+    assert (code, out, err) == (1, "", f"error: {path}: unknown config key noise.seed\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"flight": {"iw_bytes": "x"}}',
+     "config flight: iw_bytes must be an integer within float range, got 'x'"),
+    ('{"flite": 1}', "unknown config key flite"),
+], ids=["bad-value", "unknown-key"])
+@pytest.mark.parametrize("named_by", ["flag", "env"])
+def test_a_config_error_names_the_file(tmp_path, capsys, monkeypatch, named_by, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = ("estimate", "--rtt", "1")
+    if named_by == "flag":
+        argv = ("--config", str(path)) + argv
+    else:
+        monkeypatch.setenv(ENV_CONFIG, str(path))
+    assert run(capsys, *argv) == (1, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_an_unreadable_config_is_one_error_line_naming_it(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "--config", str(path), "estimate", "--rtt", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
 
 
 def test_kb_bytes_drives_flight_model_and_forge(tmp_path, capsys):

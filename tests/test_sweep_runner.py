@@ -22,6 +22,7 @@ from certflight.sweep_runner import (
     emit_csv,
     estimate_savings,
     run_sweep,
+    sweep_csv,
     sweep_header,
     sweep_records,
     write_gnuplot,
@@ -443,9 +444,11 @@ def oracle_gnuplot(rows):
     return "\n\n".join(blocks)
 
 
-# A stack whose name the CSV writer has to quote, and JSON has to escape.
+# Stacks whose names the CSV writer has to quote, and JSON has to escape.
 ODD_STACK = 'édge,"q"\\'
-STACKS = {**DEFAULT_STACKS, ODD_STACK: StackProfile(ODD_STACK, base_ms=0.0, base_flights=1.0)}
+LINE_STACK = "two\nlines"
+STACKS = {**DEFAULT_STACKS, ODD_STACK: StackProfile(ODD_STACK, base_ms=0.0, base_flights=1.0),
+          LINE_STACK: StackProfile(LINE_STACK, base_ms=2.5, base_flights=2.0)}
 
 _optimizer = st.one_of(
     st.sampled_from(DEFAULT_OPTIMIZERS + (SizeOptimizer(chain_model.IDENTITY),)),
@@ -490,6 +493,7 @@ def _plans(draw):
 def test_factored_sweep_matches_the_per_row_oracle(plan, flight, noise):
     expected = oracle_rows(plan, STACKS, flight, noise)
     assert emit_csv(run_sweep(plan, STACKS, flight, noise)) == oracle_csv(expected)
+    assert "".join(sweep_csv(plan, STACKS, flight, noise)) == oracle_csv(expected)
     records = list(sweep_records(plan, STACKS, flight, noise))
     for write, oracle in ((write_csv, oracle_csv), (write_json, oracle_json)):
         out = io.StringIO()
@@ -498,6 +502,28 @@ def test_factored_sweep_matches_the_per_row_oracle(plan, flight, noise):
     out = io.StringIO()
     write_gnuplot(out, records)
     assert out.getvalue() == oracle_gnuplot(expected)
+
+
+def _csv_body(plan, flight, noise):
+    """The sweep's CSV text after its header line."""
+    return "".join(sweep_csv(plan, STACKS, flight, noise)).split("\n", 1)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_plans(), _flight, _noise)
+@example(SweepPlan(stacks=(LINE_STACK, "ClassicalSim", ODD_STACK), rtts_ms=(0.0, 25.0, -0.0),
+                   size_start_kb=6.0, size_end_kb=18.0, size_step_kb=3.0, trials=4, seed=-9,
+                   optimizers=(MTC1, CDN40)),
+         FLIGHT, NoiseModel("gaussian", std_ms=0.4))
+def test_a_sweep_is_the_concatenation_of_its_one_stack_one_rtt_sweeps(plan, flight, noise):
+    # A row is a pure function of its key, so a sweep can be computed line by
+    # line and merged. repr tells the rows of rtt 0.0 and -0.0 apart.
+    parts = [dataclasses.replace(plan, stacks=(stack,), rtts_ms=(rtt,))
+             for stack in plan.stacks for rtt in plan.rtts_ms]
+    assert _csv_body(plan, flight, noise) == "".join(
+        _csv_body(part, flight, noise) for part in parts)
+    assert list(map(repr, run_sweep(plan, STACKS, flight, noise))) == [
+        repr(row) for part in parts for row in run_sweep(part, STACKS, flight, noise)]
 
 
 # A step of 0.01 to 5 KB and a grid end up to 400 steps on, both in whole hundredths.
