@@ -6,7 +6,9 @@ CERTFLIGHT_CONFIG environment variable), and individual flags override
 config values. --seed overrides sweep.seed, the seed of each sweep row's draws.
 A command imports the code that only it runs (the sweep, the table writers
 and readers, the forge, the log analytics) inside its own function, so that
-estimate and forge load no sweep, table or statistics code.
+estimate and forge load no sweep, table or statistics code. Each cmd_* checks
+its input and returns an Output without writing; main alone opens --out (or
+stdout) and the side file and writes them, so a refused input writes nothing.
 """
 
 from __future__ import annotations
@@ -90,40 +92,52 @@ def _outputs(table_path: str | None, side_path: str | None):
         yield f, side
 
 
+class Output:
+    """A command's result for main to write: write(f) writes the body to f (--out or
+    stdout), side is the side file's (path, write), notice follows an --out file."""
+
+    def __init__(self, write, side=(None, None), notice="", code=0):
+        self.write, self.side, self.notice, self.code = write, side, notice, code
+
+
+def _document(payload):
+    """payload as a JSON document, rendered now: a non-finite number, which JSON
+    cannot hold, is refused before any output opens."""
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return lambda f: f.write(text)
+
+
 # -------------------------------------------------------------- commands
 
 
-def cmd_estimate(args, cfg: Config) -> int:
+def cmd_estimate(args, cfg: Config) -> Output:
     stack = resolve_stack(args.stack, cfg.stacks)
     path = NetworkPath(rtt_ms=args.rtt, flight=_flight_for(args, cfg))
     size_kb = _chain_kb_for(args, cfg)
     est = estimate_ttfb(stack, path, size_kb, resumed=args.resumed)
-    payload = {
-        "stack": stack.name,
-        "rtt_ms": args.rtt,
-        "chain_size_kb": size_kb,
-        "resumed": args.resumed,
-        "extra_rtts": est.extra_rtts,
-        "t_tcp_ms": est.t_tcp_ms,
-        "t_tls_ms": est.t_tls_ms,
-        "t_request_response_ms": est.t_request_response_ms,
-        "total_ms": est.total_ms,
-    }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"stack={stack.name} chain_size_kb={size_kb} rtt_ms={args.rtt} "
-              f"resumed={str(args.resumed).lower()}")
-        if est.breakdown_allocated():
-            print(f"  t_tcp_ms={est.t_tcp_ms} t_tls_ms={est.t_tls_ms} "
-                  f"t_request_response_ms={est.t_request_response_ms}")
-        else:
-            print("  breakdown unallocatable (base_flights < 2)")
-        print(f"  extra_rtts={est.extra_rtts} total_ms={est.total_ms}")
-    return 0
+        return Output(_document({
+            "stack": stack.name,
+            "rtt_ms": args.rtt,
+            "chain_size_kb": size_kb,
+            "resumed": args.resumed,
+            "extra_rtts": est.extra_rtts,
+            "t_tcp_ms": est.t_tcp_ms,
+            "t_tls_ms": est.t_tls_ms,
+            "t_request_response_ms": est.t_request_response_ms,
+            "total_ms": est.total_ms,
+        }))
+    breakdown = (f"t_tcp_ms={est.t_tcp_ms} t_tls_ms={est.t_tls_ms} "
+                 f"t_request_response_ms={est.t_request_response_ms}"
+                 if est.breakdown_allocated() else "breakdown unallocatable (base_flights < 2)")
+    return Output(lambda f: f.write(
+        f"stack={stack.name} chain_size_kb={size_kb} rtt_ms={args.rtt} "
+        f"resumed={str(args.resumed).lower()}\n  {breakdown}\n"
+        f"  extra_rtts={est.extra_rtts} total_ms={est.total_ms}\n"
+    ))
 
 
-def cmd_sweep(args, cfg: Config) -> int:
+def cmd_sweep(args, cfg: Config) -> Output:
     from . import sweep_runner
     from .tables import write_json
 
@@ -149,29 +163,22 @@ def cmd_sweep(args, cfg: Config) -> int:
         updates["seed"] = args.seed
     plan = dataclasses.replace(plan, **updates)
     sweep = (plan, cfg.stacks, _flight_for(args, cfg), cfg.noise)
-    # The table streams to the output. sweep_csv and sweep_records raise every input
-    # error before it opens. A row is a pure function of its key, so the curves'
-    # own pass over sweep_records draws the table's values.
+    # sweep_csv and sweep_records raise every input error when called. A row is a pure
+    # function of its key, so the curves' own pass over sweep_records draws its values.
     if args.format == "json":
-        table = sweep_runner.sweep_records(*sweep)
+        rows = sweep_runner.sweep_records(*sweep)
+        write = lambda f: write_json(f, sweep_runner.sweep_header(bool(plan.optimizers)), rows)
     else:
-        table = sweep_runner.sweep_csv(*sweep)
+        chunks = sweep_runner.sweep_csv(*sweep)
+        write = lambda f: f.writelines(chunks)
     points = sweep_runner.sweep_records(*sweep) if args.gnuplot else None
-    with _outputs(args.out, args.gnuplot) as (f, curves):
-        if args.format == "json":
-            write_json(f, sweep_runner.sweep_header(bool(plan.optimizers)), table)
-        else:
-            f.writelines(table)
-        if curves:
-            sweep_runner.write_gnuplot(curves, points)
-    if args.out:
-        count = (len(plan.stacks) * len(plan.rtts_ms) * (1 + len(plan.optimizers))
-                 * grid_points(plan.size_start_kb, plan.size_end_kb, plan.size_step_kb))
-        print(f"wrote {count} rows to {args.out}")
-    return 0
+    count = (len(plan.stacks) * len(plan.rtts_ms) * (1 + len(plan.optimizers))
+             * grid_points(plan.size_start_kb, plan.size_end_kb, plan.size_step_kb))
+    return Output(write, (args.gnuplot, lambda f: sweep_runner.write_gnuplot(f, points)),
+                  f"wrote {count} rows to {args.out}")
 
 
-def cmd_thresholds(args, cfg: Config) -> int:
+def cmd_thresholds(args, cfg: Config) -> Output:
     flight = _flight_for(args, cfg)
     max_kb = args.max_kb if args.max_kb is not None else cfg.sweep.size_end_kb
     step_kb = args.step_kb if args.step_kb is not None else cfg.sweep.size_step_kb
@@ -182,26 +189,24 @@ def cmd_thresholds(args, cfg: Config) -> int:
             f"analytic thresholds {found} differ from the configured empirical "
             f"thresholds {list(flight.empirical_thresholds_kb)}"
         )
-    payload = {
-        "mode": flight.mode,
-        "max_kb": max_kb,
-        "step_kb": step_kb,
-        "thresholds_kb": found,
-        "empirical_thresholds_kb": list(flight.empirical_thresholds_kb),
-        "note": note,
-    }
-    if args.format == "csv":
-        from .tables import write_csv
+    if args.format == "json":
+        return Output(_document({
+            "mode": flight.mode,
+            "max_kb": max_kb,
+            "step_kb": step_kb,
+            "thresholds_kb": found,
+            "empirical_thresholds_kb": list(flight.empirical_thresholds_kb),
+            "note": note,
+        }))
+    from .tables import write_csv
 
-        write_csv(sys.stdout, ("index", "threshold_kb"), enumerate(found))
-        if note:
-            print(f"# {note}")
-    else:
-        print(json.dumps(payload, indent=2))
-    return 0
+    def write(f):
+        write_csv(f, ("index", "threshold_kb"), enumerate(found))
+        f.write(f"# {note}\n" if note else "")
+    return Output(write)
 
 
-def cmd_regions(args, cfg: Config) -> int:
+def cmd_regions(args, cfg: Config) -> Output:
     from .sweep_runner import REGION_FIELDS, compute_regions
     from .tables import write_csv, write_json
 
@@ -220,28 +225,25 @@ def cmd_regions(args, cfg: Config) -> int:
         if r.upper_kb_exact <= r.lower_kb:
             raise ConfigError(f"threshold {r.threshold_kb} KB: the {r.optimizer} region is empty")
     write = write_json if args.format == "json" else write_csv
-    write(sys.stdout, REGION_FIELDS, map(attrgetter(*REGION_FIELDS), regions))
-    return 0
+    return Output(lambda f: write(f, REGION_FIELDS, map(attrgetter(*REGION_FIELDS), regions)))
 
 
-def cmd_savings(args, cfg: Config) -> int:
+def cmd_savings(args, cfg: Config) -> Output:
     from .sweep_runner import estimate_savings
 
     stack = resolve_stack(args.stack, cfg.stacks)
     path = NetworkPath(rtt_ms=args.rtt, flight=_flight_for(args, cfg))
     est = estimate_savings(stack, path, args.size_kb, args.rate)
     if args.format == "json":
-        print(json.dumps(dataclasses.asdict(est), indent=2))
-    else:
-        print(
-            f"rtt_ms={est.rtt_ms} chain_size_kb={est.chain_size_kb} "
-            f"rate={est.resumption_rate} full_ms={est.full_ms} resumed_ms={est.resumed_ms} "
-            f"expected_savings_ms={est.expected_savings_ms}"
-        )
-    return 0
+        return Output(_document(dataclasses.asdict(est)))
+    return Output(lambda f: f.write(
+        f"rtt_ms={est.rtt_ms} chain_size_kb={est.chain_size_kb} "
+        f"rate={est.resumption_rate} full_ms={est.full_ms} resumed_ms={est.resumed_ms} "
+        f"expected_savings_ms={est.expected_savings_ms}\n"
+    ))
 
 
-def cmd_forge(args, cfg: Config) -> int:
+def cmd_forge(args, cfg: Config) -> Output:
     from . import cert_forge
 
     scheme = resolve_scheme(args.scheme, cfg.schemes)
@@ -254,20 +256,17 @@ def cmd_forge(args, cfg: Config) -> int:
     chain = cert_forge.forge_chain(spec, kb_bytes=cfg.kb_bytes)
     reports = [cert_forge.parse_and_measure(cert.der) for cert in chain.certs]
     manifest = cert_forge.write_chain(chain, args.out_dir, reports)
-    ok = True
-    for entry, report in zip(manifest["certs"], reports):
-        exact = entry["actual_bytes"] == entry["target_bytes"]
-        ok = ok and exact and report.well_formed
-        print(
-            f"{entry['role']}: target={entry['target_bytes']} "
-            f"actual={entry['actual_bytes']} padding={entry['padding_bytes']} "
-            f"well_formed={str(report.well_formed).lower()}"
-        )
-    print(f"total_bytes={manifest['total_bytes']} dir={args.out_dir}")
-    return 0 if ok else 1
+    certs = list(zip(manifest["certs"], reports))
+    ok = all(e["actual_bytes"] == e["target_bytes"] and r.well_formed for e, r in certs)
+    return Output(lambda f: f.writelines([
+        *(f"{e['role']}: target={e['target_bytes']} actual={e['actual_bytes']} "
+          f"padding={e['padding_bytes']} well_formed={str(r.well_formed).lower()}\n"
+          for e, r in certs),
+        f"total_bytes={manifest['total_bytes']} dir={args.out_dir}\n",
+    ]), code=0 if ok else 1)
 
 
-def cmd_analyze(args, cfg: Config) -> int:
+def cmd_analyze(args, cfg: Config) -> Output:
     from . import tls_log_analytics as tla
     from .tables import write_csv
 
@@ -284,30 +283,24 @@ def cmd_analyze(args, cfg: Config) -> int:
     except LogFormatError as e:
         raise LogFormatError(f"{'<stdin>' if args.logs == '-' else args.logs}: {e}") from None
     aggregated = tla.class_totals(series)
-    # Every bucket holds at least one record, so both of its rates are defined.
-    correlations = {
-        cls: tla.rate_correlation((s.tls13_adoption, s.resumption_rate_all) for _, s in points)
-        for cls, points in series.items()
-        if len(points) >= 3
-    }
-
-    payload = {
-        "classes": {c: aggregated[c].to_dict() for c in tla.ENDPOINT_CLASSES},
-        "parse": dataclasses.asdict(stats),
-        "months": {c: [m for m, _ in pts] for c, pts in series.items()},
-        "correlation_tls13_vs_resumption": correlations,
-    }
-    with _outputs(args.out, args.series) as (f, side):
-        if args.format == "csv":
-            rows = list(payload["classes"].values())
-            write_csv(f, rows[0], (row.values() for row in rows))  # rows[0]: the keys, in order
-        else:
-            f.write(json.dumps(payload, indent=2) + "\n")
-        if side:
-            tla.series_csv(side, series)
-    if args.out:
-        print(f"analyzed {stats.records} records ({stats.malformed} malformed) -> {args.out}")
-    return 0
+    classes = [aggregated[c].to_dict() for c in tla.ENDPOINT_CLASSES]
+    if args.format == "csv":
+        write = lambda f: write_csv(f, classes[0], (row.values() for row in classes))
+    else:
+        write = _document({
+            "classes": dict(zip(tla.ENDPOINT_CLASSES, classes)),
+            "parse": dataclasses.asdict(stats),
+            "months": {c: [m for m, _ in pts] for c, pts in series.items()},
+            # Every bucket holds at least one record, so both of its rates are defined.
+            "correlation_tls13_vs_resumption": {
+                cls: tla.rate_correlation((s.tls13_adoption, s.resumption_rate_all)
+                                          for _, s in points)
+                for cls, points in series.items()
+                if len(points) >= 3
+            },
+        })
+    return Output(write, (args.series, lambda f: tla.series_csv(f, series)),
+                  f"analyzed {stats.records} records ({stats.malformed} malformed) -> {args.out}")
 
 
 def _point(line: str) -> tuple[float, float]:
@@ -323,7 +316,7 @@ def _point(line: str) -> tuple[float, float]:
     raise ValueError(f"{line.strip()!r} is not an rtt_ms,ttfb_ms row of two finite numbers")
 
 
-def cmd_calibrate(args, cfg: Config) -> int:
+def cmd_calibrate(args, cfg: Config) -> Output:
     from .tables import read_rows
 
     # The fit would blame the CSV for these, so they are refused before it is read.
@@ -337,23 +330,20 @@ def cmd_calibrate(args, cfg: Config) -> int:
         )
     except ValueError as e:
         raise ValueError(f"{args.csv}: {e}") from None
-    payload = {
+    if args.format == "text":
+        return Output(lambda f: f.write(
+            f"name={profile.name} base_ms={profile.base_ms:.4f} "
+            f"base_flights={profile.base_flights:.4f} "
+            f"resumed_base_ms={profile.resumed_base_ms:.4f} points={len(pts)}\n"
+        ))
+    return Output(_document({
         "name": profile.name,
         "base_ms": profile.base_ms,
         "base_flights": profile.base_flights,
         "resumed_base_ms": profile.resumed_base_ms,
         "points": len(pts),
         "penalty_rtts": args.penalty,
-    }
-    if args.format == "text":
-        print(
-            f"name={profile.name} base_ms={profile.base_ms:.4f} "
-            f"base_flights={profile.base_flights:.4f} "
-            f"resumed_base_ms={profile.resumed_base_ms:.4f} points={len(pts)}"
-        )
-    else:
-        print(json.dumps(payload, indent=2))
-    return 0
+    }))
 
 
 # ---------------------------------------------------------------- parser
@@ -460,9 +450,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args, resolve_config(args.config))
+        result = args.func(args, resolve_config(args.config))
+        out = getattr(args, "out", None)
+        with _outputs(out, result.side[0]) as (f, side):
+            result.write(f)
+            if side:
+                result.side[1](side)
+        if out:
+            print(result.notice)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
-        return code
+        return result.code
     except BrokenPipeError:
         # The reader closed stdout early (`| head`): its choice, not a failure.
         # stdout now writes to devnull, so the flush at exit stays quiet.

@@ -27,7 +27,7 @@ def csv_line(values) -> str:
 
 # json's C encoder with the separators of indent=2 at an object's depth: the
 # body of one row object, which write_json frames by hand.
-_encode_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+_encode_row = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False).encode
 
 
 def write_json(out, header, rows) -> None:
