@@ -258,12 +258,11 @@ def cmd_forge(args, cfg: Config) -> Output:
     manifest = cert_forge.write_chain(chain, args.out_dir, reports)
     certs = list(zip(manifest["certs"], reports))
     ok = all(e["actual_bytes"] == e["target_bytes"] and r.well_formed for e, r in certs)
-    return Output(lambda f: f.writelines([
-        *(f"{e['role']}: target={e['target_bytes']} actual={e['actual_bytes']} "
-          f"padding={e['padding_bytes']} well_formed={str(r.well_formed).lower()}\n"
-          for e, r in certs),
-        f"total_bytes={manifest['total_bytes']} dir={args.out_dir}\n",
-    ]), code=0 if ok else 1)
+    lines = [f"{e['role']}: target={e['target_bytes']} actual={e['actual_bytes']} "
+             f"padding={e['padding_bytes']} well_formed={str(r.well_formed).lower()}\n"
+             for e, r in certs]
+    lines.append(f"total_bytes={manifest['total_bytes']} dir={args.out_dir}\n")
+    return Output(lambda f: f.writelines(lines), code=0 if ok else 1)
 
 
 def cmd_analyze(args, cfg: Config) -> Output:
@@ -452,10 +451,11 @@ def main(argv=None) -> int:
     try:
         result = args.func(args, resolve_config(args.config))
         out = getattr(args, "out", None)
-        with _outputs(out, result.side[0]) as (f, side):
+        side_path, write_side = result.side
+        with _outputs(out, side_path) as (f, side):
             result.write(f)
             if side:
-                result.side[1](side)
+                write_side(side)
         if out:
             print(result.notice)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
