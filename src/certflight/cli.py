@@ -72,11 +72,21 @@ def _chain_kb_for(args, cfg: Config) -> float:
     )
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 @contextlib.contextmanager
 def _outputs(table_path: str | None, side_path: str | None):
     """The table's file (stdout without table_path) and the side file (None without
-    side_path), both opened before anything is written. If the table's file cannot be
-    opened, a side file that existed keeps its contents and one made here is removed."""
+    side_path), both opened before anything is written. Two paths that name one file
+    are refused before either opens. If the table's file cannot be opened, a side
+    file that existed keeps its contents and one made here is removed."""
+    if table_path and side_path and _same_file(table_path, side_path):
+        raise ConfigError(f"{table_path} and {side_path} name the same file")
     created = side_path and not os.path.exists(side_path)
     if side_path:
         open(side_path, "a", encoding="utf-8").close()  # a bad side path fails here, unemptied

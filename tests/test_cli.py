@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -187,6 +188,38 @@ def test_a_failed_run_keeps_an_existing_side_file(tmp_path, monkeypatch, capsys,
     assert code == 1 and err.startswith("error: ") and out == ""
     assert list(tmp_path.iterdir()) == [tmp_path / "side.txt"]
     assert (tmp_path / "side.txt").read_text() == "keep\n"
+
+
+_SAME_FILE_RUNS = {
+    "sweep": ("--seed", "1", "sweep", "--trials", "2", "--sizes", "4:6:1", "--rtts", "10",
+              "--stacks", "ClassicalSim", "--out", "same.txt", "--gnuplot"),
+    "analyze": ("analyze", "--logs", "sample", "--out", "same.txt", "--series"),
+}
+
+
+@pytest.mark.parametrize("side", ["same.txt", "./same.txt", "link.txt", "hard.txt", "new.txt"],
+                         ids=["path", "dotted-path", "symlink", "hard-link", "dangling-symlink"])
+@pytest.mark.parametrize("command", _SAME_FILE_RUNS)
+def test_a_side_file_that_is_the_table_file_is_refused(tmp_path, monkeypatch, capsys,
+                                                       command, side):
+    from certflight.config import _data_path
+
+    monkeypatch.chdir(tmp_path)
+    if side == "new.txt":  # a link to a file not made yet, which the table would make
+        Path("new.txt").symlink_to("same.txt")
+    else:
+        Path("same.txt").write_text("keep\n")
+        Path("link.txt").symlink_to("same.txt")
+        Path("hard.txt").hardlink_to("same.txt")
+    before = {path.name: path.read_bytes() if path.exists() else None
+              for path in tmp_path.iterdir()}
+    argv = (_data_path("sample_tls_log.tsv") if a == "sample" else a
+            for a in (*_SAME_FILE_RUNS[command], side))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: same.txt and {side} name the same file\n"
+    assert {path.name: path.read_bytes() if path.exists() else None
+            for path in tmp_path.iterdir()} == before
 
 
 def test_sweep_trials_come_from_the_config_unless_given(tmp_path, capsys):
@@ -662,7 +695,7 @@ def test_calibrate_refuses_a_non_finite_flag_naming_the_flag(tmp_path, capsys, f
     assert str(path) not in err
 
 
-@pytest.mark.parametrize("row", ["10,inf", "10,nan", "1e400,20", ",500"])
+@pytest.mark.parametrize("row", ["10,inf", "10,nan", "1e400,20", ",500", "10,x"])
 def test_calibrate_refuses_a_non_finite_or_blank_cell_at_its_line(tmp_path, capsys, row):
     path = tmp_path / "points.csv"
     path.write_text(f"rtt_ms,ttfb_ms\n0,8\n{row}\n50,109\n100,208\n")
@@ -835,6 +868,41 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _infinite_total(estimate_ttfb):
+    def estimate(*args, **kwargs):
+        return dataclasses.replace(estimate_ttfb(*args, **kwargs), total_ms=math.inf)
+    return estimate
+
+
+def _nan_region(compute_regions):
+    def regions(*args, **kwargs):
+        return [dataclasses.replace(r, upper_kb_exact=math.nan)
+                for r in compute_regions(*args, **kwargs)]
+    return regions
+
+
+# A non-finite number that got past every upstream check reaches the JSON writers,
+# which refuse it: JSON has no Infinity or NaN (RFC 8259, section 6).
+@pytest.mark.parametrize("module, name, fake, argv", [
+    ("cli", "estimate_ttfb", _infinite_total,
+     ("estimate", "--rtt", "50", "--size-kb", "12", "--format", "json")),
+    ("sweep_runner", "estimate_ttfb", _infinite_total,
+     ("savings", "--rtt", "50", "--size-kb", "12", "--rate", "0.5", "--format", "json")),
+    ("sweep_runner", "compute_regions", _nan_region, ("regions", "--format", "json")),
+], ids=["estimate", "savings", "regions"])
+def test_a_non_finite_number_is_refused_in_json(capsys, monkeypatch, module, name, fake, argv):
+    import importlib
+
+    module = importlib.import_module(f"certflight.{module}")
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # Text and CSV have a spelling for the number, so they still print it.
+    code, out, _ = run(capsys, *argv[:-2])
+    assert code == 0 and ("inf" in out or "nan" in out)
 
 
 @pytest.mark.parametrize("text, key", [
@@ -1053,6 +1121,29 @@ def test_estimate_and_forge_load_no_sweep_table_or_statistics_code(tmp_path):
     assert report["loaded"] == []
     assert report["codes"] == dict.fromkeys(
         ["estimate", "forge", "sweep", "regions", "savings", "thresholds", "calibrate"], 0)
+
+
+# The import checks of the installed-package step in .github/workflows/tests.yml,
+# each in a fresh interpreter: in-process, sys.modules holds what other tests loaded.
+@pytest.mark.parametrize("script", [
+    'import sys, certflight.cli; assert "socket" not in sys.modules',
+    'import sys, certflight.cli as c; '
+    'assert c.main(["estimate", "--rtt", "50", "--size-kb", "12"]) == 0; '
+    'loaded = {"certflight.sweep_runner", "csv", "hashlib", "statistics"} & set(sys.modules); '
+    'assert not loaded, loaded',
+], ids=["no-socket-on-import", "estimate-loads-no-sweep-csv-hashlib-statistics"])
+def test_the_installed_package_step_import_checks_run(tmp_path, script):
+    import os
+    import subprocess
+    import sys
+
+    import certflight
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(certflight.__file__))}
+    env.pop("CERTFLIGHT_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_analyze_replaces_undecodable_bytes(tmp_path, capsys):
