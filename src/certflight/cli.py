@@ -7,8 +7,9 @@ config values. --seed overrides sweep.seed, the seed of each sweep row's draws.
 A command imports the code that only it runs (the sweep, the table writers
 and readers, the forge, the log analytics) inside its own function, so that
 estimate and forge load no sweep, table or statistics code. Each cmd_* checks
-its input and returns an Output without writing; main alone opens --out (or
-stdout) and the side file and writes them, so a refused input writes nothing.
+its input and returns an Output; main alone opens --out (or stdout) and the
+side file and writes them, so a refused input writes nothing. forge alone
+writes before it returns: its chain, under --out-dir.
 """
 
 from __future__ import annotations
@@ -48,16 +49,22 @@ def _parse_optimizers(spec: str) -> tuple[SizeOptimizer, ...]:
     return tuple(out)
 
 
-def _parse_floats(spec: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in spec.split(",") if p.strip())
+def _number(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{flag}: {text.strip()!r} is not a number") from None
+
+
+def _parse_floats(flag: str, spec: str) -> tuple[float, ...]:
+    return tuple(_number(flag, p) for p in spec.split(",") if p.strip())
 
 
 def _flight_for(args, cfg: Config):
     flight = cfg.flight
     if getattr(args, "thresholds", None) is not None:
-        flight = dataclasses.replace(
-            flight, empirical_thresholds_kb=_parse_floats(args.thresholds), mode=EMPIRICAL
-        )
+        thresholds = _parse_floats("--thresholds", args.thresholds)
+        flight = dataclasses.replace(flight, empirical_thresholds_kb=thresholds, mode=EMPIRICAL)
     if getattr(args, "mode", None):
         flight = dataclasses.replace(flight, mode=args.mode)
     return flight
@@ -104,7 +111,8 @@ def _outputs(table_path: str | None, side_path: str | None):
 
 class Output:
     """A command's result for main to write: write(f) writes the body to f (--out or
-    stdout), side is the side file's (path, write), notice follows an --out file."""
+    stdout), side is the side file's (path, write), notice follows an --out file.
+    forge has written its chain by the time it returns one; no other command writes."""
 
     def __init__(self, write, side=(None, None), notice="", code=0):
         self.write, self.side, self.notice, self.code = write, side, notice, code
@@ -158,15 +166,13 @@ def cmd_sweep(args, cfg: Config) -> Output:
     if args.stacks is not None:
         updates["stacks"] = tuple(s.strip() for s in args.stacks.split(",") if s.strip())
     if args.rtts is not None:
-        updates["rtts_ms"] = _parse_floats(args.rtts)
+        updates["rtts_ms"] = _parse_floats("--rtts", args.rtts)
     if args.sizes is not None:
         parts = args.sizes.split(":")
         if len(parts) != 3:
             raise ConfigError("--sizes wants start:end:step")
-        updates.update(
-            size_start_kb=float(parts[0]), size_end_kb=float(parts[1]),
-            size_step_kb=float(parts[2]),
-        )
+        start, end, step = (_number("--sizes", p) for p in parts)
+        updates.update(size_start_kb=start, size_end_kb=end, size_step_kb=step)
     if args.optimizers is not None:
         updates["optimizers"] = _parse_optimizers(args.optimizers)
     if args.seed is not None:
@@ -221,7 +227,7 @@ def cmd_regions(args, cfg: Config) -> Output:
     from .tables import write_csv, write_json
 
     thresholds = (
-        list(_parse_floats(args.thresholds))
+        list(_parse_floats("--thresholds", args.thresholds))
         if args.thresholds is not None
         else list(cfg.flight.empirical_thresholds_kb)
     )

@@ -238,6 +238,23 @@ def test_sweep_bad_size_spec(capsys):
     assert "start:end:step" in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("sweep", "--rtts", "10,ten"), "--rtts: 'ten' is not a number"),
+    (("sweep", "--rtts", "10, ten "), "--rtts: 'ten' is not a number"),
+    (("sweep", "--sizes", "4:80:two"), "--sizes: 'two' is not a number"),
+    (("sweep", "--sizes", ":80:1"), "--sizes: '' is not a number"),
+    (("sweep", "--thresholds", "1,y"), "--thresholds: 'y' is not a number"),
+    (("regions", "--thresholds", "x"), "--thresholds: 'x' is not a number"),
+    (("estimate", "--rtt", "5", "--thresholds", "10,abc"), "--thresholds: 'abc' is not a number"),
+    (("thresholds", "--thresholds", "0x10"), "--thresholds: '0x10' is not a number"),
+    (("savings", "--rtt", "5", "--size-kb", "3", "--rate", "0.5", "--thresholds", "z"),
+     "--thresholds: 'z' is not a number"),
+], ids=["sweep-rtts", "sweep-rtts-spaced", "sweep-sizes", "sweep-sizes-blank", "sweep-thresholds",
+        "regions-thresholds", "estimate-thresholds", "thresholds-hex", "savings-thresholds"])
+def test_a_word_in_a_list_flag_is_one_error_line_naming_the_flag(capsys, argv, line):
+    assert run(capsys, *argv) == (1, "", f"error: {line}\n")
+
+
 def test_thresholds_analytic_flags_deviation(capsys):
     code, out, _ = run(capsys, "thresholds", "--mode", "analytic")
     assert code == 0
@@ -464,8 +481,10 @@ def _check_edge_months(result, analyze):
     assert json.loads(result[1])["months"] == {"CDN": ["2024-01", "2024-02"], "Cloud": ["1970-01"]}
 
 
-# The analyze checks of the installed-package step in .github/workflows/tests.yml,
-# each run here through main on stdin in a temp directory.
+# analyze on odd logs and maps, through main on stdin in a temp directory: a stream
+# cut mid-line, odd and edge addresses, a map over the whole address space, a
+# five-column log against its #fields twin, a map whose range mixes families, and
+# timestamps at the edges of months.
 @pytest.mark.parametrize("stdin, asn_map, check", [
     ("".join(json.dumps({"ts": 1735690000 + i, "id.resp_h": "104.16.1.1", "version": "TLSv1.3",
                          "resumed": True}) + "\n" for i in range(5))[29:],  # tail -c +30
@@ -550,8 +569,9 @@ def _check_noisy_sweep_is_unbiased(sweep):
     assert abs(z) <= 0.1 and abs(s2 - 1) <= 0.05, (z, s2)
 
 
-# The sweep checks of the installed-package steps in .github/workflows/tests.yml,
-# each run here through main in a temp directory.
+# sweep's output paths and its noise, through main in a temp directory: --out equals
+# stdout in CSV and JSON, a saved default config changes nothing, --trials sets the
+# spread, and a noisy sweep is unbiased against the noise-free one.
 @pytest.mark.parametrize("check", [
     _check_csv_out_is_stdout, _check_a_saved_default_config_changes_nothing,
     _check_json_out_is_stdout_and_parses, _check_trials_set_the_spread,
@@ -1123,8 +1143,8 @@ def test_estimate_and_forge_load_no_sweep_table_or_statistics_code(tmp_path):
         ["estimate", "forge", "sweep", "regions", "savings", "thresholds", "calibrate"], 0)
 
 
-# The import checks of the installed-package step in .github/workflows/tests.yml,
-# each in a fresh interpreter: in-process, sys.modules holds what other tests loaded.
+# What importing the CLI and running estimate load, each checked in a fresh
+# interpreter: in-process, sys.modules holds what other tests loaded.
 @pytest.mark.parametrize("script", [
     'import sys, certflight.cli; assert "socket" not in sys.modules',
     'import sys, certflight.cli as c; '
