@@ -226,11 +226,7 @@ def cmd_regions(args, cfg: Config) -> Output:
     from .sweep_runner import REGION_FIELDS, compute_regions
     from .tables import write_csv, write_json
 
-    thresholds = (
-        list(_parse_floats("--thresholds", args.thresholds))
-        if args.thresholds is not None
-        else list(cfg.flight.empirical_thresholds_kb)
-    )
+    thresholds = list(_flight_for(args, cfg).empirical_thresholds_kb)
     optimizers = (
         _parse_optimizers(args.optimizers)
         if args.optimizers is not None

@@ -69,12 +69,9 @@ class _Memo(dict):
 
 
 def _address(raw) -> str:
-    """The stripped address, or "" where the field is unset or not a string,
-    which makes the line malformed."""
-    if not isinstance(raw, str):
-        return ""
-    ip = raw.strip()
-    return "" if ip in _UNSET else ip
+    """The stripped address, or "" where the field is not a string; the
+    parse loop counts an unset address (_UNSET) as malformed."""
+    return raw.strip() if isinstance(raw, str) else ""
 
 
 def _tls13(version: str | None) -> bool:
@@ -147,8 +144,10 @@ def parse_log_stream(
 
     A TSV line's version and resumed strings are each read once per
     distinct value, through a memo of at most MEMO_LIMIT entries per field;
-    its timestamp and address are read on every line. The counts are added
-    to stats when the stream ends or is closed.
+    its timestamp and address are read on every line, the address stripped
+    in the loop. No line is copied to drop its newline: only a #fields
+    header is stripped, and every field read ignores a trailing "\n". The
+    counts are added to stats when the stream ends or is closed.
     """
     if stats is None:
         stats = ParseStats()
@@ -157,14 +156,13 @@ def parse_log_stream(
     data_lines = records = malformed = unknown = 0
     try:
         for line in lines:
-            line = line.rstrip("\n")
             head = line.lstrip()
             if not head:
                 continue
             if line[0] == "#":
                 # Zeek metadata; a #fields header overrides column order.
                 if line.startswith("#fields"):
-                    width, pick = _columns(line.split("\t")[1:])
+                    width, pick = _columns(line.rstrip("\n").split("\t")[1:])
                 continue
             data_lines += 1
             if head[0] == "{":
@@ -180,14 +178,14 @@ def parse_log_stream(
                     continue
                 parts.append(None)  # read by a column the header lacks
                 ts, ip, version, resumed = pick(parts)
-                ip, tls13 = _address(ip), versions[version]
+                ip, tls13 = (ip or "").strip(), versions[version]
                 resumed, known = resumptions[resumed]
             try:
                 timestamp = float(ts)
             except (TypeError, ValueError, OverflowError):  # OverflowError: a huge JSON integer
                 malformed += 1
                 continue
-            if not (ip and _TS_MIN <= timestamp < _TS_MAX):  # the range test also fails for NaN
+            if ip in _UNSET or not _TS_MIN <= timestamp < _TS_MAX:  # the range test also fails for NaN
                 malformed += 1
                 continue
             unknown += not known
@@ -227,6 +225,7 @@ class AsnMap:
     last), as packed big-endian bytes, each with the (asn, org) and class
     of the interval it starts. Packed bytes of one length order as the
     addresses do, so a lookup is one bisect whatever the prefix lengths.
+    classify reads a dotted IPv4 address itself; other strings go to _interval.
     """
 
     def __init__(
@@ -250,6 +249,7 @@ class AsnMap:
             size = bits // 8
             self._starts[size], self._hits[size] = _boundaries(table, bits)
             self._classes[size] = [self._class(hit) for hit in self._hits[size]]
+        self._starts4, self._classes4 = self._starts[4], self._classes[4]
 
     @classmethod
     def from_files(cls, map_csv, cdn_file=None, cloud_file=None) -> "AsnMap":
@@ -271,12 +271,8 @@ class AsnMap:
     def _interval(self, ip: str) -> tuple[int, int] | None:
         """(packed length, index of the interval holding ip), or None if ip is
         not an address that ipaddress.ip_address reads. inet_pton reads the
-        common forms several times faster; what it refuses goes to
-        ipaddress, which also reads a scoped fe80::1%eth0."""
-        try:
-            return 4, bisect_right(self._starts[4], inet_pton(AF_INET, ip)) - 1
-        except (OSError, ValueError):  # ValueError: a NUL or, as UnicodeEncodeError, a lone surrogate
-            pass
+        common IPv6 forms several times faster; what it refuses goes to
+        ipaddress, which also reads IPv4 and a scoped fe80::1%eth0."""
         try:
             return 16, bisect_right(self._starts[16], inet_pton(AF_INET6, ip)) - 1
         except (OSError, ValueError):
@@ -295,9 +291,14 @@ class AsnMap:
 
     def classify(self, ip: str) -> str:
         """The endpoint class of ip: that of the narrowest entry holding it,
-        Unidentified if none does or ip is not an address."""
-        at = self._interval(ip)
-        return CLASS_UNIDENTIFIED if at is None else self._classes[at[0]][at[1]]
+        Unidentified if none does or ip is not an address. A dotted IPv4
+        address is read here, by one inet_pton and one bisect; any other
+        string goes to _interval."""
+        try:
+            return self._classes4[bisect_right(self._starts4, inet_pton(AF_INET, ip)) - 1]
+        except (OSError, ValueError):  # ValueError: a NUL or, as UnicodeEncodeError, a lone surrogate
+            at = self._interval(ip)
+            return CLASS_UNIDENTIFIED if at is None else self._classes[at[0]][at[1]]
 
 
 def _boundaries(nets: dict[int, tuple[int, str]], bits: int) -> tuple[list[bytes], list]:

@@ -136,3 +136,24 @@ def test_analyze_classifies_each_record_once(tmp_path, capsys, monkeypatch):
         records = json.loads(capsys.readouterr().out)["parse"]["records"]
         assert records > 0
         assert len(calls) == records
+
+
+def test_analyze_classifies_each_record_once_on_a_mixed_log(tmp_path, capsys, monkeypatch):
+    # classify reads a dotted IPv4 address itself and hands any other string
+    # to its fallback: one call per record either way, as the bench tracer counts.
+    calls = []
+    classify = AsnMap.classify
+
+    def counting(self, ip):
+        calls.append(ip)
+        return classify(self, ip)
+
+    monkeypatch.setattr(AsnMap, "classify", counting)
+    servers = ["104.16.1.1", "2001:db8::1", "::ffff:104.16.1.1", "fe80::1%eth0", "not-an-ip",
+               "52.1.1.1", "010.1.1.1"]
+    path = tmp_path / "mixed.tsv"
+    path.write_text("".join(f"{JAN + i}\t{ip}\tTLSv1.3\tT\t-\n" for i, ip in enumerate(servers * 3)))
+    assert main(["analyze", "--logs", str(path)]) == 0
+    records = json.loads(capsys.readouterr().out)["parse"]["records"]
+    assert records == len(servers) * 3
+    assert sorted(calls) == sorted(servers * 3)

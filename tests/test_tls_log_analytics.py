@@ -1,5 +1,6 @@
 import io
 import ipaddress
+import itertools
 import json
 import math
 import random
@@ -354,6 +355,18 @@ def test_a_tsv_log_and_its_json_twin_read_alike(segments):
     assert _parse(tsv) == _parse(jsonl)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_LOG_LINES, st.lists(st.tuples(*(_STRINGS[name] for name in FIELDS)), max_size=4))
+def test_a_line_reads_alike_with_and_without_its_newline(lines, rows):
+    # A file gives each line with its "\n", which then ends the last column.
+    # Under each of the 24 orders of the read columns, each comes last.
+    logs = [lines] + [["\t".join(("#fields", *order)),
+                       *("\t".join(row[FIELDS.index(name)] for name in order) for row in rows)]
+                      for order in itertools.permutations(FIELDS)]
+    for log in logs:
+        assert _parse(log) == _parse([line + "\n" for line in log])
+
+
 def test_memos_at_their_bound_change_no_result(monkeypatch):
     rng = random.Random(2121)
     ips = [f"104.16.{i}.1" for i in range(6)] + ["73.5.5.5", "52.1.1.1", "-", "not-an-ip"]
@@ -475,6 +488,39 @@ _ADDRESSES = st.one_of(
 @example("0x1.1.1.1")
 def test_lookup_reads_addresses_as_ipaddress_does(ip):
     assert _LOOKUP_MAP.lookup(ip) == _lookup_oracle(ip)
+
+
+# The lookup map with CDN and cloud ASNs: the packaged lists, and two of the IPv6 entries.
+_, _CDN_FILE, _CLOUD_FILE = Config().resolve_asn_paths()
+_CDN_ASNS = load_asn_list(_CDN_FILE) | {64500}
+_CLOUD_ASNS = load_asn_list(_CLOUD_FILE) | {64503}
+_CLASSIFY_MAP = AsnMap(_LOOKUP_ENTRIES, cdn_asns=_CDN_ASNS, cloud_asns=_CLOUD_ASNS)
+
+
+def _class_oracle(ip):
+    """The class of the narrowest entry holding ip, read by ipaddress alone."""
+    hit = _lookup_oracle(ip)
+    if hit is None:
+        return CLASS_UNIDENTIFIED
+    return CLASS_CDN if hit[0] in _CDN_ASNS else CLASS_CLOUD if hit[0] in _CLOUD_ASNS else CLASS_NONCDN
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_ADDRESSES)
+@example("104.16.1.1\x00")  # inet_pton raises ValueError on a NUL
+@example("104.16.1.\ud800")  # and UnicodeEncodeError on a lone surrogate
+@example("fe80::1%eth0")  # scoped: only ipaddress reads it
+@example("::ffff:104.16.1.1")
+@example("010.1.1.1")
+@example("1.1.1")
+@example("104.16.1.\u0661")  # an Arabic-Indic digit one
+@example("104.16.1.1 ")
+@example("256.1.1.1")
+@example("0x1.1.1.1")
+def test_classify_reads_addresses_as_ipaddress_does(ip):
+    # classify reads a dotted IPv4 address itself, apart from lookup, and
+    # hands any other string to the fallback that lookup uses.
+    assert _CLASSIFY_MAP.classify(ip) == _class_oracle(ip)
 
 
 @st.composite
