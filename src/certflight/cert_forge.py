@@ -410,12 +410,6 @@ def pem_encode(der: bytes) -> str:
     return "-----BEGIN CERTIFICATE-----\n" + "\n".join(lines) + "\n-----END CERTIFICATE-----\n"
 
 
-def pem_decode(text: str) -> bytes:
-    lines = [ln.strip() for ln in text.splitlines()]
-    body = [ln for ln in lines if ln and not ln.startswith("-----")]
-    return base64.b64decode("".join(body))
-
-
 def write_chain(chain: ForgedChain, out_dir: str, reports: list[ParseReport]) -> dict:
     """Write DER and PEM files plus a manifest.json; returns the manifest.
     reports are the certs' parse_and_measure reports, in chain order."""

@@ -99,13 +99,13 @@ def _columns(names: Sequence[str]) -> tuple[int, itemgetter]:
 
 def _json_fields(line: str) -> tuple | None:
     """(raw ts, address, tls13, resumed, known) of a JSON line, the last four
-    read as a TSV line's are; None if the line is not an object or a value
-    has the wrong type."""
+    read as a TSV line's are; None if the line does not decode or a value has
+    the wrong type. The line's first non-blank character is "{" and
+    str.lstrip strips all that JSON counts as whitespace, so a line that
+    decodes is an object."""
     try:
         row = json.loads(line)
     except (ValueError, RecursionError):  # not JSON, too long an integer, too deep
-        return None
-    if not isinstance(row, dict):
         return None
     ts, ip, version, resumed = map(row.get, FIELDS)
     if isinstance(ts, bool) or not (version is None or isinstance(version, str)):
@@ -132,15 +132,15 @@ def parse_log_stream(
     (FIELDS). Malformed lines (bad column count, no ts or id.resp_h
     column, unparseable timestamp, timestamp outside the years 1-9999
     that ``month_key`` can render, missing or unset address, a JSON line
-    that does not decode to an object, a JSON address that is not a
-    string, a JSON version that is neither null nor a string) are
-    counted in stats and skipped. An address string that is not an IP
-    address is not malformed: the record is kept and classifies as
-    Unidentified. A missing resumption field is not malformed either:
-    the record defaults to resumed=False and the line is tallied under
-    resumption_unknown. If more than half of all data lines are
-    malformed the stream itself is considered unreadable and
-    LogFormatError is raised once the stream is exhausted.
+    that does not decode, a JSON address that is not a string, a JSON
+    version that is neither null nor a string) are counted in stats and
+    skipped. An address string that is not an IP address is not
+    malformed: the record is kept and classifies as Unidentified. A
+    missing resumption field is not malformed either: the record defaults
+    to resumed=False and the line is tallied under resumption_unknown. If
+    more than half of all data lines are malformed the stream itself is
+    considered unreadable and LogFormatError is raised once the stream is
+    exhausted.
 
     A TSV line's version and resumed strings are each read once per
     distinct value, through a memo of at most MEMO_LIMIT entries per field;
@@ -214,18 +214,19 @@ ENDPOINT_CLASSES = (CLASS_CDN, CLASS_CLOUD, CLASS_NONCDN, CLASS_UNIDENTIFIED)
 
 
 class AsnMap:
-    """IP-to-ASN map with CDN and cloud ASN sets; the narrowest entry wins.
+    """IP-to-class map from (network, asn, org) entries and CDN and cloud ASN
+    sets; the narrowest entry wins.
 
-    Entries are (network, asn, org) where network is a CIDR string or an
-    inclusive "start-end" address range (ranges are split into covering
-    prefixes). A network listed more than once keeps its last row. The
-    map is built into one sorted boundary table per address family: the
-    points where the narrowest entry holding an address can change
-    (address 0, each network's first address, and the address after its
-    last), as packed big-endian bytes, each with the (asn, org) and class
-    of the interval it starts. Packed bytes of one length order as the
-    addresses do, so a lookup is one bisect whatever the prefix lengths.
-    classify reads a dotted IPv4 address itself; other strings go to _interval.
+    network is a CIDR string or an inclusive "start-end" address range
+    (ranges are split into covering prefixes). Each entry's class is decided
+    once, here: CDN if its ASN is in cdn_asns, else Cloud if in cloud_asns,
+    else NonCDN; org is read but not kept. A network listed more than once
+    keeps its last row. The map is built into one sorted boundary table per
+    address family: the points where the narrowest entry holding an address
+    can change (address 0, each network's first address, and the address
+    after its last), as packed big-endian bytes, each with the class of the
+    interval it starts. Packed bytes of one length order as the addresses
+    do, so classify is one bisect whatever the prefix lengths.
     """
 
     def __init__(
@@ -234,22 +235,17 @@ class AsnMap:
         cdn_asns: Iterable[int] = (),
         cloud_asns: Iterable[int] = (),
     ):
-        self.cdn_asns = frozenset(int(a) for a in cdn_asns)
-        self.cloud_asns = frozenset(int(a) for a in cloud_asns)
-        # Per address width, first address << 8 | prefix length -> (asn, org),
+        cdn, cloud = frozenset(map(int, cdn_asns)), frozenset(map(int, cloud_asns))
+        # Per address width, first address << 8 | prefix length -> class,
         # so that keys sort by address, wider first; a later row overwrites.
-        nets: dict[int, dict[int, tuple[int, str]]] = {32: {}, 128: {}}
-        for network, asn, org in entries:
+        nets: dict[int, dict[int, str]] = {32: {}, 128: {}}
+        for network, asn, _org in entries:
+            asn = int(asn)
+            cls = CLASS_CDN if asn in cdn else CLASS_CLOUD if asn in cloud else CLASS_NONCDN
             for net in _parse_networks(network):
-                key = int(net.network_address) << 8 | net.prefixlen
-                nets[net.max_prefixlen][key] = (int(asn), org)
-        # Per packed length: the interval starts, and each interval's (asn, org) and class.
-        self._starts, self._hits, self._classes = {}, {}, {}
-        for bits, table in nets.items():
-            size = bits // 8
-            self._starts[size], self._hits[size] = _boundaries(table, bits)
-            self._classes[size] = [self._class(hit) for hit in self._hits[size]]
-        self._starts4, self._classes4 = self._starts[4], self._classes[4]
+                nets[net.max_prefixlen][int(net.network_address) << 8 | net.prefixlen] = cls
+        self._starts4, self._classes4 = _boundaries(nets[32], 32)
+        self._starts6, self._classes6 = _boundaries(nets[128], 128)
 
     @classmethod
     def from_files(cls, map_csv, cdn_file=None, cloud_file=None) -> "AsnMap":
@@ -259,73 +255,55 @@ class AsnMap:
             cloud_asns=load_asn_list(cloud_file) if cloud_file else (),
         )
 
-    def _class(self, hit: tuple[int, str] | None) -> str:
-        if hit is None:
-            return CLASS_UNIDENTIFIED
-        if hit[0] in self.cdn_asns:
-            return CLASS_CDN
-        if hit[0] in self.cloud_asns:
-            return CLASS_CLOUD
-        return CLASS_NONCDN
-
-    def _interval(self, ip: str) -> tuple[int, int] | None:
-        """(packed length, index of the interval holding ip), or None if ip is
-        not an address that ipaddress.ip_address reads. inet_pton reads the
-        common IPv6 forms several times faster; what it refuses goes to
-        ipaddress, which also reads IPv4 and a scoped fe80::1%eth0."""
+    def classify(self, ip: str) -> str:
+        """The endpoint class of ip: that of the narrowest entry holding it,
+        Unidentified if none does or ip is not an address that
+        ipaddress.ip_address reads. Three readers are tried in turn, each
+        followed by one bisect: inet_pton for IPv4, then for IPv6 (several
+        times faster than ipaddress on the common forms), then ipaddress,
+        which also reads a scoped fe80::1%eth0."""
         try:
-            return 16, bisect_right(self._starts[16], inet_pton(AF_INET6, ip)) - 1
+            return self._classes4[bisect_right(self._starts4, inet_pton(AF_INET, ip)) - 1]
+        except (OSError, ValueError):  # ValueError: a NUL or, as UnicodeEncodeError, a lone surrogate
+            pass
+        try:
+            return self._classes6[bisect_right(self._starts6, inet_pton(AF_INET6, ip)) - 1]
         except (OSError, ValueError):
             pass
         try:
             packed = ipaddress.ip_address(ip).packed
         except ValueError:
-            return None
-        return len(packed), bisect_right(self._starts[len(packed)], packed) - 1
-
-    def lookup(self, ip: str) -> tuple[int, str] | None:
-        """The (asn, org) of the narrowest entry holding ip; None if no entry
-        does or ip is not an address that ipaddress.ip_address reads."""
-        at = self._interval(ip)
-        return None if at is None else self._hits[at[0]][at[1]]
-
-    def classify(self, ip: str) -> str:
-        """The endpoint class of ip: that of the narrowest entry holding it,
-        Unidentified if none does or ip is not an address. A dotted IPv4
-        address is read here, by one inet_pton and one bisect; any other
-        string goes to _interval."""
-        try:
-            return self._classes4[bisect_right(self._starts4, inet_pton(AF_INET, ip)) - 1]
-        except (OSError, ValueError):  # ValueError: a NUL or, as UnicodeEncodeError, a lone surrogate
-            at = self._interval(ip)
-            return CLASS_UNIDENTIFIED if at is None else self._classes[at[0]][at[1]]
+            return CLASS_UNIDENTIFIED
+        if len(packed) == 4:
+            return self._classes4[bisect_right(self._starts4, packed) - 1]
+        return self._classes6[bisect_right(self._starts6, packed) - 1]
 
 
-def _boundaries(nets: dict[int, tuple[int, str]], bits: int) -> tuple[list[bytes], list]:
+def _boundaries(nets: dict[int, str], bits: int) -> tuple[list[bytes], list[str]]:
     """The starts of the intervals over all addresses `bits` wide, as packed
-    bytes in address order, and per interval the value of the narrowest
-    network holding it (None where none does). nets maps first address << 8
-    | prefix length to a value. Prefixes nest or are disjoint, so the
-    networks holding the sweep point form a stack, narrowest on top."""
+    bytes in address order, and per interval the class of the narrowest
+    network holding it (CLASS_UNIDENTIFIED where none does). nets maps first
+    address << 8 | prefix length to a class. Prefixes nest or are disjoint,
+    so the networks holding the sweep point form a stack, narrowest on top."""
     top, size = 1 << bits, bits // 8
     starts: list[bytes] = [bytes(size)]
-    values: list[tuple[int, str] | None] = [None]
-    # (end, value) of the networks holding the sweep point, narrowest last.
-    held: list[tuple[int, tuple[int, str]]] = []
+    classes: list[str] = [CLASS_UNIDENTIFIED]
+    # (end, class) of the networks holding the sweep point, narrowest last.
+    held: list[tuple[int, str]] = []
 
-    def mark(point: int, value: tuple[int, str] | None) -> None:
+    def mark(point: int, cls: str) -> None:
         start = point.to_bytes(size, "big")
         if start == starts[-1]:
-            values[-1] = value
+            classes[-1] = cls
         else:
             starts.append(start)
-            values.append(value)
+            classes.append(cls)
 
     def close(before: int) -> None:
         while held and held[-1][0] <= before:
             end = held.pop()[0]
             if end < top:
-                mark(end, held[-1][1] if held else None)
+                mark(end, held[-1][1] if held else CLASS_UNIDENTIFIED)
 
     for key in sorted(nets):
         first = key >> 8
@@ -333,7 +311,7 @@ def _boundaries(nets: dict[int, tuple[int, str]], bits: int) -> tuple[list[bytes
         mark(first, nets[key])
         held.append((first + (1 << bits - (key & 255)), nets[key]))
     close(top)
-    return starts, values
+    return starts, classes
 
 
 def _parse_networks(spec: str) -> list:

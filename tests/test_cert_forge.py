@@ -1,5 +1,6 @@
 import json
 import random
+import ssl
 import time
 from unittest import mock
 
@@ -15,7 +16,6 @@ from certflight.cert_forge import (
     minimum_size,
     pad_to_size,
     parse_and_measure,
-    pem_decode,
     pem_encode,
     write_chain,
 )
@@ -131,7 +131,8 @@ def test_pem_round_trip():
     text = pem_encode(blob)
     assert text.startswith("-----BEGIN CERTIFICATE-----")
     assert max(len(line) for line in text.splitlines()) <= 64
-    assert pem_decode(text) == blob
+    assert ssl.PEM_cert_to_DER_cert(text) == blob
+    assert ssl.DER_cert_to_PEM_cert(blob) == text
 
 
 def test_forge_chain_full():
@@ -177,7 +178,7 @@ def test_write_chain_manifest(tmp_path):
         der = (tmp_path / entry["file_der"]).read_bytes()
         assert len(der) == entry["actual_bytes"] == entry["target_bytes"]
         pem = (tmp_path / entry["file_pem"]).read_text()
-        assert pem_decode(pem) == der
+        assert ssl.PEM_cert_to_DER_cert(pem) == der
 
 
 @pytest.mark.parametrize("size_kb", [1e300, 16777.216])

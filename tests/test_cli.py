@@ -757,6 +757,26 @@ def test_a_reader_that_closes_stdout_early_is_not_an_error():
         assert proc.stderr.read() == b""
 
 
+def test_main_ends_quietly_with_exit_0_when_stdout_is_a_broken_pipe(tmp_path, capsys):
+    """The test above in-process: main's BrokenPipeError branch returns 0, prints
+    no error and points stdout's descriptor at devnull, so nothing written later lands."""
+    import contextlib
+    import os
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return target.fileno()
+
+    with open(tmp_path / "stdout", "wb") as target, contextlib.redirect_stdout(ClosedPipe()):
+        assert main(["sweep", "--rtts", "10", "--sizes", "4:8:1"]) == 0
+        os.write(target.fileno(), b"late")
+    assert (tmp_path / "stdout").read_bytes() == b""
+    assert capsys.readouterr().err == ""
+
+
 def test_config_file_overrides_defaults(tmp_path, capsys):
     import dataclasses
 

@@ -139,6 +139,14 @@ def test_sampling_noise_free():
     assert std_one == 0.0  # undefined spread for a single draw
 
 
+@pytest.mark.parametrize("noise", [NoiseModel("gaussian", std_ms=1.0), NoiseModel("none")],
+                         ids=["gaussian", "none"])
+def test_sampling_refuses_zero_trials(noise):
+    est = estimate_ttfb(CLASSICAL, path(10.0), 3.0)
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        sample_ttfb(est, noise, 0, seed=1)
+
+
 @pytest.mark.parametrize("n", [2, 100])
 def test_sampled_summary_has_the_n_trial_distribution(n):
     """Over 4,000 seeds, (mean - mu) * sqrt(n) / sigma must look N(0, 1) and
