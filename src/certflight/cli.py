@@ -475,7 +475,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader closed stdout early (`| head`): its choice, not a failure.
         # stdout now writes to devnull, so the flush at exit stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 0
     except (ValueError, OSError) as e:
         # Every certflight error is a ValueError: bad input ends with one line.

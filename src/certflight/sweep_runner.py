@@ -4,10 +4,10 @@ sweep_records evaluates the TTFB model over a (stack, rtt, size) grid with
 optional size optimizers and per-row noise sampling, and yields the rows
 one at a time, as tuples in the columns sweep_header names. sweep_csv
 yields the same rows as CSV text, one chunk per (stack, rtt) line of the
-grid. Both stream, so memory grows with the size axis, not with the number
-of rows; write_gnuplot collects the rows into curves, and run_sweep lists
-them. Every input error is raised when sweep_records or sweep_csv is
-called, before the first row exists, so a failed sweep writes nothing.
+grid, and write_gnuplot writes each line's curves as it reads the rows. All
+stream, so memory grows with the size axis, not with the number of rows;
+run_sweep lists them. Every input error is raised when sweep_records or
+sweep_csv is called, before the first row exists, so a failed sweep writes nothing.
 
 The grid is factored: the wire size and extra round trips depend only on
 (size, optimizer), and the totals only on (stack, rtt, extra round trips),
@@ -27,6 +27,7 @@ import io
 import math
 import struct
 from dataclasses import dataclass, fields
+from itertools import chain, groupby
 
 from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
 from .config import SweepPlan  # re-exported: the plan is a section of the config
@@ -86,7 +87,7 @@ def sweep_records(
     flight: FlightModel,
     noise: NoiseModel = NoiseModel(),
 ):
-    """A generator of the grid's rows in canonical order (stack, rtt, size,
+    """An iterator of the grid's rows in canonical order (stack, rtt, size,
     optimizer), as tuples of the values sweep_header(bool(plan.optimizers)) names.
 
     With optimizers in the plan, each grid point also gets one row per
@@ -94,19 +95,22 @@ def sweep_records(
     round trips. A row's draws come from sha256 of its key, the bytes of
     f"{seed}|{stack}|{rtt!r}|{size!r}|{label}". This call checks every stack,
     rtt, size and total, and that no total plus its largest noise draw
-    overflows, before it returns, so the generator itself raises nothing.
+    overflows, before it returns, so the iterator itself raises nothing.
     """
-    return _records(*_grid(plan, stacks, flight, noise))
+    return chain.from_iterable(_records(*_grid(plan, stacks, flight, noise)))
 
 
 def _records(lines, cells, draw):
+    """One list of rows per (stack, rtt) line: the only code that draws a row."""
     for name, rtt, head, totals in lines:
+        rows = []
         for size, row in cells:
             for tail, extra, last in row:
                 mean, std = totals[extra], 0.0
                 if draw is not None:
                     mean, std = draw(mean, head + tail)
-                yield (name, rtt, size, mean, std, extra) + last
+                rows.append((name, rtt, size, mean, std, extra) + last)
+        yield rows
 
 
 def sweep_csv(
@@ -121,25 +125,18 @@ def sweep_csv(
     before it returns. Each line's and each cell's fixed columns are rendered
     once, by csv_line, so csv decides their quoting; a row formats only its
     mean_ms and std_ms, floats, which csv would write as their repr."""
-    lines, cells, draw = _grid(plan, stacks, flight, noise)
-    return _csv_chunks(sweep_header(bool(plan.optimizers)), lines, cells, draw)
+    return _csv_chunks(sweep_header(bool(plan.optimizers)), *_grid(plan, stacks, flight, noise))
 
 
 def _csv_chunks(header, lines, cells, draw):
     yield csv_line(header) + "\n"
-    # Per size and variant: the row key's tail, the extra round trips, and the
-    # row's text before and after its mean_ms,std_ms.
-    fixed = [(tail, extra, csv_line((size,)) + ",", "," + csv_line((extra, *last)) + "\n")
-             for size, row in cells for tail, extra, last in row]
-    for name, rtt, head, totals in lines:
+    # Per size and variant: the row's text before and after its mean_ms,std_ms.
+    fixed = [(csv_line((size,)) + ",", "," + csv_line((extra, *last)) + "\n")
+             for size, row in cells for _, extra, last in row]
+    for (name, rtt, *_), rows in zip(lines, _records(lines, cells, draw)):
         lead = csv_line((name, rtt)) + ","
-        parts = []
-        for tail, extra, before, after in fixed:
-            mean, std = totals[extra], 0.0
-            if draw is not None:
-                mean, std = draw(mean, head + tail)
-            parts.append(f"{lead}{before}{mean!r},{std!r}{after}")
-        yield "".join(parts)
+        yield "".join([f"{lead}{before}{row[3]!r},{row[4]!r}{after}"
+                       for (before, after), row in zip(fixed, rows)])
 
 
 def run_sweep(
@@ -157,18 +154,19 @@ def write_gnuplot(out, records) -> None:
     """Two-column (size_kb, mean_ms) blocks, one per (stack, rtt, optimizer).
 
     Blocks are separated by two blank lines, addressable with gnuplot's
-    `index` keyword. RTTs 0.0 and -0.0 compare equal, so they share a block.
+    `index` keyword. Records are grouped into (stack, rtt repr) lines, so
+    RTTs 0.0 and -0.0 are two, and a line's blocks are written as soon as the
+    next line begins: only one line's points are held.
     """
-    series: dict[tuple, list[str]] = {}
-    for stack, rtt, size, mean, _, _, *label in records:
-        series.setdefault((stack, rtt, *label), []).append(f"{size!r} {mean!r}")
-    blocks = []
-    for (stack, rtt, *label), points in series.items():
-        title = f"# stack={stack} rtt_ms={rtt!r}"
-        if label and label[0]:
-            title += f" optimizer={label[0]}"
-        blocks.append(title + "\n" + "\n".join(points) + "\n")
-    out.write("\n\n".join(blocks))
+    sep = ""
+    for (stack, rtt), rows in groupby(records, key=lambda r: (r[0], repr(r[1]))):
+        curves: dict[str, list[str]] = {}
+        for _, _, size, mean, _, _, *label in rows:
+            curves.setdefault(f" optimizer={label[0]}" if label and label[0] else "",
+                              []).append(f"{size!r} {mean!r}")
+        for optimizer, points in curves.items():
+            out.write(f"{sep}# stack={stack} rtt_ms={rtt}{optimizer}\n" + "\n".join(points) + "\n")
+            sep = "\n\n"
 
 
 def emit_csv(records: list[tuple]) -> str:

@@ -295,12 +295,15 @@ def _mutated_blobs(draw):
 @example(b"\x1f\x00", {"error": "multi-byte tags not supported"})
 @example(b"\x30\x80\x00\x00", {"error": "indefinite length is not DER"})
 @example(b"\x30\x82\x01", {"error": "truncated length field"})
-@example(b"\x30\x82\x00\x05", {"error": "length field has leading zero"})
+@example(b"\x30\x82\x00\x05", {"error": "length field has leading zero", "error_offset": 2})
 @example(_cert(b"\x04\x05"), {"error": "child overruns its parent"})
 @example(_ext(_tlv(0x06), _tlv(0x04)), {"error": "empty OID"})
 @example(_ext(_tlv(0x06, b"\x2a\x86"), _tlv(0x04)), {"error": "OID ends mid-arc"})
 @example(_cert(tbs_tag=0x31), {"error": "tbs must be a SEQUENCE"})
-@example(_cert(sig_alg=_tlv(0x31)), {"error": "signature algorithm must be a SEQUENCE"})
+# The signature algorithm's node starts after the 2-byte header and the empty tbs.
+@example(_cert(sig_alg=_tlv(0x31)),
+         {"error": "signature algorithm must be a SEQUENCE", "error_offset": 4})
+@example(_cert() + b"\x00", {"error": "trailing bytes after certificate", "error_offset": 13})
 @example(_cert(sig=_tlv(0x04, b"\x00")), {"error": "signature must be a BIT STRING"})
 @example(_cert(sig=_tlv(0x03, b"\x08")),
          {"error": "signature BIT STRING has bad unused-bit count"})
@@ -322,6 +325,9 @@ def _mutated_blobs(draw):
 @example(_ext(_tlv(0x06, b"\x80\x2a"), _tlv(0x04)), {"error": "OID subidentifier starts with 0x80"})
 # A tbs 5,000 SEQUENCEs deep.
 @example(_cert(_nested(4999)), {"error": "nested deeper than 32 levels"})
+# The certificate and its tbs are the first two levels: the deepest nesting allowed, then one more.
+@example(_cert(_nested(cert_forge._MAX_DEPTH - 2)), {"well_formed": True})
+@example(_cert(_nested(cert_forge._MAX_DEPTH - 1)), {"error": "nested deeper than 32 levels"})
 # An OID arc of 4,300-plus decimal digits.
 @example(_ext(_tlv(0x06, b"\x81" * 2100 + b"\x01"), _tlv(0x04)),
          {"well_formed": True, "padding_bytes": 0})

@@ -101,7 +101,7 @@ def test_sweep_same_seed_same_bytes(tmp_path, capsys):
 
 
 def test_sweep_csv_is_the_same_streamed_or_collected(tmp_path, capsys):
-    # Without --gnuplot the CSV streams row by row; with it the rows are collected first.
+    # --gnuplot draws the rows again in a pass of its own; the CSV must not change.
     args = ("--seed", "3", "sweep", "--rtts", "0,-0.0,25", "--sizes", "2:14:1.5",
             "--optimizers", "mtc1,identity")
     _, streamed, _ = run(capsys, *args)
@@ -774,6 +774,20 @@ def test_main_ends_quietly_with_exit_0_when_stdout_is_a_broken_pipe(tmp_path, ca
         assert main(["sweep", "--rtts", "10", "--sizes", "4:8:1"]) == 0
         os.write(target.fileno(), b"late")
     assert (tmp_path / "stdout").read_bytes() == b""
+    assert capsys.readouterr().err == ""
+
+
+def test_main_leaves_no_descriptor_open_after_a_broken_pipe(capsys):
+    import contextlib
+    import os
+
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as pipe, contextlib.redirect_stdout(pipe):
+            assert main(["sweep", "--rtts", "10", "--sizes", "4:8:1"]) == 0
+    assert len(os.listdir("/proc/self/fd")) == before
     assert capsys.readouterr().err == ""
 
 

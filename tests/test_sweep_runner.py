@@ -256,7 +256,7 @@ def test_json_round_trip_is_exact():
 def gnuplot_blocks(plan):
     out = io.StringIO()
     write_gnuplot(out, sweep_records(plan, DEFAULT_STACKS, FLIGHT, QUIET))
-    return out.getvalue().split("\n\n")
+    return out.getvalue().rstrip("\n").split("\n\n\n")
 
 
 def test_gnuplot_blocks():
@@ -267,9 +267,33 @@ def test_gnuplot_blocks():
     size, mean = first_data.split()
     assert float(size) == 4.0
     assert float(mean) == pytest.approx(28.3)
-    # 0.0 and -0.0 compare equal: one curve, titled by the first, holding both RTTs' points.
-    (block,) = gnuplot_blocks(small_plan(rtts_ms=(0.0, -0.0)))
-    assert block.startswith("# stack=ClassicalSim rtt_ms=0.0\n") and block.count("\n") == 9
+    # 0.0 and -0.0 compare equal, but a plan takes them as two RTTs: two curves.
+    zero, minus_zero = gnuplot_blocks(small_plan(rtts_ms=(0.0, -0.0)))
+    assert zero.startswith("# stack=ClassicalSim rtt_ms=0.0\n") and zero.count("\n") == 4
+    assert minus_zero.startswith("# stack=ClassicalSim rtt_ms=-0.0\n")
+    assert minus_zero.split("\n")[1:] == zero.split("\n")[1:]  # one point per size each
+
+
+def test_gnuplot_writes_a_line_before_it_reads_on_into_the_next():
+    mtc1 = SizeOptimizer(chain_model.MTC_ONE_INTERMEDIATE)
+    rows = run_sweep(small_plan(optimizers=(mtc1,)), DEFAULT_STACKS, FLIGHT, QUIET)
+    per_line = len(rows) // 2
+    first = io.StringIO()
+    write_gnuplot(first, rows[:per_line])
+    out = io.StringIO()
+    seen = []  # what write_gnuplot had written before it read each row
+
+    def feed():
+        for row in rows:
+            seen.append(out.getvalue())
+            yield row
+
+    write_gnuplot(out, feed())
+    # A line ends where the next line's first row is read, so its blocks follow that read,
+    # and the next line's blocks wait for its own end.
+    assert seen[:per_line + 1] == [""] * (per_line + 1)
+    assert seen[per_line + 1:] == [first.getvalue()] * (per_line - 1)
+    assert out.getvalue().startswith(first.getvalue() + "\n\n# stack=ClassicalSim rtt_ms=50.0\n")
 
 
 def test_regions_cover_pinned_bounds():
@@ -433,10 +457,10 @@ def oracle_json(rows):
 def oracle_gnuplot(rows):
     series = {}
     for stack, rtt, size, mean, _, _, label in rows:
-        series.setdefault((stack, rtt, label), []).append((size, mean))
+        series.setdefault((stack, repr(rtt), label), []).append((size, mean))
     blocks = []
     for (stack, rtt, optimizer), members in series.items():
-        title = f"# stack={stack} rtt_ms={rtt!r}"
+        title = f"# stack={stack} rtt_ms={rtt}"
         if optimizer:
             title += f" optimizer={optimizer}"
         body = "\n".join(f"{size!r} {mean!r}" for size, mean in members)

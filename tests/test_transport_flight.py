@@ -113,6 +113,13 @@ def test_find_thresholds_rejects_an_oversized_grid():
         grid_points(0.0, MAX_GRID_POINTS, 1.0)
 
 
+def test_the_grid_refusal_counts_the_points():
+    # 12,344,999.5 points to four digits; one more would round up to 1.235e+07.
+    with pytest.raises(ConfigError) as refused:
+        grid_points(0.0, 12_344_998.5, 1.0)
+    assert str(refused.value) == "size grid has 1.234e+07 points; the limit is 10000000"
+
+
 def test_model_validation():
     with pytest.raises(ConfigError):
         FlightModel(growth_factor=1.0)

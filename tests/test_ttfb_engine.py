@@ -365,6 +365,11 @@ def test_calibration_rejects_degenerate_input():
         calibrate_stack_profile([(0.0, -5.0), (100.0, 195.0)])  # negative base
 
 
+def test_calibration_accepts_a_fit_of_exactly_one_flight():
+    fit = calibrate_stack_profile([(0.0, 5.0), (100.0, 105.0)])
+    assert (fit.base_ms, fit.base_flights) == (5.0, 1.0)
+
+
 def test_minimax_fit_covers_every_classical_cell():
     cells = []
     for variant, pen in EXTRA_RTTS.items():
@@ -382,6 +387,13 @@ def test_minimax_fit_covers_every_classical_cell():
 def test_minimax_is_exact_on_consistent_cells():
     cells = [(r, 9.0 + 2.5 * r, 0.0, 1.0) for r in (0.0, 10.0, 100.0)]
     profile, worst = calibrate_minimax(cells)
+    assert profile.base_ms == pytest.approx(9.0, abs=1e-6)
+    assert profile.base_flights == pytest.approx(2.5, abs=1e-6)
+    assert worst == pytest.approx(0.0, abs=1e-6)
+
+
+def test_minimax_accepts_exactly_two_distinct_rtts():
+    profile, worst = calibrate_minimax([(10.0, 34.0, 0.0, 1.0), (100.0, 259.0, 0.0, 1.0)])
     assert profile.base_ms == pytest.approx(9.0, abs=1e-6)
     assert profile.base_flights == pytest.approx(2.5, abs=1e-6)
     assert worst == pytest.approx(0.0, abs=1e-6)
