@@ -8,8 +8,8 @@ A command imports the code that only it runs (the sweep, the table writers
 and readers, the forge, the log analytics) inside its own function, so that
 estimate and forge load no sweep, table or statistics code. Each cmd_* checks
 its input and returns an Output; main alone opens --out (or stdout) and the
-side file and writes them, so a refused input writes nothing. forge alone
-writes before it returns: its chain, under --out-dir.
+side file and writes them, forge's chain under --out-dir included, so a refused
+input writes nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import chain_model
 from .chain_model import ChainSpec, SizeOptimizer, chain_size_kb, resolve_scheme
 from .config import Config, resolve_config
 from .errors import ConfigError, LogFormatError
-from .transport_flight import ANALYTIC, EMPIRICAL, find_thresholds, grid_points
+from .transport_flight import ANALYTIC, EMPIRICAL, find_thresholds
 from .ttfb_engine import NetworkPath, calibrate_stack_profile, estimate_ttfb, resolve_stack
 
 # Short names for the default optimizers, in DEFAULT_OPTIMIZERS order.
@@ -35,18 +35,19 @@ _OPTIMIZER_ALIASES = dict(zip(("mtc1", "mtc2", "cdn25", "cdn40"), chain_model.DE
 _OPTIMIZER_ALIASES["identity"] = SizeOptimizer(chain_model.IDENTITY)
 
 
-def _parse_optimizers(spec: str) -> tuple[SizeOptimizer, ...]:
-    out = []
-    for name in spec.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        if name not in _OPTIMIZER_ALIASES:
-            raise ConfigError(
-                f"unknown optimizer {name!r}; known: {', '.join(sorted(_OPTIMIZER_ALIASES))}"
-            )
-        out.append(_OPTIMIZER_ALIASES[name])
-    return tuple(out)
+def _items(spec: str, read) -> tuple:
+    """The comma-separated items of a list flag, each stripped and read by read;
+    empty items are dropped."""
+    return tuple(read(item) for item in map(str.strip, spec.split(",")) if item)
+
+
+def _optimizer(name: str) -> SizeOptimizer:
+    try:
+        return _OPTIMIZER_ALIASES[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown optimizer {name!r}; known: {', '.join(sorted(_OPTIMIZER_ALIASES))}"
+        ) from None
 
 
 def _number(flag: str, text: str) -> float:
@@ -56,14 +57,10 @@ def _number(flag: str, text: str) -> float:
         raise ConfigError(f"{flag}: {text.strip()!r} is not a number") from None
 
 
-def _parse_floats(flag: str, spec: str) -> tuple[float, ...]:
-    return tuple(_number(flag, p) for p in spec.split(",") if p.strip())
-
-
 def _flight_for(args, cfg: Config):
     flight = cfg.flight
     if getattr(args, "thresholds", None) is not None:
-        thresholds = _parse_floats("--thresholds", args.thresholds)
+        thresholds = _items(args.thresholds, lambda t: _number("--thresholds", t))
         flight = dataclasses.replace(flight, empirical_thresholds_kb=thresholds, mode=EMPIRICAL)
     if getattr(args, "mode", None):
         flight = dataclasses.replace(flight, mode=args.mode)
@@ -112,7 +109,7 @@ def _outputs(table_path: str | None, side_path: str | None):
 class Output:
     """A command's result for main to write: write(f) writes the body to f (--out or
     stdout), side is the side file's (path, write), notice follows an --out file.
-    forge has written its chain by the time it returns one; no other command writes."""
+    No command writes before main calls write."""
 
     def __init__(self, write, side=(None, None), notice="", code=0):
         self.write, self.side, self.notice, self.code = write, side, notice, code
@@ -164,9 +161,9 @@ def cmd_sweep(args, cfg: Config) -> Output:
     if args.trials is not None:
         updates["trials"] = args.trials
     if args.stacks is not None:
-        updates["stacks"] = tuple(s.strip() for s in args.stacks.split(",") if s.strip())
+        updates["stacks"] = _items(args.stacks, str)
     if args.rtts is not None:
-        updates["rtts_ms"] = _parse_floats("--rtts", args.rtts)
+        updates["rtts_ms"] = _items(args.rtts, lambda t: _number("--rtts", t))
     if args.sizes is not None:
         parts = args.sizes.split(":")
         if len(parts) != 3:
@@ -174,7 +171,7 @@ def cmd_sweep(args, cfg: Config) -> Output:
         start, end, step = (_number("--sizes", p) for p in parts)
         updates.update(size_start_kb=start, size_end_kb=end, size_step_kb=step)
     if args.optimizers is not None:
-        updates["optimizers"] = _parse_optimizers(args.optimizers)
+        updates["optimizers"] = _items(args.optimizers, _optimizer)
     if args.seed is not None:
         updates["seed"] = args.seed
     plan = dataclasses.replace(plan, **updates)
@@ -188,8 +185,7 @@ def cmd_sweep(args, cfg: Config) -> Output:
         chunks = sweep_runner.sweep_csv(*sweep)
         write = lambda f: f.writelines(chunks)
     points = sweep_runner.sweep_records(*sweep) if args.gnuplot else None
-    count = (len(plan.stacks) * len(plan.rtts_ms) * (1 + len(plan.optimizers))
-             * grid_points(plan.size_start_kb, plan.size_end_kb, plan.size_step_kb))
+    count = len(plan.stacks) * len(plan.rtts_ms) * (1 + len(plan.optimizers)) * len(plan.sizes_kb)
     return Output(write, (args.gnuplot, lambda f: sweep_runner.write_gnuplot(f, points)),
                   f"wrote {count} rows to {args.out}")
 
@@ -227,11 +223,8 @@ def cmd_regions(args, cfg: Config) -> Output:
     from .tables import write_csv, write_json
 
     thresholds = list(_flight_for(args, cfg).empirical_thresholds_kb)
-    optimizers = (
-        _parse_optimizers(args.optimizers)
-        if args.optimizers is not None
-        else chain_model.DEFAULT_OPTIMIZERS
-    )
+    optimizers = (_items(args.optimizers, _optimizer) if args.optimizers is not None
+                  else chain_model.DEFAULT_OPTIMIZERS)
     regions = compute_regions(thresholds, list(optimizers))
     for r in regions:
         if r.upper_kb_exact <= r.lower_kb:
@@ -267,14 +260,17 @@ def cmd_forge(args, cfg: Config) -> Output:
     )
     chain = cert_forge.forge_chain(spec, kb_bytes=cfg.kb_bytes)
     reports = [cert_forge.parse_and_measure(cert.der) for cert in chain.certs]
-    manifest = cert_forge.write_chain(chain, args.out_dir, reports)
-    certs = list(zip(manifest["certs"], reports))
-    ok = all(e["actual_bytes"] == e["target_bytes"] and r.well_formed for e, r in certs)
-    lines = [f"{e['role']}: target={e['target_bytes']} actual={e['actual_bytes']} "
-             f"padding={e['padding_bytes']} well_formed={str(r.well_formed).lower()}\n"
-             for e, r in certs]
-    lines.append(f"total_bytes={manifest['total_bytes']} dir={args.out_dir}\n")
-    return Output(lambda f: f.writelines(lines), code=0 if ok else 1)
+    certs = list(zip(chain.certs, reports))
+    ok = all(len(c.der) == c.target_bytes and r.well_formed for c, r in certs)
+    lines = [f"{c.role}: target={c.target_bytes} actual={len(c.der)} "
+             f"padding={r.padding_bytes} well_formed={str(r.well_formed).lower()}\n"
+             for c, r in certs]
+    lines.append(f"total_bytes={chain.total_bytes} dir={args.out_dir}\n")
+
+    def write(f):
+        cert_forge.write_chain(chain, args.out_dir, reports)
+        f.writelines(lines)
+    return Output(write, code=0 if ok else 1)
 
 
 def cmd_analyze(args, cfg: Config) -> Output:
@@ -334,6 +330,8 @@ def cmd_calibrate(args, cfg: Config) -> Output:
     for flag, value in (("--penalty", args.penalty), ("--resumed-base", args.resumed_base)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{flag} must be a finite number, got {value!r}")
+    if args.resumed_base is not None and args.resumed_base < 0:
+        raise ConfigError(f"--resumed-base must be >= 0, got {args.resumed_base!r}")
     pts = list(read_rows(args.csv, _point, header=True))
     try:
         profile = calibrate_stack_profile(

@@ -156,10 +156,12 @@ def write_gnuplot(out, records) -> None:
     Blocks are separated by two blank lines, addressable with gnuplot's
     `index` keyword. Records are grouped into (stack, rtt repr) lines, so
     RTTs 0.0 and -0.0 are two, and a line's blocks are written as soon as the
-    next line begins: only one line's points are held.
+    next line begins: only one line's points are held. A stack name's line breaks
+    are written as \\n and \\r, so that each title stays one comment line.
     """
     sep = ""
     for (stack, rtt), rows in groupby(records, key=lambda r: (r[0], repr(r[1]))):
+        stack = stack.replace("\r", "\\r").replace("\n", "\\n")
         curves: dict[str, list[str]] = {}
         for _, _, size, mean, _, _, *label in rows:
             curves.setdefault(f" optimizer={label[0]}" if label and label[0] else "",

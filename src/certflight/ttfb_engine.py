@@ -50,6 +50,8 @@ class StackProfile:
             raise ConfigError("base_flights must be >= 1")
         if self.resumed_base_ms is None:
             object.__setattr__(self, "resumed_base_ms", self.base_ms)
+        elif self.resumed_base_ms < 0:
+            raise ConfigError("resumed_base_ms must be >= 0")
         elif self.resumed_base_ms > self.base_ms:
             raise ConfigError("resumed_base_ms must not exceed base_ms")
 
@@ -141,8 +143,9 @@ def sample_ttfb(
     """(mean_ms, std_ms), the mean and ddof=1 std of trials noisy observations
     around an estimate, drawn by summary_sampler keyed by the seed's shortest
     two's-complement bytes, so s and -s differ. Noise-free input draws nothing.
+    ConfigError is raised if a draw around the estimate's total could overflow a float.
     """
-    draw = summary_sampler(noise, trials)
+    draw = summary_sampler(noise, trials, estimate.total_ms)
     key = seed.to_bytes(seed.bit_length() // 8 + 1, "big", signed=True)
     return (estimate.total_ms, 0.0) if draw is None else draw(estimate.total_ms, key)
 

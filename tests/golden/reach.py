@@ -1,15 +1,19 @@
-"""Which lines of the certflight package the golden corpus reaches.
+"""Which lines of the certflight package the golden corpus, or the test suite, reaches.
 
 Runs every entry of cli.json, as regen.py does, under a sys.settrace line
-tracer. Then it prints, per module of the package, the reached and the
-executable line counts, their totals, and each line no entry reached, as
+tracer; with --tests it runs the tests/ suite in-process under the same tracer
+instead. Then it prints, per module of the package, the reached and the
+executable line counts, their totals, and each line the run did not reach, as
 `module:line: source`. A line is executable if co_lines() of the module's
 compiled code, or of any code object nested in it, names it.
 
-    PYTHONPATH=src python tests/golden/reach.py
+    PYTHONPATH=src python tests/golden/reach.py          # the corpus, a few seconds
+    PYTHONPATH=src python tests/golden/reach.py --tests  # the suite, about two minutes
 
 Run it in a fresh interpreter, as above: a module imported before the tracer
-starts has its top-level lines counted as unreached.
+starts has its top-level lines counted as unreached. A test that runs certflight
+in a subprocess adds nothing to the suite's reach. With --tests the exit code is
+the suite's.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from pathlib import Path
 from regen import load, outcome
 
 PACKAGE = Path(importlib.util.find_spec("certflight").submodule_search_locations[0])
+TESTS = Path(__file__).resolve().parent.parent
 
 
 def code_lines(code: types.CodeType) -> set[int]:
@@ -39,8 +44,8 @@ def executable(path: Path) -> set[int]:
     return code_lines(compile(path.read_bytes(), str(path), "exec"))
 
 
-def reach(entries, inputs) -> dict[str, set[int]]:
-    """Per file of the package, the lines run while the entries run."""
+def reach(run) -> dict[str, set[int]]:
+    """Per file of the package, the lines run while run() runs."""
     prefix = str(PACKAGE) + os.sep
     reached: dict[str, set[int]] = {}
 
@@ -60,16 +65,28 @@ def reach(entries, inputs) -> dict[str, set[int]]:
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        for entry in entries:
-            outcome(entry, inputs)
+        run()
     finally:
         sys.settrace(previous)
     return reached
 
 
-def main() -> int:
-    corpus = load()
-    reached = reach(corpus["entries"], corpus["inputs"])
+def main(argv=None) -> int:
+    code = 0
+    if "--tests" in (sys.argv[1:] if argv is None else argv):
+        import pytest
+
+        def run():
+            nonlocal code
+            code = int(pytest.main(["-q", "--continue-on-collection-errors",
+                                    "-p", "no:cacheprovider", str(TESTS)]))
+    else:
+        corpus = load()
+
+        def run():
+            for entry in corpus["entries"]:
+                outcome(entry, corpus["inputs"])
+    reached = reach(run)
     modules = sorted(PACKAGE.rglob("*.py"))
     rows, unreached = [], []
     for path in modules:
@@ -85,7 +102,7 @@ def main() -> int:
         print(f"{name:<{width}}  {hit:>7}  {total:>10}")
     print(f"\n{len(unreached)} unreached lines:")
     print("\n".join(unreached))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -54,6 +54,16 @@ def test_impossible_total_is_an_error():
         pad_to_size(TEMPLATE, 65540)
 
 
+def test_impossible_total_just_above_the_minimum_is_an_error():
+    # With this subject the minimum is 65,539 bytes and one byte of padding widens a
+    # length field to 65,541. Every signature stretch past the first starts above
+    # 65,540, so its search ends at once on a negative pad.
+    template = DerCertTemplate(subject_cn="x" * 65233)
+    assert minimum_size(template) == 65539
+    with pytest.raises(PaddingError, match="^no padding arrangement reaches 65540 bytes exactly$"):
+        pad_to_size(template, 65540)
+
+
 def test_undersized_target_reports_minimum():
     minimum = minimum_size(TEMPLATE)
     with pytest.raises(PaddingError) as err:

@@ -359,6 +359,19 @@ def test_forge_writes_chain(tmp_path, capsys):
     assert (out_dir / "manifest.json").exists()
 
 
+def test_forge_writes_its_chain_only_when_main_writes_its_output(tmp_path):
+    from certflight.cli import build_parser, cmd_forge
+
+    out_dir = tmp_path / "chain"
+    args = build_parser().parse_args(["forge", "--scheme", "ml-dsa", "--out-dir", str(out_dir)])
+    result = cmd_forge(args, Config())
+    assert not out_dir.exists()
+    out = io.StringIO()
+    result.write(out)
+    assert (out_dir / "manifest.json").exists()
+    assert out.getvalue().endswith(f"dir={out_dir}\n") and result.code == 0
+
+
 def test_forge_parses_each_certificate_once(tmp_path, capsys, monkeypatch):
     from certflight import cert_forge
 
@@ -713,6 +726,25 @@ def test_calibrate_refuses_a_non_finite_flag_naming_the_flag(tmp_path, capsys, f
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
     assert str(path) not in err
+
+
+def test_calibrate_refuses_a_negative_resumed_base_before_reading_the_csv(tmp_path, capsys):
+    code, out, err = run(capsys, "calibrate", "--csv", str(tmp_path / "missing.csv"),
+                         "--resumed-base", "-3")
+    assert (code, out, err) == (1, "", "error: --resumed-base must be >= 0, got -3.0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--stack", "Neg", "--rtt", "0", "--size-kb", "5", "--resumed"),
+    ("savings", "--stack", "Neg", "--rtt", "10", "--size-kb", "5", "--rate", "0.5"),
+], ids=["estimate", "savings"])
+def test_a_configured_negative_resumed_base_is_refused(tmp_path, capsys, argv):
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({"stacks": {"Neg": {"base_ms": 5, "base_flights": 2,
+                                                   "resumed_base_ms": -100}}}))
+    code, out, err = run(capsys, "--config", str(path), *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: config stacks.Neg: resumed_base_ms must be >= 0\n"
 
 
 @pytest.mark.parametrize("row", ["10,inf", "10,nan", "1e400,20", ",500", "10,x"])

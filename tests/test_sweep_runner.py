@@ -460,7 +460,8 @@ def oracle_gnuplot(rows):
         series.setdefault((stack, repr(rtt), label), []).append((size, mean))
     blocks = []
     for (stack, rtt, optimizer), members in series.items():
-        title = f"# stack={stack} rtt_ms={rtt}"
+        name = stack.replace("\r", "\\r").replace("\n", "\\n")
+        title = f"# stack={name} rtt_ms={rtt}"
         if optimizer:
             title += f" optimizer={optimizer}"
         body = "\n".join(f"{size!r} {mean!r}" for size, mean in members)
@@ -526,6 +527,18 @@ def test_factored_sweep_matches_the_per_row_oracle(plan, flight, noise):
     out = io.StringIO()
     write_gnuplot(out, records)
     assert out.getvalue() == oracle_gnuplot(expected)
+
+
+def test_a_gnuplot_title_keeps_a_line_broken_stack_name_on_one_line():
+    plan = SweepPlan(stacks=(LINE_STACK,), rtts_ms=(10.0, 0.0), size_start_kb=4.0,
+                     size_end_kb=12.0, size_step_kb=4.0, trials=1, optimizers=(MTC1,))
+    out = io.StringIO()
+    write_gnuplot(out, sweep_records(plan, STACKS, FLIGHT, QUIET))
+    lines = out.getvalue().split("\n")
+    assert "# stack=two\\nlines rtt_ms=10.0" in lines
+    data = [line.split() for line in lines if line and not line.startswith("#")]
+    assert len(data) == 2 * 2 * 3  # two RTTs, two curves each, three sizes
+    assert all(len(cells) == 2 and list(map(float, cells)) for cells in data)
 
 
 def _csv_body(plan, flight, noise):

@@ -34,6 +34,9 @@ def test_cumulative_capacity_other_growth():
     assert cumulative_capacity_bytes(m, 1) == pytest.approx(14000)
     assert cumulative_capacity_bytes(m, 2) == pytest.approx(14000 + 21000)
     assert cumulative_capacity_bytes(m, 3) == pytest.approx(14000 + 21000 + 31500)
+    # 1e300 ** 2 raises OverflowError instead of returning inf; both are refused alike.
+    with pytest.raises(ValueError, match="^the capacity of 2 flights overflows a float$"):
+        cumulative_capacity_bytes(FlightModel(growth_factor=1e300), 2)
 
 
 @pytest.mark.parametrize(

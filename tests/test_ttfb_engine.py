@@ -110,6 +110,8 @@ def test_stack_profile_validation():
         StackProfile("x", base_ms=10.0, base_flights=0.5)
     with pytest.raises(ConfigError):
         StackProfile("x", base_ms=10.0, base_flights=2.0, resumed_base_ms=11.0)
+    with pytest.raises(ConfigError, match=r"^resumed_base_ms must be >= 0$"):
+        StackProfile("x", base_ms=10.0, base_flights=2.0, resumed_base_ms=-1.0)
     p = StackProfile("x", base_ms=10.0, base_flights=2.0)
     assert p.resumed_base_ms == 10.0
 
@@ -137,6 +139,14 @@ def test_sampling_noise_free():
     mean_one, std_one = sample_ttfb(est, NoiseModel("gaussian", std_ms=1.0), 1, seed=1)
     assert mean_one != est.total_ms
     assert std_one == 0.0  # undefined spread for a single draw
+
+
+def test_sampling_refuses_noise_that_could_overflow_the_mean():
+    # Unbounded by the estimate's total, seed 10 drew an infinite mean here.
+    huge = StackProfile("x", base_ms=1.7e308, base_flights=1.0)
+    est = estimate_ttfb(huge, path(0.0), 4.0)
+    with pytest.raises(ConfigError, match=r"^noise\.std_ms 1e\+307 is too large for a mean of "):
+        sample_ttfb(est, NoiseModel("gaussian", std_ms=1e307), 1, seed=10)
 
 
 @pytest.mark.parametrize("noise", [NoiseModel("gaussian", std_ms=1.0), NoiseModel("none")],
