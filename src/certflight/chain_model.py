@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_fields, lookup
 
 DEFAULT_KB_BYTES = 1000
 
@@ -198,9 +198,7 @@ _SCHEME_ALIASES = {
 def resolve_scheme(name: str, schemes: dict[str, SchemeProfile] | None = None) -> SchemeProfile:
     """Look up a scheme profile by exact or aliased name."""
     table = DEFAULT_SCHEMES if schemes is None else schemes
-    if name in table:
-        return table[name]
     canonical = _SCHEME_ALIASES.get(name.lower())
-    if canonical is not None and canonical in table:
+    if name not in table and canonical in table:
         return table[canonical]
-    raise ConfigError(f"unknown scheme {name!r}; known: {', '.join(sorted(table))}")
+    return lookup(table, name, "scheme")

@@ -26,7 +26,7 @@ from operator import attrgetter
 from . import chain_model
 from .chain_model import ChainSpec, SizeOptimizer, chain_size_kb, resolve_scheme
 from .config import Config, resolve_config
-from .errors import ConfigError, LogFormatError
+from .errors import ConfigError, LogFormatError, lookup
 from .transport_flight import ANALYTIC, EMPIRICAL, find_thresholds
 from .ttfb_engine import NetworkPath, calibrate_stack_profile, estimate_ttfb, resolve_stack
 
@@ -42,19 +42,17 @@ def _items(spec: str, read) -> tuple:
 
 
 def _optimizer(name: str) -> SizeOptimizer:
-    try:
-        return _OPTIMIZER_ALIASES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown optimizer {name!r}; known: {', '.join(sorted(_OPTIMIZER_ALIASES))}"
-        ) from None
+    return lookup(_OPTIMIZER_ALIASES, name, "optimizer")
 
 
 def _number(flag: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{flag}: {text.strip()!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag}: {text.strip()!r} is not a finite number")
+    return value
 
 
 def _flight_for(args, cfg: Config):
@@ -176,17 +174,17 @@ def cmd_sweep(args, cfg: Config) -> Output:
         updates["seed"] = args.seed
     plan = dataclasses.replace(plan, **updates)
     sweep = (plan, cfg.stacks, _flight_for(args, cfg), cfg.noise)
-    # sweep_csv and sweep_records raise every input error when called. A row is a pure
-    # function of its key, so the curves' own pass over sweep_records draws its values.
+    # sweep_csv, sweep_records and sweep_gnuplot raise every input error when called. A row
+    # is a pure function of its key, so the curves' own pass draws the table's values.
     if args.format == "json":
         rows = sweep_runner.sweep_records(*sweep)
         write = lambda f: write_json(f, sweep_runner.sweep_header(bool(plan.optimizers)), rows)
     else:
         chunks = sweep_runner.sweep_csv(*sweep)
         write = lambda f: f.writelines(chunks)
-    points = sweep_runner.sweep_records(*sweep) if args.gnuplot else None
+    curves = sweep_runner.sweep_gnuplot(*sweep) if args.gnuplot else None
     count = len(plan.stacks) * len(plan.rtts_ms) * (1 + len(plan.optimizers)) * len(plan.sizes_kb)
-    return Output(write, (args.gnuplot, lambda f: sweep_runner.write_gnuplot(f, points)),
+    return Output(write, (args.gnuplot, lambda f: f.writelines(curves)),
                   f"wrote {count} rows to {args.out}")
 
 
@@ -326,10 +324,7 @@ def _point(line: str) -> tuple[float, float]:
 def cmd_calibrate(args, cfg: Config) -> Output:
     from .tables import read_rows
 
-    # The fit would blame the CSV for these, so they are refused before it is read.
-    for flag, value in (("--penalty", args.penalty), ("--resumed-base", args.resumed_base)):
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{flag} must be a finite number, got {value!r}")
+    # The fit would blame the CSV for this, so it is refused before the CSV is read.
     if args.resumed_base is not None and args.resumed_base < 0:
         raise ConfigError(f"--resumed-base must be >= 0, got {args.resumed_base!r}")
     pts = list(read_rows(args.csv, _point, header=True))
@@ -459,7 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = args.func(args, resolve_config(args.config))
+        cfg = resolve_config(args.config)
+        # Refused here, a flag's non-finite value is named by its flag, not its config field.
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{name.replace('_', '-')} must be a finite number, got {value!r}")
+        result = args.func(args, cfg)
         out = getattr(args, "out", None)
         side_path, write_side = result.side
         with _outputs(out, side_path) as (f, side):

@@ -1,4 +1,4 @@
-"""Shared exception types, and the field checks that raise ConfigError."""
+"""Shared exception types, and the table lookup and field checks that raise ConfigError."""
 
 import sys
 from dataclasses import fields
@@ -27,6 +27,14 @@ class PaddingError(ValueError):
     def __init__(self, message, minimum_bytes=None):
         super().__init__(message)
         self.minimum_bytes = minimum_bytes
+
+
+def lookup(table, name, what):
+    """table[name], or a ConfigError naming the unknown `what` and every known name."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ConfigError(f"unknown {what} {name!r}; known: {', '.join(sorted(table))}") from None
 
 
 # Field checks keyed by the string annotations of the dataclasses (every

@@ -2,12 +2,12 @@
 
 sweep_records evaluates the TTFB model over a (stack, rtt, size) grid with
 optional size optimizers and per-row noise sampling, and yields the rows
-one at a time, as tuples in the columns sweep_header names. sweep_csv
-yields the same rows as CSV text, one chunk per (stack, rtt) line of the
-grid, and write_gnuplot writes each line's curves as it reads the rows. All
-stream, so memory grows with the size axis, not with the number of rows;
-run_sweep lists them. Every input error is raised when sweep_records or
-sweep_csv is called, before the first row exists, so a failed sweep writes nothing.
+one at a time, as tuples in the columns sweep_header names. sweep_csv and
+sweep_gnuplot render the same rows as CSV text and as gnuplot blocks, one
+chunk per (stack, rtt) line of the grid. All stream, so memory grows with
+the size axis, not with the number of rows; run_sweep lists them. Every
+input error is raised when one of them is called, before the first row
+exists, so a failed sweep writes nothing.
 
 The grid is factored: the wire size and extra round trips depend only on
 (size, optimizer), and the totals only on (stack, rtt, extra round trips),
@@ -27,7 +27,6 @@ import io
 import math
 import struct
 from dataclasses import dataclass, fields
-from itertools import chain, groupby
 
 from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
 from .config import SweepPlan  # re-exported: the plan is a section of the config
@@ -50,25 +49,21 @@ def sweep_header(optimized: bool) -> tuple[str, ...]:
 def _grid(plan: SweepPlan, stacks: dict[str, StackProfile], flight: FlightModel,
           noise: NoiseModel):
     """Check every stack, rtt, size and total, and that no total plus its largest
-    noise draw overflows; then factor the plan's grid into its cells, its lines
-    and the draw, which sweep_records and sweep_csv both read."""
+    noise draw overflows; then factor the plan's grid into its lines, its cells
+    and the draw, which every sweep renderer reads."""
     missing = [name for name in plan.stacks if name not in stacks]
     if missing:
         raise ConfigError(f"unknown stacks in plan: {', '.join(missing)}")
     for rtt in plan.rtts_ms:
         NetworkPath(rtt_ms=rtt, flight=flight)
     variants = [("", None)] + [(opt.label, opt) for opt in plan.optimizers]
-    # Per size and variant: the row key's tail, the extra round trips, and the
-    # row's last columns: its label, where the plan has optimizers.
-    cells = []
-    for size in plan.sizes_kb:
-        row = []
-        for label, opt in variants:
-            wire_kb = size if opt is None else effective_size_kb(size, opt)
-            row.append((f"{size!r}|{label}".encode(), extra_rtts(flight, wire_kb),
-                        (label,) if plan.optimizers else ()))
-        cells.append((size, row))
-    extras = {extra for _, row in cells for _, extra, _ in row}
+    # Per size and variant, in plan order: the size, the row key's tail, the extra
+    # round trips, and the row's last columns: its label, where the plan has optimizers.
+    cells = [(size, f"{size!r}|{label}".encode(),
+              extra_rtts(flight, size if opt is None else effective_size_kb(size, opt)),
+              (label,) if plan.optimizers else ())
+             for size in plan.sizes_kb for label, opt in variants]
+    extras = {extra for _, _, extra, _ in cells}
     # Per (stack, rtt): the row key's head, and the total of each extra.
     lines = []
     for name in plan.stacks:
@@ -78,7 +73,14 @@ def _grid(plan: SweepPlan, stacks: dict[str, StackProfile], flight: FlightModel,
             totals = {e: ttfb_total_ms(stack.base_ms, stack.base_flights + e, rtt) for e in extras}
             lines.append((name, rtt, head, totals))
     top = max((t for *_, totals in lines for t in totals.values()), default=0.0)
-    return lines, cells, summary_sampler(noise, plan.trials, top)
+    # Without noise a row's mean is its total and its spread is 0.
+    return lines, cells, summary_sampler(noise, plan.trials, top) or (lambda mu, key: (mu, 0.0))
+
+
+def _draws(lines, cells, draw):
+    """Per (stack, rtt) line, each cell's (mean_ms, std_ms): the only code that draws."""
+    for _, _, head, totals in lines:
+        yield [draw(totals[extra], head + tail) for _, tail, extra, _ in cells]
 
 
 def sweep_records(
@@ -97,20 +99,10 @@ def sweep_records(
     rtt, size and total, and that no total plus its largest noise draw
     overflows, before it returns, so the iterator itself raises nothing.
     """
-    return chain.from_iterable(_records(*_grid(plan, stacks, flight, noise)))
-
-
-def _records(lines, cells, draw):
-    """One list of rows per (stack, rtt) line: the only code that draws a row."""
-    for name, rtt, head, totals in lines:
-        rows = []
-        for size, row in cells:
-            for tail, extra, last in row:
-                mean, std = totals[extra], 0.0
-                if draw is not None:
-                    mean, std = draw(mean, head + tail)
-                rows.append((name, rtt, size, mean, std, extra) + last)
-        yield rows
+    lines, cells, draw = _grid(plan, stacks, flight, noise)
+    return ((name, rtt, size, mean, std, extra) + last
+            for (name, rtt, *_), draws in zip(lines, _draws(lines, cells, draw))
+            for (size, _, extra, last), (mean, std) in zip(cells, draws))
 
 
 def sweep_csv(
@@ -130,13 +122,36 @@ def sweep_csv(
 
 def _csv_chunks(header, lines, cells, draw):
     yield csv_line(header) + "\n"
-    # Per size and variant: the row's text before and after its mean_ms,std_ms.
+    # Per cell: the row's text before and after its mean_ms,std_ms.
     fixed = [(csv_line((size,)) + ",", "," + csv_line((extra, *last)) + "\n")
-             for size, row in cells for _, extra, last in row]
-    for (name, rtt, *_), rows in zip(lines, _records(lines, cells, draw)):
+             for size, _, extra, last in cells]
+    for (name, rtt, *_), draws in zip(lines, _draws(lines, cells, draw)):
         lead = csv_line((name, rtt)) + ","
-        yield "".join([f"{lead}{before}{row[3]!r},{row[4]!r}{after}"
-                       for (before, after), row in zip(fixed, rows)])
+        yield "".join([f"{lead}{before}{mean!r},{std!r}{after}"
+                       for (before, after), (mean, std) in zip(fixed, draws)])
+
+
+def sweep_gnuplot(plan: SweepPlan, stacks: dict[str, StackProfile], flight: FlightModel,
+                  noise: NoiseModel = NoiseModel()):
+    """The rows of sweep_records as two-column (size_kb, mean_ms) blocks, one per
+    (stack, rtt, optimizer), which gnuplot's `index` addresses: a generator of one chunk
+    per (stack, rtt) line. Its inputs are checked as sweep_records checks them, before
+    it returns. A title names the rtt by its repr, so RTTs 0.0 and -0.0 are two, and
+    writes a stack name's line breaks as \\n and \\r, so that it stays one comment line."""
+    labels = [""] + [f" optimizer={opt.label}" for opt in plan.optimizers]
+    return _gnuplot_chunks(labels, *_grid(plan, stacks, flight, noise))
+
+
+def _gnuplot_chunks(labels, lines, cells, draw):
+    variants = len(labels)
+    for i, ((name, rtt, *_), draws) in enumerate(zip(lines, _draws(lines, cells, draw))):
+        name = name.replace("\r", "\\r").replace("\n", "\\n")
+        # Blocks are separated by two blank lines: each ends its last point's line.
+        yield "\n\n" * (i > 0) + "\n\n".join(
+            f"# stack={name} rtt_ms={rtt!r}{label}\n" + "".join(
+                [f"{size!r} {mean!r}\n" for (size, *_), (mean, _)
+                 in zip(cells[v::variants], draws[v::variants])])
+            for v, label in enumerate(labels))
 
 
 def run_sweep(
@@ -148,27 +163,6 @@ def run_sweep(
     """The rows of sweep_records, listed. Unknown stack names fail before
     any row is produced."""
     return list(sweep_records(plan, stacks, flight, noise))
-
-
-def write_gnuplot(out, records) -> None:
-    """Two-column (size_kb, mean_ms) blocks, one per (stack, rtt, optimizer).
-
-    Blocks are separated by two blank lines, addressable with gnuplot's
-    `index` keyword. Records are grouped into (stack, rtt repr) lines, so
-    RTTs 0.0 and -0.0 are two, and a line's blocks are written as soon as the
-    next line begins: only one line's points are held. A stack name's line breaks
-    are written as \\n and \\r, so that each title stays one comment line.
-    """
-    sep = ""
-    for (stack, rtt), rows in groupby(records, key=lambda r: (r[0], repr(r[1]))):
-        stack = stack.replace("\r", "\\r").replace("\n", "\\n")
-        curves: dict[str, list[str]] = {}
-        for _, _, size, mean, _, _, *label in rows:
-            curves.setdefault(f" optimizer={label[0]}" if label and label[0] else "",
-                              []).append(f"{size!r} {mean!r}")
-        for optimizer, points in curves.items():
-            out.write(f"{sep}# stack={stack} rtt_ms={rtt}{optimizer}\n" + "\n".join(points) + "\n")
-            sep = "\n\n"
 
 
 def emit_csv(records: list[tuple]) -> str:

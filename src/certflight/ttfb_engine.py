@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .chain_model import check_size_kb
-from .errors import CalibrationError, ConfigError, check_fields
+from .errors import CalibrationError, ConfigError, check_fields, lookup
 from .transport_flight import FlightModel, extra_rtts
 
 NOISE_NONE = "none"
@@ -329,10 +329,4 @@ DEFAULT_STACKS = {
 
 
 def resolve_stack(name: str, stacks: dict[str, StackProfile] | None = None) -> StackProfile:
-    table = DEFAULT_STACKS if stacks is None else stacks
-    try:
-        return table[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown stack {name!r}; known: {', '.join(sorted(table))}"
-        ) from None
+    return lookup(DEFAULT_STACKS if stacks is None else stacks, name, "stack")

@@ -249,10 +249,36 @@ def test_sweep_bad_size_spec(capsys):
     (("thresholds", "--thresholds", "0x10"), "--thresholds: '0x10' is not a number"),
     (("savings", "--rtt", "5", "--size-kb", "3", "--rate", "0.5", "--thresholds", "z"),
      "--thresholds: 'z' is not a number"),
+    (("sweep", "--rtts", "10,nan"), "--rtts: 'nan' is not a finite number"),
+    (("sweep", "--sizes", "4:80:inf"), "--sizes: 'inf' is not a finite number"),
+    (("sweep", "--sizes=-Infinity:80:1"), "--sizes: '-Infinity' is not a finite number"),
+    (("regions", "--thresholds", "10, NaN "), "--thresholds: 'NaN' is not a finite number"),
+    (("estimate", "--rtt", "5", "--thresholds=-inf"), "--thresholds: '-inf' is not a finite number"),
 ], ids=["sweep-rtts", "sweep-rtts-spaced", "sweep-sizes", "sweep-sizes-blank", "sweep-thresholds",
-        "regions-thresholds", "estimate-thresholds", "thresholds-hex", "savings-thresholds"])
+        "regions-thresholds", "estimate-thresholds", "thresholds-hex", "savings-thresholds",
+        "sweep-rtts-nan", "sweep-sizes-inf", "sweep-sizes-minus-infinity", "regions-thresholds-nan",
+        "estimate-thresholds-minus-inf"])
 def test_a_word_in_a_list_flag_is_one_error_line_naming_the_flag(capsys, argv, line):
     assert run(capsys, *argv) == (1, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("estimate", "--rtt={}"), "--rtt"),
+    (("estimate", "--rtt", "10", "--size-kb={}"), "--size-kb"),
+    (("thresholds", "--max-kb={}"), "--max-kb"),
+    (("thresholds", "--step-kb={}"), "--step-kb"),
+    (("savings", "--rtt={}", "--size-kb", "3", "--rate", "0.5"), "--rtt"),
+    (("savings", "--rtt", "5", "--size-kb={}", "--rate", "0.5"), "--size-kb"),
+    (("savings", "--rtt", "5", "--size-kb", "3", "--rate={}"), "--rate"),
+    (("forge", "--size-kb={}", "--out-dir", "never-written"), "--size-kb"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_flag_is_one_error_line_naming_the_flag(tmp_path, monkeypatch, capsys,
+                                                             argv, flag, value):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *(a.format(value) for a in argv))
+    assert (code, out, err) == (1, "", f"error: {flag} must be a finite number, got {float(value)!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_thresholds_analytic_flags_deviation(capsys):

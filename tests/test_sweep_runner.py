@@ -24,8 +24,8 @@ from certflight.sweep_runner import (
     run_sweep,
     sweep_csv,
     sweep_header,
+    sweep_gnuplot,
     sweep_records,
-    write_gnuplot,
 )
 from certflight.tables import write_csv, write_json
 from certflight.transport_flight import (
@@ -254,9 +254,8 @@ def test_json_round_trip_is_exact():
 
 
 def gnuplot_blocks(plan):
-    out = io.StringIO()
-    write_gnuplot(out, sweep_records(plan, DEFAULT_STACKS, FLIGHT, QUIET))
-    return out.getvalue().rstrip("\n").split("\n\n\n")
+    text = "".join(sweep_gnuplot(plan, DEFAULT_STACKS, FLIGHT, QUIET))
+    return text.rstrip("\n").split("\n\n\n")
 
 
 def test_gnuplot_blocks():
@@ -274,26 +273,23 @@ def test_gnuplot_blocks():
     assert minus_zero.split("\n")[1:] == zero.split("\n")[1:]  # one point per size each
 
 
-def test_gnuplot_writes_a_line_before_it_reads_on_into_the_next():
+def test_gnuplot_yields_one_chunk_per_line_in_plan_order():
     mtc1 = SizeOptimizer(chain_model.MTC_ONE_INTERMEDIATE)
-    rows = run_sweep(small_plan(optimizers=(mtc1,)), DEFAULT_STACKS, FLIGHT, QUIET)
-    per_line = len(rows) // 2
-    first = io.StringIO()
-    write_gnuplot(first, rows[:per_line])
-    out = io.StringIO()
-    seen = []  # what write_gnuplot had written before it read each row
-
-    def feed():
-        for row in rows:
-            seen.append(out.getvalue())
-            yield row
-
-    write_gnuplot(out, feed())
-    # A line ends where the next line's first row is read, so its blocks follow that read,
-    # and the next line's blocks wait for its own end.
-    assert seen[:per_line + 1] == [""] * (per_line + 1)
-    assert seen[per_line + 1:] == [first.getvalue()] * (per_line - 1)
-    assert out.getvalue().startswith(first.getvalue() + "\n\n# stack=ClassicalSim rtt_ms=50.0\n")
+    plan = small_plan(stacks=("ClassicalSim", "OqsMldsa"), rtts_ms=(10.0, 0.0, -0.0),
+                      optimizers=(mtc1,))
+    noise = NoiseModel("gaussian", std_ms=0.4)
+    chunks = list(sweep_gnuplot(plan, DEFAULT_STACKS, FLIGHT, noise))
+    lines = [(stack, rtt) for stack in plan.stacks for rtt in plan.rtts_ms]
+    assert len(chunks) == len(lines)
+    for i, ((stack, rtt), chunk) in enumerate(zip(lines, chunks)):
+        # A line's chunk is its one-stack, one-rtt sweep's blocks, after the blank
+        # lines that separate it from the line before.
+        part = dataclasses.replace(plan, stacks=(stack,), rtts_ms=(rtt,))
+        (alone,) = sweep_gnuplot(part, DEFAULT_STACKS, FLIGHT, noise)
+        assert chunk == ("\n\n" if i else "") + alone
+        titles = [line for line in chunk.split("\n") if line.startswith("#")]
+        assert titles == [f"# stack={stack} rtt_ms={rtt!r}",
+                          f"# stack={stack} rtt_ms={rtt!r} optimizer={mtc1.label}"]
 
 
 def test_regions_cover_pinned_bounds():
@@ -524,17 +520,13 @@ def test_factored_sweep_matches_the_per_row_oracle(plan, flight, noise):
         out = io.StringIO()
         write(out, sweep_header(bool(plan.optimizers)), records)
         assert out.getvalue() == oracle(expected)
-    out = io.StringIO()
-    write_gnuplot(out, records)
-    assert out.getvalue() == oracle_gnuplot(expected)
+    assert "".join(sweep_gnuplot(plan, STACKS, flight, noise)) == oracle_gnuplot(expected)
 
 
 def test_a_gnuplot_title_keeps_a_line_broken_stack_name_on_one_line():
     plan = SweepPlan(stacks=(LINE_STACK,), rtts_ms=(10.0, 0.0), size_start_kb=4.0,
                      size_end_kb=12.0, size_step_kb=4.0, trials=1, optimizers=(MTC1,))
-    out = io.StringIO()
-    write_gnuplot(out, sweep_records(plan, STACKS, FLIGHT, QUIET))
-    lines = out.getvalue().split("\n")
+    lines = "".join(sweep_gnuplot(plan, STACKS, FLIGHT, QUIET)).split("\n")
     assert "# stack=two\\nlines rtt_ms=10.0" in lines
     data = [line.split() for line in lines if line and not line.startswith("#")]
     assert len(data) == 2 * 2 * 3  # two RTTs, two curves each, three sizes

@@ -516,6 +516,28 @@ def test_classify_reads_addresses_as_ipaddress_does(ip):
     assert _CLASSIFY_MAP.classify(ip) == _class_oracle(ip)
 
 
+def test_classify_reads_ipv4_through_ipaddress_where_inet_pton_refuses_it(monkeypatch):
+    # A platform whose inet_pton reads no IPv4 text leaves IPv4 to ipaddress.
+    real = tla.inet_pton
+
+    def no_ipv4(family, ip):
+        if family == tla.AF_INET:
+            raise OSError("illegal IP address string passed to inet_pton")
+        return real(family, ip)
+
+    monkeypatch.setattr(tla, "inet_pton", no_ipv4)
+    probes = {"0.0.0.0", "192.0.2.1", "255.255.255.255"}
+    for net in _LOOKUP_NETS:
+        if net.version == 4:
+            first, last = int(net.network_address), int(net.broadcast_address)
+            probes.update(str(ipaddress.IPv4Address(value)) for value in
+                          (first - 1, first, first + 1, last - 1, last, last + 1)
+                          if 0 <= value < 2**32)
+    for ip in sorted(probes):
+        assert _CLASSIFY_MAP.classify(ip) == _class_oracle(ip), ip
+    assert {_class_oracle(ip) for ip in probes} == set(ENDPOINT_CLASSES)
+
+
 @st.composite
 def _nested_maps(draw):
     """Map entries of both families whose networks nest: prefixes of a few
