@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from operator import attrgetter
 
@@ -448,6 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_calibrate)
 
+    # argparse takes a token that begins with "-" for an option unless it matches
+    # _negative_number_matcher, digits only, so `--rtt -inf` would end with "expected one
+    # argument". Matching every token that names none of the parser's options makes
+    # `--flag TOKEN` read as `--flag=TOKEN`; such a token anywhere else is still refused.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile("-")
     return parser
 
 

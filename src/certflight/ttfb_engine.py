@@ -150,6 +150,20 @@ def sample_ttfb(
     return (estimate.total_ms, 0.0) if draw is None else draw(estimate.total_ms, key)
 
 
+def _sha256():
+    """The SHA-256 constructor the sampler hashes keys with: the interpreter's
+    built-in one, or hashlib's where the build lacks it. Called per sampler, so
+    that estimate and forge load no hash module."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def summary_sampler(
     noise: NoiseModel, trials: int, mu_max: float = 0.0
 ) -> Callable[[float, bytes], tuple[float, float]] | None:
@@ -171,15 +185,20 @@ def summary_sampler(
     its accept test. A shape below 1 (n = 2) draws gamma(a+1) * U**(1/a), U
     the fourth. A rejected candidate takes fresh words from
     sha256(digest || k), so an accepted first candidate costs one hash.
+
+    The hash is the interpreter's own SHA-256 (_sha256, or _sha2 from Python
+    3.12): hashlib would load OpenSSL's libcrypto, about 3.5 MB of a sweep's
+    peak memory, for keys of a few dozen bytes that the built-in hashes at
+    least as fast. SHA-256 is one function whichever module computes it, so
+    the draws are too.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if noise.kind == NOISE_NONE or noise.std_ms == 0.0:
         return None
-    from hashlib import sha256
     from struct import Struct
 
-    words = Struct(">4Q").unpack
+    sha256, words = _sha256(), Struct(">4Q").unpack
     log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
     unit, turn = 2.0**-64, 2.0**-64 * math.tau
     sigma = noise.std_ms

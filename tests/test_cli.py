@@ -281,6 +281,64 @@ def test_a_non_finite_flag_is_one_error_line_naming_the_flag(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+# A small argv each command runs, so that a value flag given after it is read. Global
+# flags are given before the sweep's.
+FLAG_BASES = {
+    "estimate": ["estimate", "--rtt", "50"],
+    "sweep": ["sweep", "--rtts", "10", "--sizes", "4:8:4", "--stacks", "ClassicalSim",
+              "--trials", "3"],
+    "thresholds": ["thresholds"],
+    "regions": ["regions"],
+    "savings": ["savings", "--rtt", "50", "--size-kb", "12", "--rate", "0.5"],
+    "forge": ["forge", "--out-dir", "chain"],
+    "analyze": ["analyze", "--logs", "sample.tsv"],
+    "calibrate": ["calibrate", "--csv", "points.csv"],
+}
+
+
+def _value_flags():
+    """(command or None for a global flag, option string) for every option of
+    build_parser() that takes a value."""
+    import argparse
+
+    from certflight.cli import build_parser
+
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == set(FLAG_BASES)
+    return [(name, flag) for name, p in [(None, parser), *commands.choices.items()]
+            for action in p._actions if action.option_strings and action.nargs != 0
+            for flag in action.option_strings]
+
+
+@pytest.mark.parametrize("command, flag", _value_flags())
+def test_a_value_flag_takes_a_value_that_begins_with_a_dash(tmp_path, monkeypatch, capsys,
+                                                            command, flag):
+    """`--flag TOKEN` ends exactly as `--flag=TOKEN` does, stdout, stderr and exit
+    code, for a TOKEN that begins with "-" and names no option; `--flag -h` still
+    lacks its value."""
+    from certflight.config import _data_path
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+    Path("sample.tsv").write_bytes(Path(_data_path("sample_tls_log.tsv")).read_bytes())
+    Path("points.csv").write_text("rtt_ms,ttfb_ms\n0,8.06\n10,28.71\n50,109.00\n")
+
+    def ending(*flag_argv):
+        argv = ([*flag_argv, *FLAG_BASES["sweep"]] if command is None
+                else [*FLAG_BASES[command], *flag_argv])
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refuses the argv
+            code = e.code
+        return (code, *capsys.readouterr())
+
+    for token in ("-1e5", "-inf", "-5,10", "-1:8:4"):
+        assert ending(flag, token) == ending(f"{flag}={token}"), token
+    code, out, err = ending(flag, "-h")
+    assert (code, out) == (2, "") and err.endswith(f"error: argument {flag}: expected one argument\n")
+
+
 def test_thresholds_analytic_flags_deviation(capsys):
     code, out, _ = run(capsys, "thresholds", "--mode", "analytic")
     assert code == 0
@@ -1195,24 +1253,29 @@ def test_import_is_lazy_and_a_star_import_binds_every_name():
 
 
 COMMAND_IMPORTS = """
-import json, sys
+import importlib.util, json, sys
 from certflight.cli import main
 out_dir, points = sys.argv[1:]
 codes = {"estimate": main(["estimate", "--rtt", "50", "--format", "json"]),
          "forge": main(["forge", "--scheme", "ml-dsa", "--out-dir", out_dir])}
-unneeded = {"certflight.sweep_runner", "certflight.tables", "csv", "hashlib", "statistics"}
+unneeded = {"certflight.sweep_runner", "certflight.tables", "csv", "hashlib", "_sha2", "_sha256",
+            "statistics"}
 loaded = sorted(unneeded & set(sys.modules))
 for argv in (["sweep", "--rtts", "10", "--sizes", "4:8:4", "--trials", "3"], ["regions"],
              ["savings", "--rtt", "50", "--size-kb", "12", "--rate", "0.5", "--format", "json"],
              ["thresholds", "--format", "csv"], ["calibrate", "--csv", points]):
     codes[argv[0]] = main(argv)
-print(json.dumps({"loaded": loaded, "codes": codes}))
+print(json.dumps({"loaded": loaded, "codes": codes,
+                  "openssl": sorted({"hashlib", "_hashlib"} & set(sys.modules)),
+                  "builtin_sha256": any(map(importlib.util.find_spec, ("_sha2", "_sha256")))}))
 """
 
 
 def test_estimate_and_forge_load_no_sweep_table_or_statistics_code(tmp_path):
-    """estimate and forge load none of the sweep, the table code, csv, hashlib or
-    statistics; the commands that do need them import them and still run."""
+    """estimate and forge load none of the sweep, the table code, csv, a SHA-256
+    module or statistics; the commands that do need them import them and still
+    run. Where the interpreter has its own SHA-256, no command, the noisy sweep
+    included, loads hashlib and with it OpenSSL."""
     import os
     import subprocess
     import sys
@@ -1233,6 +1296,7 @@ def test_estimate_and_forge_load_no_sweep_table_or_statistics_code(tmp_path):
     assert report["loaded"] == []
     assert report["codes"] == dict.fromkeys(
         ["estimate", "forge", "sweep", "regions", "savings", "thresholds", "calibrate"], 0)
+    assert report["openssl"] == [] or not report["builtin_sha256"]
 
 
 # What importing the CLI and running estimate load, each checked in a fresh

@@ -184,6 +184,26 @@ def test_criterion_9_csv_is_pinned():
     )
 
 
+def test_without_a_builtin_sha256_the_sampler_takes_hashlibs_and_draws_the_same_rows(
+        monkeypatch):
+    """Where the interpreter has neither _sha2 nor _sha256, the sampler hashes with
+    hashlib.sha256, and the sweep's CSV is byte for byte the built-in one's. The
+    plan's 40 rows take 41 hashes: one row's first gamma candidate is rejected."""
+    from certflight import ttfb_engine
+
+    plan = small_plan(trials=3, seed=2368, size_end_kb=80.0)
+    noise = NoiseModel("gaussian", std_ms=0.5)
+    assert ttfb_engine._sha256() is not hashlib.sha256
+    builtin = "".join(sweep_csv(plan, DEFAULT_STACKS, FLIGHT, noise))
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    real, hashed = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or real(data))
+    assert ttfb_engine._sha256() is hashlib.sha256
+    assert "".join(sweep_csv(plan, DEFAULT_STACKS, FLIGHT, noise)) == builtin
+    assert len(hashed) == 41
+
+
 def test_row_key_draws_are_unbiased_and_uncorrelated():
     """Over 12,240 rows, each drawn from sha256 of its own key, the mean's
     normal z = (mean_ms - total) / (sigma / sqrt(n)) has mean 0, variance 1

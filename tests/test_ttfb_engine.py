@@ -210,6 +210,21 @@ def test_sampled_summary_passes_a_goodness_of_fit_test(n, statistic, cdf):
     assert sum((count - expected) ** 2 / expected for count in counts) < 64
 
 
+def _fake_sha256(monkeypatch, digests=None):
+    """Give the sampler, through ttfb_engine._sha256, the one name that picks its
+    SHA-256, a fake that hashes as the real one does but returns digests[key] for
+    a key in digests. Returns the list of the keys the fake was called with."""
+    from certflight import ttfb_engine
+
+    real, hashed, digests = ttfb_engine._sha256(), [], digests or {}
+
+    def fake(data):
+        hashed.append(data)
+        return SimpleNamespace(digest=lambda: digests[data]) if data in digests else real(data)
+    monkeypatch.setattr(ttfb_engine, "_sha256", lambda: fake)
+    return hashed
+
+
 # (trials, seed, sha256 calls of one draw). The seeds were found by
 # instrumenting the gamma loop: the first candidate of 2792 at n = 2 and of
 # 36 at n = 3 has 1 + c*x <= 0; that of 35 and 32, and of 3556 at n = 100,
@@ -219,10 +234,7 @@ def test_sampled_summary_passes_a_goodness_of_fit_test(n, statistic, cdf):
     (2, 2368, 4), (3, 0, 1),
 ])
 def test_a_rejected_gamma_candidate_draws_fresh_words(monkeypatch, trials, seed, hashes):
-    import hashlib
-
-    real, calls = hashlib.sha256, []
-    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or real(data))
+    calls = _fake_sha256(monkeypatch)
     est = estimate_ttfb(CLASSICAL, path(50.0), 12.0)
     noise = NoiseModel("gaussian", std_ms=0.5)
     mean, std = sample_ttfb(est, noise, trials, seed=seed)
@@ -274,20 +286,16 @@ def test_the_largest_noise_sigma_taken_draws_finite_extremes(monkeypatch, trials
     """At the largest std_ms the sampler takes, the digests that give the
     extreme normals (|Z| or |x| = sqrt(128 ln 2), words 0) still draw finite
     summaries; one float more is refused, naming the key."""
-    import hashlib
-
     sigma = _largest_accepted_std_ms(trials)
     assert sigma > 1e306
-    real = hashlib.sha256
     # t = (w1 + 1) * 2**-64 * 2 pi at 2 pi, pi, pi / 2 and 3 pi / 2: cos = 1 and -1, sin = 1 and -1.
     for w1 in (2**64 - 1, 2**63 - 1, 2**62 - 1, 3 * 2**62 - 1):
-        digest = struct.pack(">4Q", 0, w1, 0, 2**64 - 1)
-        monkeypatch.setattr(hashlib, "sha256", lambda data: (
-            SimpleNamespace(digest=lambda: digest) if data == b"k" else real(data)))
+        hashed = _fake_sha256(monkeypatch, {b"k": struct.pack(">4Q", 0, w1, 0, 2**64 - 1)})
         draw = summary_sampler(NoiseModel("gaussian", std_ms=sigma), trials)
         for mu in (0.0, 100.0):
             mean, std = draw(mu, b"k")
             assert math.isfinite(mean) and math.isfinite(std), (w1, mu, mean, std)
+        assert hashed.count(b"k") == 2
     with pytest.raises(ConfigError, match=r"^noise\.std_ms "):
         summary_sampler(NoiseModel("gaussian", std_ms=math.nextafter(sigma, math.inf)), trials)
 
@@ -297,17 +305,14 @@ def test_the_largest_mean_taken_draws_a_finite_extreme_mean(monkeypatch, trials)
     """At the largest mu_max the sampler takes for a sigma, the digest that
     gives the largest mean (Z = sqrt(128 ln 2)) still draws a finite mean at
     mu = mu_max; one float more is refused, naming the mean."""
-    import hashlib
-
     noise = NoiseModel("gaussian", std_ms=1e307)
     mu_max = _largest_accepted(lambda mu: summary_sampler(noise, trials, mu))
     assert 8e307 < mu_max < sys.float_info.max
-    real = hashlib.sha256
     digest = struct.pack(">4Q", 0, 2**64 - 1, 0, 2**64 - 1)  # r at its largest, cos t = 1
-    monkeypatch.setattr(hashlib, "sha256", lambda data: (
-        SimpleNamespace(digest=lambda: digest) if data == b"k" else real(data)))
+    hashed = _fake_sha256(monkeypatch, {b"k": digest})
     mean, std = summary_sampler(noise, trials, mu_max)(mu_max, b"k")
     assert math.isfinite(mean) and math.isfinite(std)
+    assert hashed.count(b"k") == 1
     with pytest.raises(ConfigError, match=r"^noise\.std_ms 1e\+307 is too large for a mean of "):
         summary_sampler(noise, trials, math.nextafter(mu_max, math.inf))
 
