@@ -2,8 +2,8 @@
 
 Subcommands: estimate, sweep, thresholds, regions, savings, forge,
 analyze, calibrate. Configuration comes from --config (or the
-CERTFLIGHT_CONFIG environment variable), and individual flags override
-config values. --seed overrides sweep.seed, the seed of each sweep row's draws.
+CERTFLIGHT_CONFIG environment variable), and the flags in _CONFIG_FLAGS
+override config values; main applies them, so a command reads only cfg.
 A command imports the code that only it runs (the sweep, the table writers
 and readers, the forge, the log analytics) inside its own function, so that
 estimate and forge load no sweep, table or statistics code. Each cmd_* checks
@@ -46,24 +46,35 @@ def _optimizer(name: str) -> SizeOptimizer:
     return lookup(_OPTIMIZER_ALIASES, name, "optimizer")
 
 
-def _number(flag: str, text: str) -> float:
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        raise ConfigError(f"{flag}: {text.strip()!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{flag}: {text.strip()!r} is not a finite number")
-    return value
+        raise ConfigError(f"{text.strip()!r} is not a number") from None
 
 
-def _flight_for(args, cfg: Config):
-    flight = cfg.flight
-    if getattr(args, "thresholds", None) is not None:
-        thresholds = _items(args.thresholds, lambda t: _number("--thresholds", t))
-        flight = dataclasses.replace(flight, empirical_thresholds_kb=thresholds, mode=EMPIRICAL)
-    if getattr(args, "mode", None):
-        flight = dataclasses.replace(flight, mode=args.mode)
-    return flight
+def _sizes(text: str) -> dict:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{text!r} is not start:end:step")
+    return dict(zip(("size_start_kb", "size_end_kb", "size_step_kb"), map(_number, parts)))
+
+
+# Each flag that sets config fields, by dest: its section of Config (None for Config itself)
+# and its value's reader into fields. main applies them in this order, so --mode wins.
+_CONFIG_FLAGS = {
+    "seed": ("sweep", lambda seed: {"seed": seed}),
+    "trials": ("sweep", lambda trials: {"trials": trials}),
+    "stacks": ("sweep", lambda text: {"stacks": _items(text, str)}),
+    "rtts": ("sweep", lambda text: {"rtts_ms": _items(text, _number)}),
+    "sizes": ("sweep", _sizes),
+    "thresholds": ("flight", lambda text: {"empirical_thresholds_kb": _items(text, _number),
+                                           "mode": EMPIRICAL}),
+    "mode": ("flight", lambda mode: {"mode": mode}),
+    "asn_map": (None, lambda path: {"asn_map_csv": path}),
+    "cdn_asns": (None, lambda path: {"cdn_asn_file": path}),
+    "cloud_asns": (None, lambda path: {"cloud_asn_file": path}),
+}
 
 
 def _chain_kb_for(args, cfg: Config) -> float:
@@ -126,7 +137,7 @@ def _document(payload):
 
 def cmd_estimate(args, cfg: Config) -> Output:
     stack = resolve_stack(args.stack, cfg.stacks)
-    path = NetworkPath(rtt_ms=args.rtt, flight=_flight_for(args, cfg))
+    path = NetworkPath(rtt_ms=args.rtt, flight=cfg.flight)
     size_kb = _chain_kb_for(args, cfg)
     est = estimate_ttfb(stack, path, size_kb, resumed=args.resumed)
     if args.format == "json":
@@ -156,25 +167,9 @@ def cmd_sweep(args, cfg: Config) -> Output:
     from .tables import write_json
 
     plan = cfg.sweep
-    updates: dict = {}
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.stacks is not None:
-        updates["stacks"] = _items(args.stacks, str)
-    if args.rtts is not None:
-        updates["rtts_ms"] = _items(args.rtts, lambda t: _number("--rtts", t))
-    if args.sizes is not None:
-        parts = args.sizes.split(":")
-        if len(parts) != 3:
-            raise ConfigError("--sizes wants start:end:step")
-        start, end, step = (_number("--sizes", p) for p in parts)
-        updates.update(size_start_kb=start, size_end_kb=end, size_step_kb=step)
-    if args.optimizers is not None:
-        updates["optimizers"] = _items(args.optimizers, _optimizer)
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    plan = dataclasses.replace(plan, **updates)
-    sweep = (plan, cfg.stacks, _flight_for(args, cfg), cfg.noise)
+    if args.optimizers is not None:  # regions' --optimizers defaults to all four instead
+        plan = dataclasses.replace(plan, optimizers=_items(args.optimizers, _optimizer))
+    sweep = (plan, cfg.stacks, cfg.flight, cfg.noise)
     # sweep_csv, sweep_records and sweep_gnuplot raise every input error when called. A row
     # is a pure function of its key, so the curves' own pass draws the table's values.
     if args.format == "json":
@@ -190,23 +185,22 @@ def cmd_sweep(args, cfg: Config) -> Output:
 
 
 def cmd_thresholds(args, cfg: Config) -> Output:
-    flight = _flight_for(args, cfg)
     max_kb = args.max_kb if args.max_kb is not None else cfg.sweep.size_end_kb
     step_kb = args.step_kb if args.step_kb is not None else cfg.sweep.size_step_kb
-    found = find_thresholds(flight, max_kb, step_kb)
+    found = find_thresholds(cfg.flight, max_kb, step_kb)
     note = None
-    if flight.mode == ANALYTIC and list(found) != list(flight.empirical_thresholds_kb):
+    if cfg.flight.mode == ANALYTIC and list(found) != list(cfg.flight.empirical_thresholds_kb):
         note = (
             f"analytic thresholds {found} differ from the configured empirical "
-            f"thresholds {list(flight.empirical_thresholds_kb)}"
+            f"thresholds {list(cfg.flight.empirical_thresholds_kb)}"
         )
     if args.format == "json":
         return Output(_document({
-            "mode": flight.mode,
+            "mode": cfg.flight.mode,
             "max_kb": max_kb,
             "step_kb": step_kb,
             "thresholds_kb": found,
-            "empirical_thresholds_kb": list(flight.empirical_thresholds_kb),
+            "empirical_thresholds_kb": list(cfg.flight.empirical_thresholds_kb),
             "note": note,
         }))
     from .tables import write_csv
@@ -221,7 +215,7 @@ def cmd_regions(args, cfg: Config) -> Output:
     from .sweep_runner import REGION_FIELDS, compute_regions
     from .tables import write_csv, write_json
 
-    thresholds = list(_flight_for(args, cfg).empirical_thresholds_kb)
+    thresholds = list(cfg.flight.empirical_thresholds_kb)
     optimizers = (_items(args.optimizers, _optimizer) if args.optimizers is not None
                   else chain_model.DEFAULT_OPTIMIZERS)
     regions = compute_regions(thresholds, list(optimizers))
@@ -236,7 +230,7 @@ def cmd_savings(args, cfg: Config) -> Output:
     from .sweep_runner import estimate_savings
 
     stack = resolve_stack(args.stack, cfg.stacks)
-    path = NetworkPath(rtt_ms=args.rtt, flight=_flight_for(args, cfg))
+    path = NetworkPath(rtt_ms=args.rtt, flight=cfg.flight)
     est = estimate_savings(stack, path, args.size_kb, args.rate)
     if args.format == "json":
         return Output(_document(dataclasses.asdict(est)))
@@ -276,10 +270,7 @@ def cmd_analyze(args, cfg: Config) -> Output:
     from . import tls_log_analytics as tla
     from .tables import write_csv
 
-    map_csv, cdn_file, cloud_file = cfg.resolve_asn_paths()
-    asn_map = tla.AsnMap.from_files(
-        args.asn_map or map_csv, args.cdn_asns or cdn_file, args.cloud_asns or cloud_file
-    )
+    asn_map = tla.AsnMap.from_files(*cfg.resolve_asn_paths())
     stats = tla.ParseStats()
     logs = (contextlib.nullcontext(sys.stdin) if args.logs == "-"
             else open(args.logs, encoding="utf-8", errors="replace"))
@@ -327,7 +318,7 @@ def cmd_calibrate(args, cfg: Config) -> Output:
 
     # The fit would blame the CSV for this, so it is refused before the CSV is read.
     if args.resumed_base is not None and args.resumed_base < 0:
-        raise ConfigError(f"--resumed-base must be >= 0, got {args.resumed_base!r}")
+        raise ConfigError(f"--resumed-base: must be >= 0, got {args.resumed_base!r}")
     pts = list(read_rows(args.csv, _point, header=True))
     try:
         profile = calibrate_stack_profile(
@@ -462,10 +453,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.config)
-        # Refused here, a flag's non-finite value is named by its flag, not its config field.
-        for name, value in vars(args).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"--{name.replace('_', '-')} must be a finite number, got {value!r}")
+        # The table's dests first, in its order (None where not given), then the other arguments.
+        for dest, value in {**dict.fromkeys(_CONFIG_FLAGS), **vars(args)}.items():
+            try:
+                if dest in _CONFIG_FLAGS and value is not None:
+                    section, read = _CONFIG_FLAGS[dest]
+                    if section:  # rebuilt, so that the section's own checks refuse a bad value
+                        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **read(value)))
+                    else:  # a path, which argparse gives as the string that Config checks for
+                        vars(cfg).update(read(value))
+                elif isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{value!r} is not a finite number")
+            except ConfigError as e:
+                raise ConfigError(f"--{dest.replace('_', '-')}: {e}") from None
         result = args.func(args, cfg)
         out = getattr(args, "out", None)
         side_path, write_side = result.side

@@ -46,6 +46,8 @@ class SweepPlan:
             raise ConfigError("plan needs at least one stack")
         if not self.rtts_ms:
             raise ConfigError("plan needs at least one rtt")
+        if min(self.rtts_ms) < 0:
+            raise ConfigError(f"rtts_ms must be >= 0, got {min(self.rtts_ms)!r}")
         if self.size_step_kb <= 0:
             raise ConfigError("size_step_kb must be positive")
         if self.size_end_kb < self.size_start_kb:

@@ -48,14 +48,12 @@ def sweep_header(optimized: bool) -> tuple[str, ...]:
 
 def _grid(plan: SweepPlan, stacks: dict[str, StackProfile], flight: FlightModel,
           noise: NoiseModel):
-    """Check every stack, rtt, size and total, and that no total plus its largest
-    noise draw overflows; then factor the plan's grid into its lines, its cells
-    and the draw, which every sweep renderer reads."""
+    """Check every stack (the plan has checked its rtts), size and total, and that no
+    total plus its largest noise draw overflows; then factor the plan's grid into its
+    lines, its cells and the draw, which every sweep renderer reads."""
     missing = [name for name in plan.stacks if name not in stacks]
     if missing:
         raise ConfigError(f"unknown stacks in plan: {', '.join(missing)}")
-    for rtt in plan.rtts_ms:
-        NetworkPath(rtt_ms=rtt, flight=flight)
     variants = [("", None)] + [(opt.label, opt) for opt in plan.optimizers]
     # Per size and variant, in plan order: the size, the row key's tail, the extra
     # round trips, and the row's last columns: its label, where the plan has optimizers.

@@ -249,11 +249,14 @@ def test_sweep_bad_size_spec(capsys):
     (("thresholds", "--thresholds", "0x10"), "--thresholds: '0x10' is not a number"),
     (("savings", "--rtt", "5", "--size-kb", "3", "--rate", "0.5", "--thresholds", "z"),
      "--thresholds: 'z' is not a number"),
-    (("sweep", "--rtts", "10,nan"), "--rtts: 'nan' is not a finite number"),
-    (("sweep", "--sizes", "4:80:inf"), "--sizes: 'inf' is not a finite number"),
-    (("sweep", "--sizes=-Infinity:80:1"), "--sizes: '-Infinity' is not a finite number"),
-    (("regions", "--thresholds", "10, NaN "), "--thresholds: 'NaN' is not a finite number"),
-    (("estimate", "--rtt", "5", "--thresholds=-inf"), "--thresholds: '-inf' is not a finite number"),
+    (("sweep", "--rtts", "10,nan"), "--rtts: rtts_ms must be a finite number, got nan"),
+    (("sweep", "--sizes", "4:80:inf"), "--sizes: size_step_kb must be a finite number, got inf"),
+    (("sweep", "--sizes=-Infinity:80:1"),
+     "--sizes: size_start_kb must be a finite number, got -inf"),
+    (("regions", "--thresholds", "10, NaN "),
+     "--thresholds: empirical_thresholds_kb must be a finite number, got nan"),
+    (("estimate", "--rtt", "5", "--thresholds=-inf"),
+     "--thresholds: empirical_thresholds_kb must be a finite number, got -inf"),
 ], ids=["sweep-rtts", "sweep-rtts-spaced", "sweep-sizes", "sweep-sizes-blank", "sweep-thresholds",
         "regions-thresholds", "estimate-thresholds", "thresholds-hex", "savings-thresholds",
         "sweep-rtts-nan", "sweep-sizes-inf", "sweep-sizes-minus-infinity", "regions-thresholds-nan",
@@ -277,7 +280,7 @@ def test_a_non_finite_flag_is_one_error_line_naming_the_flag(tmp_path, monkeypat
                                                              argv, flag, value):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *(a.format(value) for a in argv))
-    assert (code, out, err) == (1, "", f"error: {flag} must be a finite number, got {float(value)!r}\n")
+    assert (code, out, err) == (1, "", f"error: {flag}: {float(value)!r} is not a finite number\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -337,6 +340,71 @@ def test_a_value_flag_takes_a_value_that_begins_with_a_dash(tmp_path, monkeypatc
         assert ending(flag, token) == ending(f"{flag}={token}"), token
     code, out, err = ending(flag, "-h")
     assert (code, out) == (2, "") and err.endswith(f"error: argument {flag}: expected one argument\n")
+
+
+# Every value flag that sets no config field: an argument its command reads itself.
+COMMAND_ARGUMENTS = {"--config", "--scheme", "--intermediates", "--size-kb", "--rtt", "--stack",
+                     "--format", "--optimizers", "--out", "--gnuplot", "--max-kb", "--step-kb",
+                     "--rate", "--out-dir", "--logs", "--series", "--csv", "--penalty", "--name",
+                     "--resumed-base"}
+
+
+def test_every_value_flag_is_in_the_flag_table_or_a_command_argument():
+    """A new flag that sets a config field is applied, and refused, by the table."""
+    from certflight.cli import _CONFIG_FLAGS
+
+    table = {"--" + dest.replace("_", "-") for dest in _CONFIG_FLAGS}
+    assert table.isdisjoint(COMMAND_ARGUMENTS)
+    assert {flag for _, flag in _value_flags()} == table | COMMAND_ARGUMENTS
+
+
+# For each range check of a table flag's section: the flag's bad value, and the same
+# value as fields of that section in a config file. --mode's choices and the ASN flags'
+# paths pass their sections' checks by construction.
+HUGE_SEED = 10**400
+RANGE_CHECKS = [
+    ("--seed", str(HUGE_SEED), "sweep", {"seed": HUGE_SEED}),
+    ("--trials", "0", "sweep", {"trials": 0}),
+    ("--stacks", ",", "sweep", {"stacks": []}),
+    ("--stacks", "ClassicalSim,ClassicalSim", "sweep", {"stacks": ["ClassicalSim"] * 2}),
+    ("--rtts", ",", "sweep", {"rtts_ms": []}),
+    ("--rtts", "10,nan", "sweep", {"rtts_ms": [10, math.nan]}),
+    ("--rtts", "-5,10", "sweep", {"rtts_ms": [-5, 10]}),
+    ("--rtts", "10,10.0", "sweep", {"rtts_ms": [10, 10.0]}),
+    ("--sizes", "-inf:80:1", "sweep", {"size_start_kb": -math.inf}),
+    ("--sizes", "4:inf:1", "sweep", {"size_end_kb": math.inf}),
+    ("--sizes", "4:80:nan", "sweep", {"size_step_kb": math.nan}),
+    ("--sizes", "4:80:0", "sweep", {"size_step_kb": 0}),
+    ("--sizes", "4:2:1", "sweep", {"size_start_kb": 4, "size_end_kb": 2}),
+    ("--thresholds", "10,inf", "flight", {"empirical_thresholds_kb": [10, math.inf]}),
+    ("--thresholds", "40,10", "flight", {"empirical_thresholds_kb": [40, 10]}),
+    ("--thresholds", "10,10", "flight", {"empirical_thresholds_kb": [10, 10]}),
+]
+
+
+@pytest.mark.parametrize("flag, value, section, fields", RANGE_CHECKS,
+                         ids=[f"{flag}={value[:12]}" for flag, value, _, _ in RANGE_CHECKS])
+def test_a_config_flag_refused_by_its_section_names_the_flag_and_its_file_twin_the_file(
+        tmp_path, monkeypatch, capsys, flag, value, section, fields):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+    outputs = ["--out", "t.csv", "--gnuplot", "g.dat"]
+    given = ([f"{flag}={value}", *FLAG_BASES["sweep"]] if flag == "--seed"
+             else [*FLAG_BASES["sweep"], f"{flag}={value}"])
+    code, out, err = run(capsys, *given, *outputs)
+    assert (code, out) == (1, "") and err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    reason = err.removeprefix(f"error: {flag}: ")
+    Path("cfg.json").write_text(json.dumps({section: fields}))
+    assert run(capsys, "--config", "cfg.json", "sweep", *outputs) == (
+        1, "", f"error: cfg.json: config {section}: {reason}")
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_BASES))
+def test_seed_is_checked_for_every_command(capsys, command):
+    assert run(capsys, "--seed", str(HUGE_SEED), *FLAG_BASES[command]) == (
+        1, "", f"error: --seed: seed must be an integer within float range, got {HUGE_SEED}\n")
 
 
 def test_thresholds_analytic_flags_deviation(capsys):
@@ -807,15 +875,14 @@ def test_calibrate_refuses_a_non_finite_flag_naming_the_flag(tmp_path, capsys, f
     path.write_text("rtt_ms,ttfb_ms\n0,8.06\n10,28.71\n50,109.00\n")
     flags = [flag + value] if value.startswith("=") else [flag, value]
     code, out, err = run(capsys, "calibrate", "--csv", str(path), *flags)
-    assert (code, out) == (1, "")
-    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
-    assert str(path) not in err
+    line = f"error: {flag}: {float(value.lstrip('='))!r} is not a finite number\n"
+    assert (code, out, err) == (1, "", line)
 
 
 def test_calibrate_refuses_a_negative_resumed_base_before_reading_the_csv(tmp_path, capsys):
     code, out, err = run(capsys, "calibrate", "--csv", str(tmp_path / "missing.csv"),
                          "--resumed-base", "-3")
-    assert (code, out, err) == (1, "", "error: --resumed-base must be >= 0, got -3.0\n")
+    assert (code, out, err) == (1, "", "error: --resumed-base: must be >= 0, got -3.0\n")
 
 
 @pytest.mark.parametrize("argv", [

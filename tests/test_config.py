@@ -50,9 +50,10 @@ def stacks(draw):
 def sweeps(draw):
     start, end = sorted(draw(st.lists(finite, min_size=2, max_size=2)))
     return SweepPlan(
-        # A plan refuses a repeated stack, or an rtt whose repr repeats.
+        # A plan refuses a repeated stack, or a negative rtt or one whose repr repeats.
         stacks=tuple(draw(st.lists(names, min_size=1, max_size=3, unique=True))),
-        rtts_ms=tuple(draw(st.lists(finite, min_size=1, max_size=4, unique_by=repr))),
+        rtts_ms=tuple(draw(st.lists(st.floats(min_value=-0.0, allow_infinity=False),
+                                    min_size=1, max_size=4, unique_by=repr))),
         size_start_kb=start,
         size_end_kb=end,
         size_step_kb=draw(positive),

@@ -72,6 +72,9 @@ def test_plan_validation():
         SweepPlan(size_end_kb=2.0, size_start_kb=4.0)
     with pytest.raises(ConfigError):
         SweepPlan(trials=0)
+    with pytest.raises(ConfigError, match=r"^rtts_ms must be >= 0, got -5\.0$"):
+        SweepPlan(rtts_ms=(10, -5, 0))
+    assert SweepPlan(rtts_ms=(-0.0,)).rtts_ms == (-0.0,)  # a signed zero is no negative rtt
 
 
 def test_plan_rejects_repeated_optimizer_labels():
