@@ -21,11 +21,12 @@ padding OID's bytes.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 import os
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .chain_model import ChainSpec, DEFAULT_KB_BYTES, chain_size_kb, kb_to_bytes
 from .errors import PaddingError
@@ -78,8 +79,12 @@ def _der_len(n: int) -> bytes:
     return bytes([0x80 | len(body)]) + body
 
 
+def _header(tag: int, length: int) -> bytes:
+    return bytes([tag]) + _der_len(length)
+
+
 def _tlv(tag: int, content: bytes) -> bytes:
-    return bytes([tag]) + _der_len(len(content)) + content
+    return _header(tag, len(content)) + content
 
 
 def _der_oid(dotted: str) -> bytes:
@@ -100,9 +105,13 @@ def _der_name(cn: str) -> bytes:
     return _tlv(_TAG_SEQUENCE, _tlv(_TAG_SET, attr))
 
 
-def _build(template: DerCertTemplate, pad_len: int, sig_stretch: int = 0) -> bytes:
-    version = _tlv(_TAG_CTX0, _tlv(_TAG_INTEGER, b"\x02"))
-    serial = _tlv(_TAG_INTEGER, b"\x01" + bytes(7))  # 8 content bytes, positive
+def _build(template: DerCertTemplate, pad_len: int, sig_stretch: int = 0) -> tuple[bytes, bytes]:
+    """The certificate's bytes before and after its pad_len zero padding bytes.
+
+    The padding is the last content of every node around it but the outer
+    SEQUENCE, so each length field is known from pad_len alone and the
+    padding itself is never built here.
+    """
     sig_alg = _tlv(_TAG_SEQUENCE, _der_oid(_OID_SIG_ALG))
     validity = _tlv(
         _TAG_SEQUENCE,
@@ -115,28 +124,26 @@ def _build(template: DerCertTemplate, pad_len: int, sig_stretch: int = 0) -> byt
     )
     # Criticality defaults to false and DER omits DEFAULT values, so the
     # extension is OID + value only.
-    pad_ext = _tlv(
-        _TAG_SEQUENCE,
-        _der_oid(PAD_EXTENSION_OID) + _tlv(_TAG_OCTET_STRING, bytes(pad_len)),
-    )
-    extensions = _tlv(_TAG_CTX3, _tlv(_TAG_SEQUENCE, pad_ext))
-    tbs = _tlv(
-        _TAG_SEQUENCE,
-        version
-        + serial
+    head = _der_oid(PAD_EXTENSION_OID) + _header(_TAG_OCTET_STRING, pad_len)
+    for tag in (_TAG_SEQUENCE, _TAG_SEQUENCE, _TAG_CTX3):  # extension, extension list, [3]
+        head = _header(tag, len(head) + pad_len) + head
+    head = (
+        _tlv(_TAG_CTX0, _tlv(_TAG_INTEGER, b"\x02"))  # version
+        + _tlv(_TAG_INTEGER, b"\x01" + bytes(7))  # serial: 8 content bytes, positive
         + sig_alg
         + _der_name(template.issuer_cn)
         + validity
         + _der_name(template.subject_cn)
         + spki
-        + extensions,
+        + head
     )
-    signature = _tlv(_TAG_BIT_STRING, b"\x00" + bytes(_SIGNATURE_LEN + sig_stretch))
-    return _tlv(_TAG_SEQUENCE, tbs + sig_alg + signature)
+    head = _header(_TAG_SEQUENCE, len(head) + pad_len) + head  # tbs
+    tail = sig_alg + _tlv(_TAG_BIT_STRING, b"\x00" + bytes(_SIGNATURE_LEN + sig_stretch))
+    return _header(_TAG_SEQUENCE, len(head) + pad_len + len(tail)) + head, tail
 
 
 def minimum_size(template: DerCertTemplate) -> int:
-    return len(_build(template, 0))
+    return sum(map(len, _build(template, 0)))
 
 
 def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
@@ -151,6 +158,9 @@ def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
     reaches those totals: the signature sits outside the tbs and every
     length field in it, so the stretch adds bytes without widening them.
     Real signatures vary by a few bytes, so parsers take no notice.
+
+    The search runs on the lengths of the bytes around the padding, and
+    only the arrangement that fits is joined into a certificate.
     """
     if target_bytes > MAX_CERT_BYTES:
         raise PaddingError(f"target {target_bytes} is above the TLS limit of {MAX_CERT_BYTES}")
@@ -162,14 +172,15 @@ def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
             minimum_bytes=minimum,
         )
     for sig_stretch in range(8):
-        pad = target_bytes - len(_build(template, 0, sig_stretch))
+        pad = target_bytes - sum(map(len, _build(template, 0, sig_stretch)))
         for _ in range(8):
             if pad < 0:
                 break
-            blob = _build(template, pad, sig_stretch)
-            if len(blob) == target_bytes:
-                return blob
-            pad += target_bytes - len(blob)
+            head, tail = _build(template, pad, sig_stretch)
+            size = len(head) + pad + len(tail)
+            if size == target_bytes:
+                return b"".join((head, bytes(pad), tail))
+            pad += target_bytes - size
     raise PaddingError(f"no padding arrangement reaches {target_bytes} bytes exactly")
 
 
@@ -404,10 +415,18 @@ def forge_chain(spec: ChainSpec, kb_bytes: int = DEFAULT_KB_BYTES) -> ForgedChai
     return ForgedChain(scheme=spec.scheme.name, mtc=spec.mtc, certs=tuple(certs))
 
 
+def pem_lines(der: bytes) -> Iterator[str]:
+    """The PEM text of der, one line at a time: each 48 DER bytes are one
+    64-character base64 line, so no more than a line is held at once."""
+    yield "-----BEGIN CERTIFICATE-----\n"
+    view = memoryview(der)
+    for i in range(0, len(der), 48):
+        yield binascii.b2a_base64(view[i : i + 48]).decode("ascii")
+    yield "-----END CERTIFICATE-----\n"
+
+
 def pem_encode(der: bytes) -> str:
-    b64 = base64.b64encode(der).decode()
-    lines = [b64[i : i + 64] for i in range(0, len(b64), 64)]
-    return "-----BEGIN CERTIFICATE-----\n" + "\n".join(lines) + "\n-----END CERTIFICATE-----\n"
+    return "".join(pem_lines(der))
 
 
 def write_chain(chain: ForgedChain, out_dir: str, reports: list[ParseReport]) -> dict:
@@ -421,7 +440,7 @@ def write_chain(chain: ForgedChain, out_dir: str, reports: list[ParseReport]) ->
         with open(os.path.join(out_dir, der_name), "wb") as f:
             f.write(cert.der)
         with open(os.path.join(out_dir, pem_name), "w", encoding="utf-8") as f:
-            f.write(pem_encode(cert.der))
+            f.writelines(pem_lines(cert.der))
         entries.append(
             {
                 "role": cert.role,

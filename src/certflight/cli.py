@@ -6,7 +6,8 @@ CERTFLIGHT_CONFIG environment variable), and the flags in _CONFIG_FLAGS
 override config values; main applies them, so a command reads only cfg.
 A command imports the code that only it runs (the sweep, the table writers
 and readers, the forge, the log analytics) inside its own function, so that
-estimate and forge load no sweep, table or statistics code. Each cmd_* checks
+estimate and forge load no sweep or table code, and no command loads statistics
+or socket (see tls_log_analytics and ttfb_engine). Each cmd_* checks
 its input and returns an Output; main alone opens --out (or stdout) and the
 side file and writes them, forge's chain under --out-dir included, so a refused
 input writes nothing.

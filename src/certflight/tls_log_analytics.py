@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import ipaddress
 import json
+from _socket import AF_INET, AF_INET6, inet_pton  # what socket re-exports, without its imports
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from operator import itemgetter
-from socket import AF_INET, AF_INET6, inet_pton
+from math import fsum, sqrt
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LogFormatError
@@ -446,7 +447,8 @@ def time_series(records: Iterable[Record], asn_map: AsnMap) -> Series:
     rendered once. datetime rounds a timestamp to the microsecond, half to
     even, so one within a microsecond of midnight takes month_key itself.
     """
-    counts: dict[tuple[str, str, bool, bool], int] = {}
+    # Per (class, month), record counts indexed by 2 * tls13 + resumed.
+    counts: dict[tuple[str, str], list[int]] = {}
     months: dict[float, str] = {}  # UTC day number -> its month
     classify = asn_map.classify
     for timestamp, ip, tls13, resumed in records:
@@ -457,18 +459,20 @@ def time_series(records: Iterable[Record], asn_map: AsnMap) -> Series:
                 month = months[day] = month_key(day * 86400.0)
         else:
             month = month_key(timestamp)
-        key = (classify(ip), month, tls13, resumed)
-        counts[key] = counts.get(key, 0) + 1
+        key = (classify(ip), month)
+        slots = counts.get(key)
+        if slots is None:
+            slots = counts[key] = [0, 0, 0, 0]
+        slots[2 * tls13 + resumed] += 1
     series: Series = {}
-    for (cls, month, tls13, resumed), n in sorted(counts.items()):
-        points = series.setdefault(cls, [])
-        if not points or points[-1][0] != month:
-            points.append((month, ResumptionStats(cls)))
-        stats = points[-1][1]
-        stats.total += n
-        stats.tls13 += tls13 * n
-        stats.resumed_all += resumed * n
-        stats.resumed_tls13 += (tls13 and resumed) * n
+    for (cls, month), (neither, resumed_only, tls13_only, both) in sorted(counts.items()):
+        series.setdefault(cls, []).append((month, ResumptionStats(
+            cls,
+            total=neither + resumed_only + tls13_only + both,
+            tls13=tls13_only + both,
+            resumed_all=resumed_only + both,
+            resumed_tls13=both,
+        )))
     return series
 
 
@@ -493,13 +497,20 @@ def rate_correlation(pairs: Iterable[tuple[float, float]]) -> float | None:
 
     Needs at least 3 points; a constant series has no defined
     correlation and yields None.
-    """
-    import statistics  # here: only a series of three or more months needs it
 
+    The arithmetic is statistics.correlation's on Python 3.10 and 3.11:
+    fsum means, fsum of the centred products, then sxy / sqrt(sxx * syy).
+    Python 3.12 and 3.13 changed it, which moved the last bits of r and so
+    the bytes analyze writes; written out here, r is the same on every version.
+    """
     pts = [(x, y) for x, y in pairs if x is not None and y is not None]
     if len(pts) < 3:
         raise ValueError("need at least 3 buckets with defined rates")
+    xbar = fsum(x for x, _ in pts) / len(pts)
+    ybar = fsum(y for _, y in pts) / len(pts)
+    dx = [x - xbar for x, _ in pts]
+    dy = [y - ybar for _, y in pts]
     try:
-        return statistics.correlation([p[0] for p in pts], [p[1] for p in pts])
-    except statistics.StatisticsError:  # a constant series
+        return fsum(map(mul, dx, dy)) / sqrt(fsum(map(mul, dx, dx)) * fsum(map(mul, dy, dy)))
+    except ZeroDivisionError:  # a constant series
         return None

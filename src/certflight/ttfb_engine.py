@@ -256,16 +256,25 @@ def calibrate_stack_profile(
     penalty_rtts is the extra-RTT count already charged to the measured
     chain by the flight model; it is subtracted from the fitted slope so
     base_flights reflects the penalty-free flight count.
-    """
-    import statistics  # here, so that only calibrate loads it
 
+    The arithmetic is statistics.linear_regression's on Python 3.11: fsum
+    means, then fsum of the centred products, slope = sxy / sxx. Python 3.10
+    and 3.12 compute the fit in other ways that can move its last bits;
+    written out here, the fit is the same on every version.
+    """
     pts = [(float(r), float(t)) for r, t in measurements]
     if len({r for r, _ in pts}) < 2:
         raise CalibrationError("need measurements at two or more distinct RTTs")
     try:
-        slope, base = statistics.linear_regression([r for r, _ in pts], [t for _, t in pts])
+        rbar = math.fsum(r for r, _ in pts) / len(pts)
+        tbar = math.fsum(t for _, t in pts) / len(pts)
+        sxy = math.fsum((r - rbar) * (t - tbar) for r, t in pts)
+        slope = sxy / math.fsum((r - rbar) * (r - rbar) for r, _ in pts)
     except OverflowError as exc:  # sums of squares beyond float range
         raise CalibrationError(f"measurements too large to fit: {exc}") from None
+    except ZeroDivisionError:  # distinct RTTs whose spread squares to 0, such as 0 and 5e-324
+        raise CalibrationError("RTTs too close together to fit a slope") from None
+    base = tbar - slope * rbar
     flights = slope - penalty_rtts
     if flights < 1:
         raise CalibrationError(

@@ -17,6 +17,7 @@ from certflight.cert_forge import (
     pad_to_size,
     parse_and_measure,
     pem_encode,
+    pem_lines,
     write_chain,
 )
 from certflight.chain_model import ChainSpec, SchemeProfile, resolve_scheme
@@ -189,6 +190,31 @@ def test_write_chain_manifest(tmp_path):
         assert len(der) == entry["actual_bytes"] == entry["target_bytes"]
         pem = (tmp_path / entry["file_pem"]).read_text()
         assert ssl.PEM_cert_to_DER_cert(pem) == der
+
+
+def test_forging_and_writing_a_megabyte_certificate_hold_it_about_once(tmp_path):
+    """pad_to_size searches on lengths and joins the certificate once, so
+    forging peaks at the certificate plus its zero padding; write_chain
+    streams the PEM a line at a time, so writing adds little to the
+    certificate already held."""
+    import tracemalloc
+
+    spec = ChainSpec(resolve_scheme("ECDSA"), explicit_size_kb=1000.0)
+    tracemalloc.start()
+    try:
+        chain = forge_chain(spec)
+        forge_peak = tracemalloc.get_traced_memory()[1]
+        reports = [parse_and_measure(c.der) for c in chain.certs]
+        tracemalloc.reset_peak()
+        write_chain(chain, tmp_path, reports)
+        write_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (cert,) = chain.certs
+    assert len(cert.der) == cert.target_bytes == 1_000_000
+    assert forge_peak <= 2.2 * cert.target_bytes
+    assert write_peak <= 1.3 * cert.target_bytes
+    assert "".join(pem_lines(cert.der)) == pem_encode(cert.der) == (tmp_path / "cert.pem").read_text()
 
 
 @pytest.mark.parametrize("size_kb", [1e300, 16777.216])

@@ -913,7 +913,8 @@ def test_calibrate_refuses_a_non_finite_or_blank_cell_at_its_line(tmp_path, caps
      ": measurements too large to fit"),
     (b"0,8\n10,\xff\n", ": not UTF-8 text"),
     (b"0,8\n" + b"1" * 200_000 + b",5\n", ":2: field larger than field limit"),
-], ids=["one-rtt", "overflow", "not-utf8", "huge-field"])
+    (b"rtt_ms,ttfb_ms\n0,8\n5e-324,20\n", ": RTTs too close together to fit a slope\n"),
+], ids=["one-rtt", "overflow", "not-utf8", "huge-field", "rtts-too-close"])
 def test_every_calibrate_error_names_its_file(tmp_path, capsys, data, message):
     path = tmp_path / "points.csv"
     path.write_bytes(data)
@@ -1322,17 +1323,21 @@ def test_import_is_lazy_and_a_star_import_binds_every_name():
 COMMAND_IMPORTS = """
 import importlib.util, json, sys
 from certflight.cli import main
-out_dir, points = sys.argv[1:]
+out_dir, points, log = sys.argv[1:]
 codes = {"estimate": main(["estimate", "--rtt", "50", "--format", "json"]),
          "forge": main(["forge", "--scheme", "ml-dsa", "--out-dir", out_dir])}
 unneeded = {"certflight.sweep_runner", "certflight.tables", "csv", "hashlib", "_sha2", "_sha256",
             "statistics"}
 loaded = sorted(unneeded & set(sys.modules))
+for argv in (["analyze", "--logs", log], ["calibrate", "--csv", points]):
+    codes[argv[0]] = main(argv)
+numeric_or_socket = {"statistics", "fractions", "decimal", "socket", "selectors"}
+loaded_by_analysis = sorted(numeric_or_socket & set(sys.modules))
 for argv in (["sweep", "--rtts", "10", "--sizes", "4:8:4", "--trials", "3"], ["regions"],
              ["savings", "--rtt", "50", "--size-kb", "12", "--rate", "0.5", "--format", "json"],
-             ["thresholds", "--format", "csv"], ["calibrate", "--csv", points]):
+             ["thresholds", "--format", "csv"]):
     codes[argv[0]] = main(argv)
-print(json.dumps({"loaded": loaded, "codes": codes,
+print(json.dumps({"loaded": loaded, "loaded_by_analysis": loaded_by_analysis, "codes": codes,
                   "openssl": sorted({"hashlib", "_hashlib"} & set(sys.modules)),
                   "builtin_sha256": any(map(importlib.util.find_spec, ("_sha2", "_sha256")))}))
 """
@@ -1341,13 +1346,17 @@ print(json.dumps({"loaded": loaded, "codes": codes,
 def test_estimate_and_forge_load_no_sweep_table_or_statistics_code(tmp_path):
     """estimate and forge load none of the sweep, the table code, csv, a SHA-256
     module or statistics; the commands that do need them import them and still
-    run. Where the interpreter has its own SHA-256, no command, the noisy sweep
-    included, loads hashlib and with it OpenSSL."""
+    run. analyze and calibrate compute their statistics with math.fsum and read
+    addresses with _socket, so they load neither statistics (nor its fractions
+    and decimal) nor socket (nor its selectors). Where the interpreter has its
+    own SHA-256, no command, the noisy sweep included, loads hashlib and with
+    it OpenSSL."""
     import os
     import subprocess
     import sys
 
     import certflight
+    from certflight.config import _data_path
 
     points = tmp_path / "points.csv"
     points.write_text("rtt_ms,ttfb_ms\n0,8.06\n10,28.71\n50,109.00\n")
@@ -1355,14 +1364,17 @@ def test_estimate_and_forge_load_no_sweep_table_or_statistics_code(tmp_path):
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("CERTFLIGHT_CONFIG", None)
     proc = subprocess.run(
-        [sys.executable, "-c", COMMAND_IMPORTS, str(tmp_path / "chain"), str(points)],
+        [sys.executable, "-c", COMMAND_IMPORTS, str(tmp_path / "chain"), str(points),
+         _data_path("sample_tls_log.tsv")],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["loaded"] == []
+    assert report["loaded_by_analysis"] == []
     assert report["codes"] == dict.fromkeys(
-        ["estimate", "forge", "sweep", "regions", "savings", "thresholds", "calibrate"], 0)
+        ["estimate", "forge", "analyze", "calibrate", "sweep", "regions", "savings",
+         "thresholds"], 0)
     assert report["openssl"] == [] or not report["builtin_sha256"]
 
 

@@ -803,6 +803,13 @@ def test_rate_correlation():
         rate_correlation([(0.1, 0.2), (0.2, None), (None, 0.3)])
 
 
+def test_rate_correlation_has_the_same_bits_on_every_python():
+    # statistics.correlation gives ...9281p-2 on 3.12 and ...9283p-2 on 3.13.
+    xs = [0.8585, 0.2896, 0.1443, 0.1178, 0.3085]
+    ys = [0.8161, 0.1807, 0.5816, 0.6389, 0.3724]
+    assert rate_correlation(zip(xs, ys)).hex() == "0x1.da46396cc9284p-2"
+
+
 @pytest.mark.parametrize("bad", [
     {"id.resp_h": ["x"], "version": "TLSv1.3"},
     {"id.resp_h": 1746833665, "version": "TLSv1.3"},

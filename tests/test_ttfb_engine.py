@@ -380,6 +380,16 @@ def test_calibration_rejects_degenerate_input():
         calibrate_stack_profile([(0.0, -5.0), (100.0, 195.0)])  # negative base
 
 
+def test_calibration_has_the_same_bits_on_every_python():
+    # statistics.linear_regression ends the slope in ...5ebp+1 and the
+    # base in ...59e0p+3 on 3.10 and on 3.12.
+    rtts = [115.93, 202.15, 245.2, 250.2, 264.45]
+    ttfbs = [255.85, 434.0, 529.26, 534.61, 569.95]
+    fit = calibrate_stack_profile(zip(rtts, ttfbs))
+    assert fit.base_flights.hex() == "0x1.0d9f20b6ca5ecp+1"
+    assert fit.base_ms.hex() == "0x1.53d3ebcdf59a0p+3"
+
+
 def test_calibration_accepts_a_fit_of_exactly_one_flight():
     fit = calibrate_stack_profile([(0.0, 5.0), (100.0, 105.0)])
     assert (fit.base_ms, fit.base_flights) == (5.0, 1.0)
