@@ -14,9 +14,9 @@ and one knob closes the gaps: the signature placeholder length. The
 signature sits outside the tbs, so stretching it moves the total without
 widening any of the length fields around the padding.
 
-``parse_and_measure`` is an independent DER walker used to verify
-forged output; it shares no encoding logic with the builder but the
-padding OID's bytes.
+``parse_and_measure`` verifies forged output: it checks a blob against a
+table of the one certificate shape the builder writes, and shares no
+encoding logic with the builder.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import binascii
 import json
 import os
-import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -42,7 +41,6 @@ _OID_SIG_ALG = "1.2.840.10045.4.3.2"  # ecdsa-with-SHA256 label; signature bytes
 _OID_EC_PUBKEY = "1.2.840.10045.2.1"
 _OID_P256 = "1.2.840.10045.3.1.7"
 
-_TAG_BOOLEAN = 0x01
 _TAG_INTEGER = 0x02
 _TAG_BIT_STRING = 0x03
 _TAG_OCTET_STRING = 0x04
@@ -58,9 +56,6 @@ _NOT_BEFORE = b"250101000000Z"
 _NOT_AFTER = b"350101000000Z"
 _PUBLIC_KEY_LEN = 65
 _SIGNATURE_LEN = 72
-# The parser refuses a node nested deeper: certificate fields nest a few
-# levels, and an extension's value is an opaque OCTET STRING.
-_MAX_DEPTH = 32
 
 
 @dataclass(frozen=True)
@@ -186,14 +181,38 @@ def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
 
 # ----------------------------------------------------------------- parser
 #
-# Independent of the encoder above: reads raw TLV headers, enforces
-# definite minimal-form lengths and exact nesting, and locates the
-# padding extension by comparing each OID's bytes with the padding OID's
-# DER encoding, the one thing it takes from the encoder.
+# Independent of the encoder above: one walk over a table of the one
+# certificate shape _build writes, each OID written out as its DER content.
+# A field is (name, tag, rule), and its rule is its children, its exact
+# content, or one of these: any UTF-8 text; a BIT STRING of any length with
+# no unused bits; the padding, whose length is measured.
+_UTF8, _SIGNATURE, _PADDING = "UTF-8", "signature", "padding"
 
-_PAD_OID_CONTENT = _der_oid(PAD_EXTENSION_OID)[2:]  # after its tag and one length byte
-# A subidentifier starts at the first byte or after one without the high bit.
-_PADDED_SUBIDENTIFIER = re.compile(rb"(?:^|[\x00-\x7f])\x80")
+_SIG_ALG = ("signature algorithm", _TAG_SEQUENCE, [
+    ("signature algorithm OID", _TAG_OID, bytes.fromhex("2a8648ce3d040302"))])
+_NAME = ("name", _TAG_SEQUENCE, [("RDN", _TAG_SET, [("attribute", _TAG_SEQUENCE, [
+    ("common name OID", _TAG_OID, bytes.fromhex("550403")),
+    ("common name", _TAG_UTF8, _UTF8)])])])
+_CERTIFICATE = [("certificate", _TAG_SEQUENCE, [
+    ("tbs", _TAG_SEQUENCE, [
+        ("version", _TAG_CTX0, [("version number", _TAG_INTEGER, b"\x02")]),
+        ("serial", _TAG_INTEGER, b"\x01" + bytes(7)),
+        _SIG_ALG,
+        _NAME,  # issuer
+        ("validity", _TAG_SEQUENCE, [("not before", _TAG_UTCTIME, _NOT_BEFORE),
+                                     ("not after", _TAG_UTCTIME, _NOT_AFTER)]),
+        _NAME,  # subject
+        ("public key info", _TAG_SEQUENCE, [
+            ("key algorithm", _TAG_SEQUENCE, [
+                ("key algorithm OID", _TAG_OID, bytes.fromhex("2a8648ce3d0201")),
+                ("curve OID", _TAG_OID, bytes.fromhex("2a8648ce3d030107"))]),
+            ("public key", _TAG_BIT_STRING, b"\x00\x04" + bytes(_PUBLIC_KEY_LEN - 1))]),
+        ("extensions", _TAG_CTX3, [("extension list", _TAG_SEQUENCE, [
+            ("padding extension", _TAG_SEQUENCE, [
+                ("padding OID", _TAG_OID, bytes.fromhex("2b0601040183b2030101")),
+                ("padding", _TAG_OCTET_STRING, _PADDING)])])])]),
+    _SIG_ALG,
+    ("signature", _TAG_BIT_STRING, _SIGNATURE)])]
 
 
 class _Malformed(Exception):
@@ -234,132 +253,58 @@ def _read_header(buf: bytes, off: int) -> tuple[int, int, int]:
     return tag, length, content
 
 
-def _walk_children(buf: bytes, start: int, end: int) -> list[tuple[int, int, int, int]]:
-    """Children of a constructed region as (tag, node_off, content_off, length)."""
-    out = []
-    off = start
-    while off < end:
-        tag, length, content = _read_header(buf, off)
+def _walk(buf: bytes, off: int, end: int, fields: list) -> int:
+    """Check that buf[off:end] holds exactly fields, in order; the padding's length."""
+    padding = 0
+    for name, tag, rule in fields:
+        found, length, content = _read_header(buf, off)
         if content + length > end:
             raise _Malformed(off, "child overruns its parent")
-        out.append((tag, off, content, length))
+        if found != tag:
+            raise _Malformed(off, f"{name} must have tag 0x{tag:02x}, found 0x{found:02x}")
         off = content + length
-    return out
-
-
-def _check_tree(buf: bytes, content: int, length: int) -> None:
-    pending = [(content, content + length, 1)]  # (start, end, depth), popped in document order
-    while pending:
-        start, end, depth = pending.pop()
-        if depth > _MAX_DEPTH:
-            raise _Malformed(start, f"nested deeper than {_MAX_DEPTH} levels")
-        children = reversed(_walk_children(buf, start, end))
-        pending.extend((c, c + ln, depth + 1) for tag, _, c, ln in children if tag & 0x20)
-
-
-def _check_oid(content: bytes, off: int) -> None:
-    """Refuse an OID encoding that is not DER: empty, ending mid-arc, or with
-    a subidentifier led by 0x80 (X.690 8.19.2). A DER encoding is unique, so
-    two OIDs are equal exactly when their encodings are."""
-    if not content:
-        raise _Malformed(off, "empty OID")
-    if content[-1] & 0x80:
-        raise _Malformed(off, "OID ends mid-arc")
-    if _PADDED_SUBIDENTIFIER.search(content):
-        raise _Malformed(off, "OID subidentifier starts with 0x80")
+        if isinstance(rule, list):
+            padding += _walk(buf, content, off, rule)
+        elif rule is _PADDING:
+            padding += length
+        elif rule is _SIGNATURE:
+            if not length or buf[content]:
+                raise _Malformed(content, f"{name} must start with 0 unused bits")
+        elif rule is _UTF8:
+            try:
+                buf[content:off].decode()
+            except UnicodeDecodeError:
+                raise _Malformed(content, f"{name} must be UTF-8") from None
+        elif buf[content:off] != rule:
+            raise _Malformed(content, f"{name} must be {rule.hex()}")
+    if off != end:
+        raise _Malformed(off, f"trailing bytes after {name}")
+    return padding
 
 
 @dataclass(frozen=True)
 class ParseReport:
+    """A refused blob's error and error_offset say where it first leaves forge's shape."""
+
     well_formed: bool
     total_bytes: int
     padding_bytes: int
-    padding_critical: bool = False
     error_offset: int | None = None
     error: str | None = None
 
 
 def parse_and_measure(blob: bytes) -> ParseReport:
-    """Structurally validate a certificate blob and measure its padding.
-
-    Well-formed means: one outer SEQUENCE spanning the whole buffer,
-    containing a SEQUENCE (tbs), a SEQUENCE (signature algorithm), and a
-    BIT STRING (signature); every constructed node nests exactly, at
-    most _MAX_DEPTH levels deep; any [3] extensions block decodes as a
-    SEQUENCE of extension SEQUENCEs led by an OID. padding_bytes is the
-    payload length of the extension carrying PAD_EXTENSION_OID, 0 when
-    absent. Any blob gets a report; none raises.
+    """Check that blob is a certificate of the shape _build writes, and
+    measure its padding: each field of _CERTIFICATE in order, with its tag and
+    a minimal-length DER header, filling its parent exactly, the certificate
+    filling the blob. padding_bytes is the padding's length. Any blob gets a
+    report; none raises.
     """
     try:
-        tag, length, content = _read_header(blob, 0)
-        if tag != _TAG_SEQUENCE:
-            raise _Malformed(0, "certificate must be a SEQUENCE")
-        if content + length != len(blob):
-            raise _Malformed(content + length, "trailing bytes after certificate")
-        top = _walk_children(blob, content, content + length)
-        if len(top) != 3:
-            raise _Malformed(content, f"expected 3 top-level fields, found {len(top)}")
-        (tbs_tag, tbs_off, tbs_content, tbs_len) = top[0]
-        if tbs_tag != _TAG_SEQUENCE:
-            raise _Malformed(tbs_off, "tbs must be a SEQUENCE")
-        if top[1][0] != _TAG_SEQUENCE:
-            raise _Malformed(top[1][1], "signature algorithm must be a SEQUENCE")
-        sig_tag, sig_off, sig_content, sig_len = top[2]
-        if sig_tag != _TAG_BIT_STRING:
-            raise _Malformed(sig_off, "signature must be a BIT STRING")
-        if sig_len < 1 or blob[sig_content] > 7:
-            raise _Malformed(sig_content, "signature BIT STRING has bad unused-bit count")
-        _check_tree(blob, content, length)
-
-        padding = 0
-        critical = False
-        for t, node_off, c, ln in _walk_children(blob, tbs_content, tbs_content + tbs_len):
-            if t != _TAG_CTX3:
-                continue
-            ext_wrapper = _walk_children(blob, c, c + ln)
-            if len(ext_wrapper) != 1 or ext_wrapper[0][0] != _TAG_SEQUENCE:
-                raise _Malformed(node_off, "extensions block must hold one SEQUENCE")
-            _, _, seq_content, seq_len = ext_wrapper[0]
-            for etag, eoff, econtent, elen in _walk_children(blob, seq_content, seq_content + seq_len):
-                if etag != _TAG_SEQUENCE:
-                    raise _Malformed(eoff, "extension must be a SEQUENCE")
-                fields = _walk_children(blob, econtent, econtent + elen)
-                if not fields or fields[0][0] != _TAG_OID:
-                    raise _Malformed(eoff, "extension must start with an OID")
-                oid_tag, oid_off, oid_content, oid_len = fields[0]
-                oid = blob[oid_content : oid_content + oid_len]
-                _check_oid(oid, oid_off)
-                rest = fields[1:]
-                crit = False
-                if rest and rest[0][0] == _TAG_BOOLEAN:
-                    _, bool_off, bool_content, bool_len = rest[0]
-                    if bool_len != 1:
-                        raise _Malformed(bool_off, "BOOLEAN must have one content byte")
-                    # DER writes TRUE as 0xFF (X.690 11.1) and omits a critical
-                    # flag equal to its DEFAULT FALSE (X.690 11.5).
-                    if blob[bool_content] != 0xFF:
-                        raise _Malformed(bool_content, "critical flag must be DER TRUE (0xFF)")
-                    crit = True
-                    rest = rest[1:]
-                if len(rest) != 1 or rest[0][0] != _TAG_OCTET_STRING:
-                    raise _Malformed(eoff, "extension value must be an OCTET STRING")
-                if oid == _PAD_OID_CONTENT:
-                    padding = rest[0][3]
-                    critical = crit
+        padding = _walk(blob, 0, len(blob), _CERTIFICATE)
     except _Malformed as e:
-        return ParseReport(
-            well_formed=False,
-            total_bytes=len(blob),
-            padding_bytes=0,
-            error_offset=e.offset,
-            error=e.message,
-        )
-    return ParseReport(
-        well_formed=True,
-        total_bytes=len(blob),
-        padding_bytes=padding,
-        padding_critical=critical,
-    )
+        return ParseReport(False, len(blob), 0, error_offset=e.offset, error=e.message)
+    return ParseReport(True, len(blob), padding)
 
 
 # ------------------------------------------------------------ chain level
@@ -423,10 +368,6 @@ def pem_lines(der: bytes) -> Iterator[str]:
     for i in range(0, len(der), 48):
         yield binascii.b2a_base64(view[i : i + 48]).decode("ascii")
     yield "-----END CERTIFICATE-----\n"
-
-
-def pem_encode(der: bytes) -> str:
-    return "".join(pem_lines(der))
 
 
 def write_chain(chain: ForgedChain, out_dir: str, reports: list[ParseReport]) -> dict:

@@ -69,6 +69,7 @@ _CONFIG_FLAGS = {
     "stacks": ("sweep", lambda text: {"stacks": _items(text, str)}),
     "rtts": ("sweep", lambda text: {"rtts_ms": _items(text, _number)}),
     "sizes": ("sweep", _sizes),
+    "optimizers": ("sweep", lambda text: {"optimizers": _items(text, _optimizer)}),
     "thresholds": ("flight", lambda text: {"empirical_thresholds_kb": _items(text, _number),
                                            "mode": EMPIRICAL}),
     "mode": ("flight", lambda mode: {"mode": mode}),
@@ -168,8 +169,6 @@ def cmd_sweep(args, cfg: Config) -> Output:
     from .tables import write_json
 
     plan = cfg.sweep
-    if args.optimizers is not None:  # regions' --optimizers defaults to all four instead
-        plan = dataclasses.replace(plan, optimizers=_items(args.optimizers, _optimizer))
     sweep = (plan, cfg.stacks, cfg.flight, cfg.noise)
     # sweep_csv, sweep_records and sweep_gnuplot raise every input error when called. A row
     # is a pure function of its key, so the curves' own pass draws the table's values.
@@ -217,7 +216,8 @@ def cmd_regions(args, cfg: Config) -> Output:
     from .tables import write_csv, write_json
 
     thresholds = list(cfg.flight.empirical_thresholds_kb)
-    optimizers = (_items(args.optimizers, _optimizer) if args.optimizers is not None
+    # --optimizers sets the sweep plan's; without it, regions takes all four defaults.
+    optimizers = (cfg.sweep.optimizers if args.optimizers is not None
                   else chain_model.DEFAULT_OPTIMIZERS)
     regions = compute_regions(thresholds, list(optimizers))
     for r in regions:

@@ -52,6 +52,7 @@ class SweepPlan:
             raise ConfigError("size_step_kb must be positive")
         if self.size_end_kb < self.size_start_kb:
             raise ConfigError("size_end_kb must be >= size_start_kb")
+        grid_points(self.size_start_kb, self.size_end_kb, self.size_step_kb)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         # Each of these keys a row's seed, and the rtt enters it by repr.

@@ -25,7 +25,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .chain_model import DEFAULT_KB_BYTES
+from .chain_model import DEFAULT_KB_BYTES, check_size_kb
 from .errors import ConfigError, check_fields
 
 ANALYTIC = "analytic"
@@ -92,8 +92,7 @@ def extra_rtts(model: FlightModel, size_kb: float) -> int:
     (or exactly filling a flight) costs nothing extra. A byte count
     that overflows a float raises ValueError.
     """
-    if not 0 <= size_kb < math.inf:
-        raise ValueError(f"size must be finite and >= 0, got {size_kb}")
+    check_size_kb(size_kb)
     if model.mode == EMPIRICAL:
         return bisect_left(model.empirical_thresholds_kb, size_kb)
     needed = size_kb * model.kb_bytes + model.handshake_overhead_bytes

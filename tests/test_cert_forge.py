@@ -16,7 +16,6 @@ from certflight.cert_forge import (
     minimum_size,
     pad_to_size,
     parse_and_measure,
-    pem_encode,
     pem_lines,
     write_chain,
 )
@@ -82,7 +81,6 @@ def test_padding_is_measured_not_guessed():
     blob = pad_to_size(TEMPLATE, 10000)
     report = parse_and_measure(blob)
     assert report.well_formed
-    assert not report.padding_critical
     assert 0 < report.padding_bytes < 10000
     bigger = parse_and_measure(pad_to_size(TEMPLATE, 12000))
     assert bigger.padding_bytes - report.padding_bytes == pytest.approx(2000, abs=16)
@@ -139,7 +137,7 @@ def test_empty_and_tiny_blobs():
 
 def test_pem_round_trip():
     blob = pad_to_size(TEMPLATE, 3333)
-    text = pem_encode(blob)
+    text = "".join(pem_lines(blob))
     assert text.startswith("-----BEGIN CERTIFICATE-----")
     assert max(len(line) for line in text.splitlines()) <= 64
     assert ssl.PEM_cert_to_DER_cert(text) == blob
@@ -214,7 +212,7 @@ def test_forging_and_writing_a_megabyte_certificate_hold_it_about_once(tmp_path)
     assert len(cert.der) == cert.target_bytes == 1_000_000
     assert forge_peak <= 2.2 * cert.target_bytes
     assert write_peak <= 1.3 * cert.target_bytes
-    assert "".join(pem_lines(cert.der)) == pem_encode(cert.der) == (tmp_path / "cert.pem").read_text()
+    assert "".join(pem_lines(cert.der)) == (tmp_path / "cert.pem").read_text()
 
 
 @pytest.mark.parametrize("size_kb", [1e300, 16777.216])
@@ -308,6 +306,29 @@ def _nested(depth):
     return blob
 
 
+_NO_VERSION = "version must have tag 0xa0, found 0xa3"
+
+
+def _padded_extension(*fields):
+    """A forged certificate whose padding extension holds these fields after its
+    OID in place of the OCTET STRING; together they take 2 to 129 bytes."""
+    fields = b"".join(fields)
+    head, tail = cert_forge._build(TEMPLATE, len(fields) - 2)
+    return head[:-2] + fields + tail
+
+
+_FORGED = _padded_extension(_tlv(0x04, bytes(3)))  # as forge writes it, with 3 bytes of padding
+_SERIAL = _FORGED.index(b"\x02\x08\x01") + 2  # the serial INTEGER's content
+_NOT_BEFORE = _FORGED.index(b"250101000000Z")
+_ISSUER_CN = _FORGED.index(b"ca.test")
+_SUBJECT_CN = _FORGED.index(b"leaf.test")
+
+
+def _edited(at, new):
+    """_FORGED with new in place of its bytes from at."""
+    return _FORGED[:at] + new + _FORGED[at + len(new):]
+
+
 @st.composite
 def _mutated_blobs(draw):
     """A forged certificate with random byte flips, insertions and
@@ -325,7 +346,9 @@ def _mutated_blobs(draw):
     return bytes(blob[:draw(st.none() | st.integers(0, len(blob)))])
 
 
-# Each example names the report fields it must give.
+# Each example names the report fields it must give. The parser checks the one
+# shape forge writes, so each blob built by _cert or _ext is refused where its tbs
+# leaves that shape, at the version.
 @settings(max_examples=300, deadline=None)
 @given(_mutated_blobs(), st.just({}))
 @example(b"\x1f\x00", {"error": "multi-byte tags not supported"})
@@ -333,40 +356,56 @@ def _mutated_blobs(draw):
 @example(b"\x30\x82\x01", {"error": "truncated length field"})
 @example(b"\x30\x82\x00\x05", {"error": "length field has leading zero", "error_offset": 2})
 @example(_cert(b"\x04\x05"), {"error": "child overruns its parent"})
-@example(_ext(_tlv(0x06), _tlv(0x04)), {"error": "empty OID"})
-@example(_ext(_tlv(0x06, b"\x2a\x86"), _tlv(0x04)), {"error": "OID ends mid-arc"})
-@example(_cert(tbs_tag=0x31), {"error": "tbs must be a SEQUENCE"})
-# The signature algorithm's node starts after the 2-byte header and the empty tbs.
-@example(_cert(sig_alg=_tlv(0x31)),
-         {"error": "signature algorithm must be a SEQUENCE", "error_offset": 4})
-@example(_cert() + b"\x00", {"error": "trailing bytes after certificate", "error_offset": 13})
-@example(_cert(sig=_tlv(0x04, b"\x00")), {"error": "signature must be a BIT STRING"})
-@example(_cert(sig=_tlv(0x03, b"\x08")),
-         {"error": "signature BIT STRING has bad unused-bit count"})
-@example(_cert(_tlv(0xA3, _tlv(0x31))), {"error": "extensions block must hold one SEQUENCE"})
-@example(_cert(_tlv(0xA3, _tlv(0x30, _tlv(0x04)))), {"error": "extension must be a SEQUENCE"})
-@example(_ext(_tlv(0x04)), {"error": "extension must start with an OID"})
-@example(_ext(_tlv(0x06, b"\x2a")), {"error": "extension value must be an OCTET STRING"})
+@example(_ext(_tlv(0x06), _tlv(0x04)), {"error": _NO_VERSION})
+@example(_ext(_tlv(0x06, b"\x2a\x86"), _tlv(0x04)), {"error": _NO_VERSION})
+@example(_cert(tbs_tag=0x31), {"error": "tbs must have tag 0x30, found 0x31"})
+# The empty tbs ends where the signature algorithm's node starts, after the 2-byte header.
+@example(_cert(sig_alg=_tlv(0x31)), {"error": "child overruns its parent", "error_offset": 4})
+@example(_cert() + b"\x00", {"error": "child overruns its parent", "error_offset": 4})
+@example(_cert(sig=_tlv(0x04, b"\x00")), {"error": "child overruns its parent"})
+@example(_cert(sig=_tlv(0x03, b"\x08")), {"error": "child overruns its parent"})
+@example(_cert(_tlv(0xA3, _tlv(0x31))), {"error": _NO_VERSION})
+@example(_cert(_tlv(0xA3, _tlv(0x30, _tlv(0x04)))), {"error": _NO_VERSION})
+@example(_ext(_tlv(0x04)), {"error": _NO_VERSION})
+@example(_ext(_tlv(0x06, b"\x2a")), {"error": _NO_VERSION})
 @example(_ext(_PAD_OID, _tlv(0x01, b"\xff"), _tlv(0x04, bytes(3))),
-         {"well_formed": True, "padding_bytes": 3, "padding_critical": True})
+         {"error": _NO_VERSION, "padding_bytes": 0})
 # A BOOLEAN TRUE that is not DER's 0xFF.
-@example(_ext(_PAD_OID, _tlv(0x01, b"\x01"), _tlv(0x04, bytes(3))),
-         {"error": "critical flag must be DER TRUE (0xFF)", "padding_critical": False})
+@example(_ext(_PAD_OID, _tlv(0x01, b"\x01"), _tlv(0x04, bytes(3))), {"error": _NO_VERSION})
 # A zero-length BOOLEAN, whose flag must not be read from the next byte.
-@example(_ext(_PAD_OID, _tlv(0x01), _tlv(0x04, bytes(3))),
-         {"error": "BOOLEAN must have one content byte", "padding_critical": False})
+@example(_ext(_PAD_OID, _tlv(0x01), _tlv(0x04, bytes(3))), {"error": _NO_VERSION})
 # The padding OID with its 55555 arc led by a redundant 0x80.
 @example(_ext(_tlv(0x06, _PAD_OID[2:7], b"\x80", _PAD_OID[7:]), _tlv(0x04, bytes(3))),
-         {"error": "OID subidentifier starts with 0x80"})
-@example(_ext(_tlv(0x06, b"\x80\x2a"), _tlv(0x04)), {"error": "OID subidentifier starts with 0x80"})
+         {"error": _NO_VERSION})
+@example(_ext(_tlv(0x06, b"\x80\x2a"), _tlv(0x04)), {"error": _NO_VERSION})
 # A tbs 5,000 SEQUENCEs deep.
-@example(_cert(_nested(4999)), {"error": "nested deeper than 32 levels"})
-# The certificate and its tbs are the first two levels: the deepest nesting allowed, then one more.
-@example(_cert(_nested(cert_forge._MAX_DEPTH - 2)), {"well_formed": True})
-@example(_cert(_nested(cert_forge._MAX_DEPTH - 1)), {"error": "nested deeper than 32 levels"})
+@example(_cert(_nested(4999)), {"error": "version must have tag 0xa0, found 0x30"})
+# The deepest nesting a 32-level limit allows, then one more: forge nests no field this deep.
+@example(_cert(_nested(30)), {"error": "version must have tag 0xa0, found 0x30"})
+@example(_cert(_nested(31)), {"error": "version must have tag 0xa0, found 0x30"})
 # An OID arc of 4,300-plus decimal digits.
 @example(_ext(_tlv(0x06, b"\x81" * 2100 + b"\x01"), _tlv(0x04)),
-         {"well_formed": True, "padding_bytes": 0})
+         {"error": _NO_VERSION, "padding_bytes": 0})
+# The shape forge writes, and edits of it that each leave one rule of that shape.
+@example(_FORGED, {"well_formed": True, "padding_bytes": 3})
+@example(_FORGED + b"\x00", {"error": "trailing bytes after certificate", "error_offset": len(_FORGED)})
+@example(_edited(4, b"\x31"), {"error": "tbs must have tag 0x30, found 0x31", "error_offset": 4})
+@example(_edited(_SERIAL, b"\x02"),
+         {"error": "serial must be 0100000000000000", "error_offset": _SERIAL})
+# A valid UTCTime, 1995-01-01, that forge does not write.
+@example(_edited(_NOT_BEFORE, b"9"),
+         {"error": f"not before must be {b'250101000000Z'.hex()}", "error_offset": _NOT_BEFORE})
+@example(_edited(_SUBJECT_CN, "l\u00e9af.tst".encode()), {"well_formed": True, "padding_bytes": 3})
+@example(_edited(_SUBJECT_CN, b"\xff"),
+         {"error": "common name must be UTF-8", "error_offset": _SUBJECT_CN})
+@example(_edited(_ISSUER_CN, b"\xc3"),
+         {"error": "common name must be UTF-8", "error_offset": _ISSUER_CN})
+# The signature BIT STRING's unused-bit count, ahead of its 72 placeholder bytes.
+@example(_edited(len(_FORGED) - 73, b"\x01"),
+         {"error": "signature must start with 0 unused bits", "error_offset": len(_FORGED) - 73})
+# The padding extension marked critical: forge writes no critical flag.
+@example(_padded_extension(_tlv(0x01, b"\xff"), _tlv(0x04, bytes(3))),
+         {"error": "padding must have tag 0x04, found 0x01", "padding_bytes": 0})
 def test_any_blob_gets_a_report(blob, expected):
     report = parse_and_measure(blob)
     assert report.total_bytes == len(blob)
@@ -377,21 +416,21 @@ def test_any_blob_gets_a_report(blob, expected):
 
 @pytest.mark.parametrize("content", [b"", b"\xff\xff"], ids=["empty", "two-bytes"])
 def test_a_boolean_without_one_content_byte_is_malformed(content):
-    # X.690 8.2.1: a BOOLEAN has exactly one content byte.
-    report = parse_and_measure(_ext(_PAD_OID, _tlv(0x01, content), _tlv(0x04, bytes(3))))
+    # X.690 8.2.1: a BOOLEAN has exactly one content byte; forge writes no BOOLEAN at all.
+    report = parse_and_measure(_padded_extension(_tlv(0x01, content), _tlv(0x04, bytes(3))))
     assert not report.well_formed
-    assert report.error == "BOOLEAN must have one content byte"
-    assert not report.padding_critical and report.padding_bytes == 0
+    assert report.error == "padding must have tag 0x04, found 0x01"
+    assert report.padding_bytes == 0
 
 
 @pytest.mark.parametrize("content", [b"\x00", b"\x01", b"\x7f"], ids=["false", "01", "7f"])
 def test_a_critical_flag_other_than_der_true_is_malformed(content):
     # X.690 11.1: DER writes TRUE as 0xFF; 11.5: a FALSE critical, its
-    # DEFAULT, is omitted rather than written.
-    report = parse_and_measure(_ext(_PAD_OID, _tlv(0x01, content), _tlv(0x04, bytes(3))))
+    # DEFAULT, is omitted rather than written. forge writes no critical flag.
+    report = parse_and_measure(_padded_extension(_tlv(0x01, content), _tlv(0x04, bytes(3))))
     assert not report.well_formed
-    assert report.error == "critical flag must be DER TRUE (0xFF)"
-    assert not report.padding_critical and report.padding_bytes == 0
+    assert report.error == "padding must have tag 0x04, found 0x01"
+    assert report.padding_bytes == 0
 
 
 def test_a_long_oid_arc_is_checked_in_linear_time():
@@ -399,4 +438,4 @@ def test_a_long_oid_arc_is_checked_in_linear_time():
     start = time.perf_counter()
     report = parse_and_measure(blob)
     assert time.perf_counter() - start < 2.0
-    assert report.well_formed and report.padding_bytes == 0
+    assert not report.well_formed and report.padding_bytes == 0

@@ -344,7 +344,7 @@ def test_a_value_flag_takes_a_value_that_begins_with_a_dash(tmp_path, monkeypatc
 
 # Every value flag that sets no config field: an argument its command reads itself.
 COMMAND_ARGUMENTS = {"--config", "--scheme", "--intermediates", "--size-kb", "--rtt", "--stack",
-                     "--format", "--optimizers", "--out", "--gnuplot", "--max-kb", "--step-kb",
+                     "--format", "--out", "--gnuplot", "--max-kb", "--step-kb",
                      "--rate", "--out-dir", "--logs", "--series", "--csv", "--penalty", "--name",
                      "--resumed-base"}
 
@@ -376,6 +376,8 @@ RANGE_CHECKS = [
     ("--sizes", "4:80:nan", "sweep", {"size_step_kb": math.nan}),
     ("--sizes", "4:80:0", "sweep", {"size_step_kb": 0}),
     ("--sizes", "4:2:1", "sweep", {"size_start_kb": 4, "size_end_kb": 2}),
+    ("--sizes", "0:1e8:1", "sweep", {"size_start_kb": 0, "size_end_kb": 1e8, "size_step_kb": 1}),
+    ("--optimizers", "mtc1,mtc1", "sweep", {"optimizers": [{"kind": "mtc-one-intermediate"}] * 2}),
     ("--thresholds", "10,inf", "flight", {"empirical_thresholds_kb": [10, math.inf]}),
     ("--thresholds", "40,10", "flight", {"empirical_thresholds_kb": [40, 10]}),
     ("--thresholds", "10,10", "flight", {"empirical_thresholds_kb": [10, 10]}),
@@ -1098,6 +1100,7 @@ def test_a_mean_plus_noise_that_could_overflow_is_refused_before_any_row(tmp_pat
     ("regions", "--thresholds", "10", "--optimizers", "identity"),
     ("regions", "--thresholds", "1.0000001", "--optimizers", "mtc2"),
     ("sweep", "--optimizers", "mtc9"),
+    ("regions", "--optimizers", "mtc1,mtc1"),
     ("--config", "no/such/config.json", "regions"),
 ])
 def test_bad_input_is_one_error_line(capsys, argv):

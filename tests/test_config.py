@@ -48,7 +48,9 @@ def stacks(draw):
 
 @st.composite
 def sweeps(draw):
-    start, end = sorted(draw(st.lists(finite, min_size=2, max_size=2)))
+    # A plan refuses a size grid past MAX_GRID_POINTS points: halved bounds keep
+    # the span finite, and a step of a millionth of it keeps the grid within 10^6.
+    start, end = sorted(draw(st.lists(finite.map(lambda kb: kb / 2), min_size=2, max_size=2)))
     return SweepPlan(
         # A plan refuses a repeated stack, or a negative rtt or one whose repr repeats.
         stacks=tuple(draw(st.lists(names, min_size=1, max_size=3, unique=True))),
@@ -56,7 +58,7 @@ def sweeps(draw):
                                     min_size=1, max_size=4, unique_by=repr))),
         size_start_kb=start,
         size_end_kb=end,
-        size_step_kb=draw(positive),
+        size_step_kb=max(draw(positive), (end - start) / 1e6),
         trials=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**64)),
         # A plan refuses two optimizers with one label.
