@@ -24,11 +24,10 @@ from __future__ import annotations
 import binascii
 import json
 import os
-from dataclasses import dataclass
 from typing import Iterator
 
 from .chain_model import ChainSpec, DEFAULT_KB_BYTES, chain_size_kb, kb_to_bytes
-from .errors import PaddingError
+from .errors import PaddingError, Record
 
 PAD_EXTENSION_OID = "1.3.6.1.4.1.55555.1.1"  # locally assigned test arc
 
@@ -58,8 +57,7 @@ _PUBLIC_KEY_LEN = 65
 _SIGNATURE_LEN = 72
 
 
-@dataclass(frozen=True)
-class DerCertTemplate:
+class DerCertTemplate(Record, frozen=True):
     subject_cn: str = "leaf.test"
     issuer_cn: str = "ca.test"
 
@@ -282,8 +280,7 @@ def _walk(buf: bytes, off: int, end: int, fields: list) -> int:
     return padding
 
 
-@dataclass(frozen=True)
-class ParseReport:
+class ParseReport(Record, frozen=True):
     """A refused blob's error and error_offset say where it first leaves forge's shape."""
 
     well_formed: bool
@@ -310,15 +307,13 @@ def parse_and_measure(blob: bytes) -> ParseReport:
 # ------------------------------------------------------------ chain level
 
 
-@dataclass(frozen=True)
-class ForgedCert:
+class ForgedCert(Record, frozen=True):
     role: str
     target_bytes: int
     der: bytes
 
 
-@dataclass(frozen=True)
-class ForgedChain:
+class ForgedChain(Record, frozen=True):
     scheme: str
     mtc: bool
     certs: tuple[ForgedCert, ...]

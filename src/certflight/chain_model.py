@@ -11,9 +11,8 @@ proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ConfigError, check_fields, lookup
+from .errors import ConfigError, Record, check_fields, lookup
 
 DEFAULT_KB_BYTES = 1000
 
@@ -33,8 +32,7 @@ def kb_to_bytes(size_kb: float, kb_bytes: int = DEFAULT_KB_BYTES) -> int:
     return round(size_bytes)
 
 
-@dataclass(frozen=True)
-class SchemeProfile:
+class SchemeProfile(Record, frozen=True):
     """Per-certificate sizes for one signature scheme.
 
     mtc_leaf_kb is the size of the single Merkle-committed leaf
@@ -55,8 +53,7 @@ class SchemeProfile:
             raise ConfigError("mtc_leaf_kb must be positive when set")
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Record, frozen=True):
     """A concrete chain to be sized: scheme, depth, and variant flags.
 
     explicit_size_kb overrides all computed sizing when set (useful for
@@ -93,8 +90,7 @@ def chain_size_kb(spec: ChainSpec) -> float:
     return check_size_kb(total)
 
 
-@dataclass(frozen=True)
-class MerkleParams:
+class MerkleParams(Record, frozen=True):
     leaf_count: int
     hash_bytes: int = 32
 
@@ -129,8 +125,7 @@ _ALL_KINDS = (MTC_ONE_INTERMEDIATE, MTC_TWO_INTERMEDIATES) + _CDN_KINDS + (IDENT
 _AFFINE = {MTC_ONE_INTERMEDIATE: (1, 2, 1), MTC_TWO_INTERMEDIATES: (1, 3, 1), IDENTITY: (1, 1, 0)}
 
 
-@dataclass(frozen=True)
-class SizeOptimizer:
+class SizeOptimizer(Record, frozen=True):
     kind: str
     factor: float | None = None
 

@@ -7,17 +7,17 @@ override config values; main applies them, so a command reads only cfg.
 A command imports the code that only it runs (the sweep, the table writers
 and readers, the forge, the log analytics) inside its own function, so that
 estimate and forge load no sweep or table code, and no command loads statistics
-or socket (see tls_log_analytics and ttfb_engine). Each cmd_* checks
-its input and returns an Output; main alone opens --out (or stdout) and the
-side file and writes them, forge's chain under --out-dir included, so a refused
-input writes nothing.
+or socket (see tls_log_analytics and ttfb_engine); the record types generate
+no code at import (see errors.Record). Each cmd_* checks its input and returns
+an Output; main alone opens --out (or stdout) and the side file and writes
+them, forge's chain under --out-dir included, so a refused input writes
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
@@ -27,9 +27,9 @@ from operator import attrgetter
 
 from . import chain_model
 from .chain_model import ChainSpec, SizeOptimizer, chain_size_kb, resolve_scheme
-from .config import Config, resolve_config
+from .config import Config, config_path, resolve_config
 from .errors import ConfigError, LogFormatError, lookup
-from .transport_flight import ANALYTIC, EMPIRICAL, find_thresholds
+from .transport_flight import ANALYTIC, EMPIRICAL, find_thresholds, grid_points
 from .ttfb_engine import NetworkPath, calibrate_stack_profile, estimate_ttfb, resolve_stack
 
 # Short names for the default optimizers, in DEFAULT_OPTIMIZERS order.
@@ -169,6 +169,14 @@ def cmd_sweep(args, cfg: Config) -> Output:
     from .tables import write_json
 
     plan = cfg.sweep
+    # A stack the table lacks is refused here, naming the flag or the file that listed it.
+    where = ("--stacks" if args.stacks is not None
+             else f"{config_path(args.config)}: config sweep.stacks")
+    for name in plan.stacks:
+        try:
+            lookup(cfg.stacks, name, "stack")
+        except ConfigError as e:
+            raise ConfigError(f"{where}: {e}") from None
     sweep = (plan, cfg.stacks, cfg.flight, cfg.noise)
     # sweep_csv, sweep_records and sweep_gnuplot raise every input error when called. A row
     # is a pure function of its key, so the curves' own pass draws the table's values.
@@ -179,7 +187,8 @@ def cmd_sweep(args, cfg: Config) -> Output:
         chunks = sweep_runner.sweep_csv(*sweep)
         write = lambda f: f.writelines(chunks)
     curves = sweep_runner.sweep_gnuplot(*sweep) if args.gnuplot else None
-    count = len(plan.stacks) * len(plan.rtts_ms) * (1 + len(plan.optimizers)) * len(plan.sizes_kb)
+    sizes = grid_points(plan.size_start_kb, plan.size_end_kb, plan.size_step_kb)
+    count = len(plan.stacks) * len(plan.rtts_ms) * (1 + len(plan.optimizers)) * sizes
     return Output(write, (args.gnuplot, lambda f: f.writelines(curves)),
                   f"wrote {count} rows to {args.out}")
 
@@ -234,7 +243,7 @@ def cmd_savings(args, cfg: Config) -> Output:
     path = NetworkPath(rtt_ms=args.rtt, flight=cfg.flight)
     est = estimate_savings(stack, path, args.size_kb, args.rate)
     if args.format == "json":
-        return Output(_document(dataclasses.asdict(est)))
+        return Output(_document(est.asdict()))
     return Output(lambda f: f.write(
         f"rtt_ms={est.rtt_ms} chain_size_kb={est.chain_size_kb} "
         f"rate={est.resumption_rate} full_ms={est.full_ms} resumed_ms={est.resumed_ms} "
@@ -287,7 +296,7 @@ def cmd_analyze(args, cfg: Config) -> Output:
     else:
         write = _document({
             "classes": dict(zip(tla.ENDPOINT_CLASSES, classes)),
-            "parse": dataclasses.asdict(stats),
+            "parse": stats.asdict(),
             "months": {c: [m for m, _ in pts] for c, pts in series.items()},
             # Every bucket holds at least one record, so both of its rates are defined.
             "correlation_tls13_vs_resumption": {
@@ -459,10 +468,10 @@ def main(argv=None) -> int:
             try:
                 if dest in _CONFIG_FLAGS and value is not None:
                     section, read = _CONFIG_FLAGS[dest]
+                    fields = read(value)
                     if section:  # rebuilt, so that the section's own checks refuse a bad value
-                        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **read(value)))
-                    else:  # a path, which argparse gives as the string that Config checks for
-                        vars(cfg).update(read(value))
+                        fields = {section: getattr(cfg, section).replace(**fields)}
+                    cfg = cfg.replace(**fields)
                 elif isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(f"{value!r} is not a finite number")
             except ConfigError as e:

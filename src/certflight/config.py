@@ -2,20 +2,20 @@
 
 Precedence is CLI flags over config file over built-in defaults. The
 config file path comes from --config or the CERTFLIGHT_CONFIG
-environment variable. The file mirrors the dataclass fields, and a key
-left out keeps the dataclass default. Unknown keys, missing profile
-fields and bad values raise ConfigError naming the key path. The
-top-level kb_bytes sets the KB of forged chains and of the flight model.
+environment variable. The file mirrors the fields of Config and of the
+records it holds, and a key left out keeps the field's default. Unknown
+keys, missing profile fields and bad values raise ConfigError naming
+the key path. The top-level kb_bytes sets the KB of forged chains and of
+the flight model.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 from .chain_model import DEFAULT_SCHEMES, SchemeProfile, SizeOptimizer
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, Record, check_fields
 from .transport_flight import FlightModel, grid_points
 from .ttfb_engine import DEFAULT_STACKS, NoiseModel, StackProfile
 
@@ -29,8 +29,7 @@ def _data_path(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "data", name)
 
 
-@dataclass(frozen=True)
-class SweepPlan:
+class SweepPlan(Record, frozen=True):
     stacks: tuple[str, ...] = ("ClassicalSim",)
     rtts_ms: tuple[float, ...] = (0.0, 10.0, 50.0, 100.0, 200.0)
     size_start_kb: float = 4.0
@@ -70,13 +69,12 @@ class SweepPlan:
         return [self.size_start_kb + i * self.size_step_kb for i in range(count)]
 
 
-@dataclass
-class Config:
-    schemes: dict[str, SchemeProfile] = field(default_factory=lambda: dict(DEFAULT_SCHEMES))
-    stacks: dict[str, StackProfile] = field(default_factory=lambda: dict(DEFAULT_STACKS))
-    flight: FlightModel = field(default_factory=FlightModel)
-    sweep: SweepPlan = field(default_factory=SweepPlan)
-    noise: NoiseModel = field(default_factory=lambda: NoiseModel("gaussian", std_ms=0.2))
+class Config(Record):
+    schemes: dict[str, SchemeProfile] = DEFAULT_SCHEMES
+    stacks: dict[str, StackProfile] = DEFAULT_STACKS
+    flight: FlightModel = FlightModel()
+    sweep: SweepPlan = SweepPlan()
+    noise: NoiseModel = NoiseModel("gaussian", std_ms=0.2)
     asn_map_csv: str | None = None
     cdn_asn_file: str | None = None
     cloud_asn_file: str | None = None
@@ -91,7 +89,7 @@ class Config:
 
     @kb_bytes.setter
     def kb_bytes(self, value: int) -> None:
-        self.flight = replace(self.flight, kb_bytes=value)
+        self.flight = self.flight.replace(kb_bytes=value)
 
     def resolve_asn_paths(self) -> tuple[str, str, str]:
         """Configured analytics inputs, falling back to packaged samples."""
@@ -109,17 +107,17 @@ def _expect(path: str, raw, kind=dict):
 
 
 def _build(path: str, target, raw, **fixed):
-    """Make a dataclass from the JSON object at path. target is a class, or
+    """Make a record from the JSON object at path. target is a class, or
     an instance whose fields the object leaves out keep their values (an
     instance's class has a default for every field)."""
     # flight.kb_bytes is set only through the top-level kb_bytes.
-    known = {f.name: f for f in fields(target) if f.name not in fixed and f.name != "kb_bytes"}
+    known = [name for name in target._fields if name not in fixed and name != "kb_bytes"]
     values = {}
     for key, value in _expect(path, raw).items():
         where = f"{path}.{key}" if path else key
         if key not in known:
             raise ConfigError(f"unknown config key {where}")
-        if is_dataclass(getattr(target, key, None)):
+        if isinstance(getattr(target, key, None), Record):
             value = _build(where, getattr(target, key), value)
         elif where in _PROFILES:
             value = {n: _build(f"{where}.{n}", _PROFILES[where], d, name=n)
@@ -128,17 +126,17 @@ def _build(path: str, target, raw, **fixed):
             value = tuple(_build(f"{where}.{i}", SizeOptimizer, d)
                           for i, d in enumerate(_expect(where, value, list)))
         values[key] = value
-    for name, f in known.items():
-        if name not in values and f.default is MISSING is f.default_factory:
+    for name in known:
+        if name not in values and name not in target._defaults:
             raise ConfigError(f"missing config key {path}.{name}")
     try:
-        return target(**fixed, **values) if isinstance(target, type) else replace(target, **values)
+        return target(**fixed, **values) if isinstance(target, type) else target.replace(**values)
     except ConfigError as e:
         raise ConfigError(f"config {path or 'file'}: {e}") from None
 
 
 def config_to_dict(cfg: Config) -> dict:
-    raw = asdict(cfg)
+    raw = cfg.asdict()
     for section in _PROFILES:
         for profile in raw[section].values():
             del profile["name"]
@@ -170,7 +168,12 @@ def save_config(cfg: Config, path) -> None:
         f.write("\n")
 
 
+def config_path(path_flag: str | None = None) -> str | None:
+    """The config file named by flag, else by env var; None for the defaults."""
+    return path_flag or os.environ.get(ENV_CONFIG)
+
+
 def resolve_config(path_flag: str | None = None) -> Config:
     """Load the config named by flag, else env var, else defaults."""
-    path = path_flag or os.environ.get(ENV_CONFIG)
+    path = config_path(path_flag)
     return load_config(path) if path else Config()

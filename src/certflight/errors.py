@@ -1,8 +1,7 @@
-"""Shared exception types, and the table lookup and field checks that raise ConfigError."""
+"""Shared exception types, the table lookup and field checks that raise
+ConfigError, and Record, the base of every record type in certflight."""
 
 import sys
-from dataclasses import fields
-from functools import cache
 
 
 class ConfigError(ValueError):
@@ -37,9 +36,9 @@ def lookup(table, name, what):
         raise ConfigError(f"unknown {what} {name!r}; known: {', '.join(sorted(table))}") from None
 
 
-# Field checks keyed by the string annotations of the dataclasses (every
-# module here uses postponed evaluation). Python's json reads NaN and
-# Infinity, which the comparisons in the validators let through.
+# Field checks keyed by the string annotations of the records (every module
+# here uses postponed evaluation). Python's json reads NaN and Infinity, which
+# the comparisons in the validators let through.
 
 
 def _integer(name, value):
@@ -86,12 +85,105 @@ _CHECKS = {
 }
 
 
-@cache
-def _field_checks(cls) -> tuple:
-    return tuple((f.name, _CHECKS[f.type]) for f in fields(cls) if f.type in _CHECKS)
-
-
 def check_fields(obj) -> None:
     """Check and normalise each annotated field; raise ConfigError naming it."""
-    for name, check in _field_checks(type(obj)):
+    for name, check in obj._checks:
         object.__setattr__(obj, name, check(name, getattr(obj, name)))
+
+
+def _refuse(obj, name, *value):
+    raise AttributeError(f"{type(obj).__qualname__} is frozen: cannot set or delete {name!r}")
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.asdict()
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    if isinstance(value, dict):
+        return type(value)((_plain(k), _plain(v)) for k, v in value.items())
+    return value
+
+
+class Record:
+    """A class of named fields, built without generating code.
+
+    A subclass's fields are its own annotations, in order; a class attribute
+    of a field's name is its default, and a dict default is copied for each
+    instance. The constructor binds fields by position or by name, refusing a
+    missing, unknown or repeated one with TypeError, then calls __post_init__.
+    A record equals a record of its own class with equal fields and prints as
+    Name(field=value, ...). A class declared with frozen=True refuses every
+    setattr and delattr (its __post_init__ sets fields with
+    object.__setattr__) and hashes its fields; any other record is unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _checks: tuple = ()
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        annotations = cls.__annotations__
+        cls._fields = tuple(annotations)
+        cls._defaults = {name: vars(cls)[name] for name in annotations if name in vars(cls)}
+        cls._checks = tuple((name, _CHECKS[kind]) for name, kind in annotations.items()
+                            if kind in _CHECKS)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse
+            cls.__hash__ = Record._hash
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__qualname__}() takes {len(fields)} positional "
+                            f"arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
+            values[name] = value
+        for name in fields:
+            if name in values:
+                value = values[name]
+            elif name in self._defaults:
+                value = self._defaults[name]
+                value = dict(value) if type(value) is dict else value
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing required argument {name!r}")
+            # Not through vars(self): that builds an instance dict, and every later
+            # attribute read (extra_rtts makes five a call) is then slower.
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def _hash(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A new record of this class with changes applied to its fields, checked
+        as the constructor checks them."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+    def asdict(self) -> dict:
+        """The fields as a dict, records nested in fields, lists, tuples and
+        dicts turned into dicts as well."""
+        return {name: _plain(getattr(self, name)) for name in self._fields}

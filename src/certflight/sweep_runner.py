@@ -26,11 +26,10 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, fields
 
 from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
 from .config import SweepPlan  # re-exported: the plan is a section of the config
-from .errors import ConfigError
+from .errors import ConfigError, Record
 from .tables import csv_line, write_csv
 from .transport_flight import FlightModel, extra_rtts
 from .ttfb_engine import (
@@ -175,8 +174,7 @@ def emit_csv(records: list[tuple]) -> str:
 # ------------------------------------------------------------ regions
 
 
-@dataclass(frozen=True)
-class OptimizationRegion:
+class OptimizationRegion(Record, frozen=True):
     """Chain sizes for which an optimizer keeps the wire size at or
     under a flight threshold that the raw size would exceed.
 
@@ -192,7 +190,7 @@ class OptimizationRegion:
     upper_kb_rounded: int
 
 
-REGION_FIELDS = tuple(field.name for field in fields(OptimizationRegion))
+REGION_FIELDS = OptimizationRegion._fields
 _DOUBLE = struct.Struct(">d")
 _MAX_BITS = 0x7FEF_FFFF_FFFF_FFFF  # the bit pattern of the largest finite float
 
@@ -255,8 +253,7 @@ def compute_regions(
 # ------------------------------------------------------------ savings
 
 
-@dataclass(frozen=True)
-class SavingsEstimate:
+class SavingsEstimate(Record, frozen=True):
     rtt_ms: float
     chain_size_kb: float
     resumption_rate: float

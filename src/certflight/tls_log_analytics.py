@@ -13,21 +13,19 @@ import ipaddress
 import json
 from _socket import AF_INET, AF_INET6, inet_pton  # what socket re-exports, without its imports
 from bisect import bisect_right
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import fsum, sqrt
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import LogFormatError
+from .errors import LogFormatError, Record
 from .tables import csv_cells, read_rows, write_csv
 
 # A parsed log line: (timestamp, server_ip, tls13, resumed).
-Record = tuple[float, str, bool, bool]
+LogRecord = tuple[float, str, bool, bool]
 
 
-@dataclass
-class ParseStats:
+class ParseStats(Record):
     data_lines: int = 0
     records: int = 0
     malformed: int = 0
@@ -117,7 +115,7 @@ def _json_fields(line: str) -> tuple | None:
 def parse_log_stream(
     lines: Iterable[str],
     stats: ParseStats | None = None,
-) -> Iterator[Record]:
+) -> Iterator[LogRecord]:
     """Yield records from a log stream, in input order, skipping bad lines.
 
     A record is a tuple (timestamp, server_ip, tls13, resumed): the epoch
@@ -363,8 +361,7 @@ def load_asn_list(path) -> frozenset[int]:
 # ------------------------------------------------------------- aggregation
 
 
-@dataclass
-class ResumptionStats:
+class ResumptionStats(Record):
     """Mergeable per-class counters with derived rates.
 
     Rates are None when their denominator is zero, and serialize as
@@ -422,7 +419,7 @@ def new_stats() -> ClassStats:
     return {c: ResumptionStats(c) for c in ENDPOINT_CLASSES}
 
 
-def aggregate_stats(records: Iterable[Record], asn_map: AsnMap) -> ClassStats:
+def aggregate_stats(records: Iterable[LogRecord], asn_map: AsnMap) -> ClassStats:
     """Per-class totals over a record stream: the monthly fold, merged over months."""
     return class_totals(time_series(records, asn_map))
 
@@ -440,7 +437,7 @@ def month_key(timestamp: float) -> str:
     return f"{dt.year:04d}-{dt.month:02d}"
 
 
-def time_series(records: Iterable[Record], asn_map: AsnMap) -> Series:
+def time_series(records: Iterable[LogRecord], asn_map: AsnMap) -> Series:
     """Monthly per-class stats, sorted by month; empty months are absent.
 
     A UTC month starts at midnight, so each distinct UTC day's month is

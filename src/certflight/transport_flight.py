@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .chain_model import DEFAULT_KB_BYTES, check_size_kb
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, Record, check_fields
 
 ANALYTIC = "analytic"
 EMPIRICAL = "empirical"
@@ -45,8 +44,7 @@ def grid_points(start: float, end: float, step: float) -> int:
     return int(steps) + 1
 
 
-@dataclass(frozen=True)
-class FlightModel:
+class FlightModel(Record, frozen=True):
     iw_bytes: int = 14000
     growth_factor: float = 2.0
     handshake_overhead_bytes: int = 4000

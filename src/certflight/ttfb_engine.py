@@ -22,19 +22,17 @@ Profiles are calibrated from (rtt, ttfb) measurements. Two fitters:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .chain_model import check_size_kb
-from .errors import CalibrationError, ConfigError, check_fields, lookup
+from .errors import CalibrationError, ConfigError, Record, check_fields, lookup
 from .transport_flight import FlightModel, extra_rtts
 
 NOISE_NONE = "none"
 NOISE_GAUSSIAN = "gaussian"
 
 
-@dataclass(frozen=True)
-class StackProfile:
+class StackProfile(Record, frozen=True):
     """Fitted latency profile of one TLS stack."""
 
     name: str
@@ -56,8 +54,7 @@ class StackProfile:
             raise ConfigError("resumed_base_ms must not exceed base_ms")
 
 
-@dataclass(frozen=True)
-class NetworkPath:
+class NetworkPath(Record, frozen=True):
     rtt_ms: float
     flight: FlightModel = FlightModel()
 
@@ -67,8 +64,7 @@ class NetworkPath:
             raise ConfigError("rtt_ms must be >= 0")
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Record, frozen=True):
     kind: str = NOISE_NONE
     std_ms: float = 0.0
 
@@ -80,8 +76,7 @@ class NoiseModel:
             raise ConfigError("std_ms must be >= 0")
 
 
-@dataclass(frozen=True)
-class TtfbEstimate:
+class TtfbEstimate(Record, frozen=True):
     """Noise-free estimate with breakdown.
 
     Breakdown allocates one RTT to TCP setup, one to the HTTP exchange,

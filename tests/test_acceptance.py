@@ -272,9 +272,7 @@ def test_criterion_9_sweep_determinism():
     noise = NoiseModel("gaussian", std_ms=0.3)
     a = emit_csv(run_sweep(plan, DEFAULT_STACKS, flight, noise))
     b = emit_csv(run_sweep(plan, DEFAULT_STACKS, flight, noise))
-    import dataclasses
-
-    c = emit_csv(run_sweep(dataclasses.replace(plan, seed=778), DEFAULT_STACKS, flight, noise))
+    c = emit_csv(run_sweep(plan.replace(seed=778), DEFAULT_STACKS, flight, noise))
     ok = a == b and a != c and len(a.splitlines()) == 2 * 2 * 10 * 3 + 1
     verdict(9, ok, f"{len(a.splitlines()) - 1} rows, repeated run byte-identical, "
                    f"re-seeded run differs")

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -153,6 +152,38 @@ def test_a_failed_sweep_writes_nothing(tmp_path, monkeypatch, capsys, flags):
     assert code == 1 and err.startswith("error: ")
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sweep_lists_its_sizes_once(tmp_path, monkeypatch, capsys):
+    # The --out notice counts the rows from the grid's size, not from a second list.
+    from certflight.config import SweepPlan
+
+    calls = []
+    sizes_kb = SweepPlan.sizes_kb.fget
+    monkeypatch.setattr(SweepPlan, "sizes_kb",
+                        property(lambda plan: calls.append(plan) or sizes_kb(plan)))
+    out_path = tmp_path / "t.csv"
+    code, out, _ = run(capsys, "sweep", "--rtts", "10,50", "--sizes", "4:20:4", "--optimizers", "mtc1",
+                       "--out", str(out_path))
+    assert code == 0 and out == f"wrote 20 rows to {out_path}\n"
+    assert len(out_path.read_text().splitlines()) == 1 + 20
+    assert len(calls) == 1
+
+
+def test_an_unknown_sweep_stack_names_the_flag_or_the_file(tmp_path, monkeypatch, capsys):
+    known = "known: ClassicalSim, OqsHybrid, OqsMldsa, OqsSlhdsa"
+    code, _, err = run(capsys, "sweep", "--stacks", "ClassicalSim,Nonesuch")
+    assert code == 1 and err == f"error: --stacks: unknown stack 'Nonesuch'; {known}\n"
+    path = tmp_path / "c.json"
+    path.write_text('{"sweep": {"stacks": ["Nonesuch"]}}')
+    code, _, err = run(capsys, "--config", str(path), "sweep")
+    assert code == 1 and err == f"error: {path}: config sweep.stacks: unknown stack 'Nonesuch'; {known}\n"
+    monkeypatch.setenv(ENV_CONFIG, str(path))
+    code, _, err = run(capsys, "sweep")
+    assert code == 1 and err == f"error: {path}: config sweep.stacks: unknown stack 'Nonesuch'; {known}\n"
+    # The flag replaces the file's list; the file is refused only by the sweep.
+    assert run(capsys, "sweep", "--stacks", "OqsMldsa", "--rtts", "10", "--sizes", "4:4:1")[0] == 0
+    assert run(capsys, "estimate", "--rtt", "10")[0] == 0
 
 
 @pytest.mark.parametrize("fmt, table, series", [
@@ -978,11 +1009,9 @@ def test_main_leaves_no_descriptor_open_after_a_broken_pipe(capsys):
 
 
 def test_config_file_overrides_defaults(tmp_path, capsys):
-    import dataclasses
-
     cfg = Config()
-    cfg.flight = dataclasses.replace(
-        cfg.flight, mode="empirical", empirical_thresholds_kb=(14.0,)
+    cfg.flight = cfg.flight.replace(
+        mode="empirical", empirical_thresholds_kb=(14.0,)
     )
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
@@ -1113,13 +1142,13 @@ def test_bad_input_is_one_error_line(capsys, argv):
 
 def _infinite_total(estimate_ttfb):
     def estimate(*args, **kwargs):
-        return dataclasses.replace(estimate_ttfb(*args, **kwargs), total_ms=math.inf)
+        return estimate_ttfb(*args, **kwargs).replace(total_ms=math.inf)
     return estimate
 
 
 def _nan_region(compute_regions):
     def regions(*args, **kwargs):
-        return [dataclasses.replace(r, upper_kb_exact=math.nan)
+        return [r.replace(upper_kb_exact=math.nan)
                 for r in compute_regions(*args, **kwargs)]
     return regions
 
@@ -1330,7 +1359,7 @@ out_dir, points, log = sys.argv[1:]
 codes = {"estimate": main(["estimate", "--rtt", "50", "--format", "json"]),
          "forge": main(["forge", "--scheme", "ml-dsa", "--out-dir", out_dir])}
 unneeded = {"certflight.sweep_runner", "certflight.tables", "csv", "hashlib", "_sha2", "_sha256",
-            "statistics"}
+            "statistics", "dataclasses", "inspect"}
 loaded = sorted(unneeded & set(sys.modules))
 for argv in (["analyze", "--logs", log], ["calibrate", "--csv", points]):
     codes[argv[0]] = main(argv)
@@ -1340,7 +1369,9 @@ for argv in (["sweep", "--rtts", "10", "--sizes", "4:8:4", "--trials", "3"], ["r
              ["savings", "--rtt", "50", "--size-kb", "12", "--rate", "0.5", "--format", "json"],
              ["thresholds", "--format", "csv"]):
     codes[argv[0]] = main(argv)
+generated_code = sorted({"dataclasses", "inspect"} & set(sys.modules))
 print(json.dumps({"loaded": loaded, "loaded_by_analysis": loaded_by_analysis, "codes": codes,
+                  "generated_code": generated_code,
                   "openssl": sorted({"hashlib", "_hashlib"} & set(sys.modules)),
                   "builtin_sha256": any(map(importlib.util.find_spec, ("_sha2", "_sha256")))}))
 """
@@ -1349,11 +1380,12 @@ print(json.dumps({"loaded": loaded, "loaded_by_analysis": loaded_by_analysis, "c
 def test_estimate_and_forge_load_no_sweep_table_or_statistics_code(tmp_path):
     """estimate and forge load none of the sweep, the table code, csv, a SHA-256
     module or statistics; the commands that do need them import them and still
-    run. analyze and calibrate compute their statistics with math.fsum and read
-    addresses with _socket, so they load neither statistics (nor its fractions
-    and decimal) nor socket (nor its selectors). Where the interpreter has its
-    own SHA-256, no command, the noisy sweep included, loads hashlib and with
-    it OpenSSL."""
+    run. No command loads dataclasses or inspect: the records are built without
+    generated code. analyze and calibrate compute their statistics with
+    math.fsum and read addresses with _socket, so they load neither statistics
+    (nor its fractions and decimal) nor socket (nor its selectors). Where the
+    interpreter has its own SHA-256, no command, the noisy sweep included,
+    loads hashlib and with it OpenSSL."""
     import os
     import subprocess
     import sys
@@ -1375,6 +1407,7 @@ def test_estimate_and_forge_load_no_sweep_table_or_statistics_code(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["loaded"] == []
     assert report["loaded_by_analysis"] == []
+    assert report["generated_code"] == []
     assert report["codes"] == dict.fromkeys(
         ["estimate", "forge", "analyze", "calibrate", "sweep", "regions", "savings",
          "thresholds"], 0)
@@ -1389,7 +1422,13 @@ def test_estimate_and_forge_load_no_sweep_table_or_statistics_code(tmp_path):
     'assert c.main(["estimate", "--rtt", "50", "--size-kb", "12"]) == 0; '
     'loaded = {"certflight.sweep_runner", "csv", "hashlib", "statistics"} & set(sys.modules); '
     'assert not loaded, loaded',
-], ids=["no-socket-on-import", "estimate-loads-no-sweep-csv-hashlib-statistics"])
+    'import sys, certflight.cli as c; '
+    'assert c.main(["estimate", "--rtt", "50", "--size-kb", "12"]) == 0; '
+    'assert c.main(["forge", "--scheme", "ml-dsa", "--out-dir", "chain"]) == 0; '
+    'loaded = {"dataclasses", "inspect"} & set(sys.modules); '
+    'assert not loaded, loaded',
+], ids=["no-socket-on-import", "estimate-loads-no-sweep-csv-hashlib-statistics",
+        "estimate-and-forge-load-no-dataclasses-or-inspect"])
 def test_the_installed_package_step_import_checks_run(tmp_path, script):
     import os
     import subprocess

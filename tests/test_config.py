@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tempfile
@@ -85,7 +84,7 @@ flights = st.builds(
 
 def _named(profiles):
     return st.dictionaries(names, profiles, min_size=1, max_size=3).map(
-        lambda d: {n: dataclasses.replace(p, name=n) for n, p in d.items()}
+        lambda d: {n: p.replace(name=n) for n, p in d.items()}
     )
 
 
@@ -216,7 +215,7 @@ def test_float_fields_store_floats():
 
 
 @settings(max_examples=200, deadline=None)
-@given(flights.map(lambda m: dataclasses.replace(m, iw_bytes=max(m.iw_bytes, 1000))),
+@given(flights.map(lambda m: m.replace(iw_bytes=max(m.iw_bytes, 1000))),
        st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=2, max_size=20))
 def test_extra_rtts_is_monotone_in_size(model, sizes):
     sizes.sort()

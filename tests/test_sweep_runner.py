@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -306,7 +305,7 @@ def test_gnuplot_yields_one_chunk_per_line_in_plan_order():
     for i, ((stack, rtt), chunk) in enumerate(zip(lines, chunks)):
         # A line's chunk is its one-stack, one-rtt sweep's blocks, after the blank
         # lines that separate it from the line before.
-        part = dataclasses.replace(plan, stacks=(stack,), rtts_ms=(rtt,))
+        part = plan.replace(stacks=(stack,), rtts_ms=(rtt,))
         (alone,) = sweep_gnuplot(part, DEFAULT_STACKS, FLIGHT, noise)
         assert chunk == ("\n\n" if i else "") + alone
         titles = [line for line in chunk.split("\n") if line.startswith("#")]
@@ -366,7 +365,7 @@ def test_thresholds_visible_in_sweep_output():
 def test_plan_replace_keeps_validation():
     plan = small_plan()
     with pytest.raises(ConfigError):
-        dataclasses.replace(plan, trials=-1)
+        plan.replace(trials=-1)
 
 
 def test_a_threshold_without_a_finite_region_names_itself_and_the_optimizer():
@@ -569,7 +568,7 @@ def _csv_body(plan, flight, noise):
 def test_a_sweep_is_the_concatenation_of_its_one_stack_one_rtt_sweeps(plan, flight, noise):
     # A row is a pure function of its key, so a sweep can be computed line by
     # line and merged. repr tells the rows of rtt 0.0 and -0.0 apart.
-    parts = [dataclasses.replace(plan, stacks=(stack,), rtts_ms=(rtt,))
+    parts = [plan.replace(stacks=(stack,), rtts_ms=(rtt,))
              for stack in plan.stacks for rtt in plan.rtts_ms]
     assert _csv_body(plan, flight, noise) == "".join(
         _csv_body(part, flight, noise) for part in parts)
