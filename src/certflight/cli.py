@@ -497,6 +497,10 @@ def main(argv=None) -> int:
         # Every certflight error is a ValueError: bad input ends with one line.
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # A run too large for this machine's memory ends with one line too.
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

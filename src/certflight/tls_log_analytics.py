@@ -3,8 +3,9 @@
 Consumes connection logs (Zeek-convention TSV or JSON lines), classifies
 server endpoints by ASN into CDN / Cloud / NonCDN / Unidentified, and
 aggregates per-class adoption and resumption rates plus monthly time
-series. Aggregation is one streaming fold into mergeable (class, month)
-counters, so chunked processing of large logs gives identical results.
+series. Aggregation is one streaming fold into per-month slot lists, read
+out as mergeable (class, month) counters, so chunked processing of large
+logs gives identical results.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 from _socket import AF_INET, AF_INET6, inet_pton  # what socket re-exports, without its imports
 from bisect import bisect_right
 from datetime import datetime, timezone
-from math import fsum, sqrt
+from math import floor, fsum, sqrt
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -437,39 +438,49 @@ def month_key(timestamp: float) -> str:
     return f"{dt.year:04d}-{dt.month:02d}"
 
 
+# Per endpoint class, the first of its four slots in a month's slot list.
+_SLOT = {cls: 4 * i for i, cls in enumerate(ENDPOINT_CLASSES)}
+
+
 def time_series(records: Iterable[LogRecord], asn_map: AsnMap) -> Series:
     """Monthly per-class stats, sorted by month; empty months are absent.
 
-    A UTC month starts at midnight, so each distinct UTC day's month is
-    rendered once. datetime rounds a timestamp to the microsecond, half to
-    even, so one within a microsecond of midnight takes month_key itself.
+    Each month owns one slot list of record counts, indexed by
+    4 * class index + 2 * tls13 + resumed, and each record adds one to a
+    slot. A UTC month starts at midnight, so each distinct UTC day's month
+    is rendered once and the day maps straight to its month's slot list.
+    datetime rounds a timestamp to the microsecond, half to even, so one
+    within a microsecond of midnight takes month_key itself.
     """
-    # Per (class, month), record counts indexed by 2 * tls13 + resumed.
-    counts: dict[tuple[str, str], list[int]] = {}
-    months: dict[float, str] = {}  # UTC day number -> its month
-    classify = asn_map.classify
+    by_month: dict[str, list[int]] = {}  # YYYY-MM -> its slot list
+    by_day: dict[int, list[int]] = {}  # UTC day number -> its month's slot list
+    classify, slot = asn_map.classify, _SLOT
     for timestamp, ip, tls13, resumed in records:
-        day = timestamp // 86400.0
+        # Faster than timestamp // 86400.0, and one more only where the quotient
+        # rounds up to a whole number: that timestamp lies just before the day
+        # found, outside the band, so month_key reads it.
+        day = floor(timestamp / 86400.0)
         if 1e-6 <= timestamp - day * 86400.0 <= 86400.0 - 1e-6:
-            month = months.get(day)
-            if month is None:
-                month = months[day] = month_key(day * 86400.0)
+            try:
+                slots = by_day[day]
+            except KeyError:
+                slots = by_day[day] = by_month.setdefault(month_key(day * 86400.0), [0] * 16)
         else:
-            month = month_key(timestamp)
-        key = (classify(ip), month)
-        slots = counts.get(key)
-        if slots is None:
-            slots = counts[key] = [0, 0, 0, 0]
-        slots[2 * tls13 + resumed] += 1
+            slots = by_month.setdefault(month_key(timestamp), [0] * 16)
+        slots[slot[classify(ip)] + 2 * tls13 + resumed] += 1
+    months = sorted(by_month.items())
     series: Series = {}
-    for (cls, month), (neither, resumed_only, tls13_only, both) in sorted(counts.items()):
-        series.setdefault(cls, []).append((month, ResumptionStats(
-            cls,
-            total=neither + resumed_only + tls13_only + both,
-            tls13=tls13_only + both,
-            resumed_all=resumed_only + both,
-            resumed_tls13=both,
-        )))
+    for cls, first in _SLOT.items():  # ENDPOINT_CLASSES, which is in sorted order
+        for month, slots in months:
+            neither, resumed_only, tls13_only, both = slots[first:first + 4]
+            if neither or resumed_only or tls13_only or both:
+                series.setdefault(cls, []).append((month, ResumptionStats(
+                    cls,
+                    total=neither + resumed_only + tls13_only + both,
+                    tls13=tls13_only + both,
+                    resumed_all=resumed_only + both,
+                    resumed_tls13=both,
+                )))
     return series
 
 

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import math
+from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certflight import tls_log_analytics as tla
@@ -157,3 +159,85 @@ def test_analyze_classifies_each_record_once_on_a_mixed_log(tmp_path, capsys, mo
     records = json.loads(capsys.readouterr().out)["parse"]["records"]
     assert records == len(servers) * 3
     assert sorted(calls) == sorted(servers * 3)
+
+
+def _series_oracle(records, asn_map):
+    """time_series written plainly: classify and month_key on every record,
+    one ResumptionStats per (class, month), sorted by class, then month."""
+    cells = {}
+    for ts, ip, tls13, resumed in records:
+        cls = asn_map.classify(ip)
+        key = (cls, tla.month_key(ts))
+        one = ResumptionStats(cls, 1, int(tls13), int(resumed), int(tls13 and resumed))
+        cells[key] = cells.pop(key, ResumptionStats(cls)).merge(one)
+    series = {}
+    for cls, month in sorted(cells):
+        series.setdefault(cls, []).append((month, cells[cls, month]))
+    return series
+
+
+# make_map's networks plus two IPv6 prefixes, so addresses of both families classify.
+_ORACLE_MAP = AsnMap(
+    [
+        ("104.16.0.0/13", 13335, "CLOUDFLARENET"),
+        ("52.0.0.0/10", 16509, "AMAZON-02"),
+        ("73.0.0.0/8", 7922, "COMCAST"),
+        ("12.0.0.0/8", 7018, "ATT"),
+        ("12.204.0.0/16", 2914, "NTT"),
+        ("2606:4700::/32", 13335, "CLOUDFLARENET"),
+        ("2600:1f00::/24", 16509, "AMAZON-02"),
+    ],
+    cdn_asns=[13335],
+    cloud_asns=[16509],
+)
+
+_DAYS = (int(tla._TS_MIN // 86400), int(tla._TS_MAX // 86400) - 1)
+# Offsets in microseconds around midnight, where datetime's rounding decides the day.
+_OFFSETS_US = (0, 0.4, -0.4, 0.5, -0.5, 0.6, -0.6, 1, -1, 2, -2)
+
+
+def _month_start(year_month):
+    year, month = year_month
+    return datetime(year, month, 1, tzinfo=timezone.utc).timestamp()
+
+
+_edges = st.one_of(
+    st.integers(*_DAYS).map(lambda day: day * 86400.0),
+    st.integers(-800, 800).map(lambda day: JAN + day * 86400.0),  # recent days, whose floats resolve 0.4 µs
+    st.tuples(st.integers(1, 9999), st.integers(1, 12)).map(_month_start),
+    st.tuples(st.integers(1960, 2040), st.integers(1, 12)).map(_month_start),
+)
+timestamps = st.one_of(
+    st.builds(lambda edge, us: edge + us * 1e-6, _edges, st.sampled_from(_OFFSETS_US)),
+    _edges.map(lambda edge: math.nextafter(edge, -math.inf)),
+    st.floats(tla._TS_MIN, 0.0),  # negative epochs
+    st.floats(JAN, JAN + 3 * 86400),  # a few days, so that records share a day
+    st.floats(tla._TS_MIN, tla._TS_MAX, exclude_max=True),
+    st.sampled_from([tla._TS_MIN, math.nextafter(tla._TS_MAX, 0)]),
+).filter(lambda ts: tla._TS_MIN <= ts < tla._TS_MAX)  # the timestamps parse_log_stream yields
+addresses = st.one_of(
+    st.sampled_from(["104.16.1.1", "52.1.1.1", "73.5.5.5", "12.204.9.9", "12.0.0.5"]),  # mapped IPv4
+    st.sampled_from(["2606:4700::1111", "2600:1f18::1", "::ffff:104.16.1.1", "fe80::1%eth0",
+                     "2001:db8::1"]),  # IPv6, mapped and not
+    st.sampled_from(["203.0.113.7", "9.9.9.9", "010.1.1.1"]),  # unmapped or not read as IPv4
+    st.sampled_from(["not-an-ip", "", "104.16.1", "1.2.3.4.5"]),
+    st.text(max_size=12),
+)
+oracle_records = st.lists(st.tuples(timestamps, addresses, st.booleans(), st.booleans()),
+                          max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_records)
+@example([(JAN - 5e-7, "104.16.1.1", True, True), (JAN + 3600.0, "104.16.1.1", False, True),
+          (JAN - 3600.0, "52.1.1.1", True, False), (JAN + 5e-7, "2606:4700::1", False, False)])
+# The float below the epoch: t / 86400.0 rounds up to -0.0, a day more than t // 86400.0.
+@example([(math.nextafter(0.0, -math.inf), "73.5.5.5", True, False), (-0.0, "73.5.5.5", True, True),
+          (-43200.0, "73.5.5.5", False, False)])
+@example([(tla._TS_MIN, "9.9.9.9", False, False),
+          (math.nextafter(tla._TS_MAX, 0), "not-an-ip", True, True)])
+def test_time_series_matches_the_per_record_oracle(records):
+    """Same keys, same class and month order, same stats as classifying and
+    naming the month of every record by itself."""
+    got = time_series(records, _ORACLE_MAP)
+    assert list(got.items()) == list(_series_oracle(records, _ORACLE_MAP).items())

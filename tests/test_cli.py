@@ -1008,6 +1008,25 @@ def test_main_leaves_no_descriptor_open_after_a_broken_pipe(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("cmd_sweep", ["sweep", "--rtts", "10", "--sizes", "4:8:1"]),
+    ("cmd_analyze", ["analyze", "--logs", "-"]),
+])
+def test_main_ends_with_one_error_line_when_memory_runs_out(monkeypatch, capsys, command, argv):
+    """A MemoryError that escapes a command is one error line and exit 1, not a
+    traceback. The command is replaced, so no memory is really allocated."""
+    import certflight.cli as cli
+
+    def exhausted(args, cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, command, exhausted)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_config_file_overrides_defaults(tmp_path, capsys):
     cfg = Config()
     cfg.flight = cfg.flight.replace(
