@@ -24,10 +24,7 @@ _EXPORTS = {
     ),
     "config": ("Config", "SweepPlan", "load_config", "resolve_config", "save_config"),
     "errors": ("CalibrationError", "ConfigError", "LogFormatError", "PaddingError"),
-    "sweep_runner": (
-        "OptimizationRegion", "SavingsEstimate", "compute_regions", "emit_csv",
-        "estimate_savings", "run_sweep",
-    ),
+    "sweep_runner": ("OptimizationRegion", "compute_regions", "emit_csv", "run_sweep"),
     "tls_log_analytics": (
         "AsnMap", "ParseStats", "ResumptionStats", "aggregate_stats",
         "merge_stats", "parse_log_stream", "rate_correlation", "time_series",
@@ -37,9 +34,9 @@ _EXPORTS = {
         "find_thresholds",
     ),
     "ttfb_engine": (
-        "DEFAULT_STACKS", "NetworkPath", "NoiseModel", "StackProfile", "TtfbEstimate",
-        "calibrate_minimax", "calibrate_stack_profile", "estimate_ttfb", "resolve_stack",
-        "sample_ttfb",
+        "DEFAULT_STACKS", "NetworkPath", "NoiseModel", "SavingsEstimate", "StackProfile",
+        "TtfbEstimate", "calibrate_minimax", "calibrate_stack_profile", "estimate_savings",
+        "estimate_ttfb", "resolve_stack", "sample_ttfb",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

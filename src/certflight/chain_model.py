@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigError, Record, check_fields, lookup
+from .errors import ConfigError, Record, lookup
 
 DEFAULT_KB_BYTES = 1000
 
@@ -20,7 +20,8 @@ DEFAULT_KB_BYTES = 1000
 def check_size_kb(size_kb: float) -> float:
     """Return size_kb; raise ValueError unless it is finite and >= 0."""
     if not 0 <= size_kb < math.inf:
-        raise ValueError(f"size must be finite and >= 0, got {size_kb}")
+        raise ValueError(f"size_kb must be >= 0, got {size_kb!r}" if size_kb < 0
+                         else f"size_kb must be a finite number, got {size_kb!r}")
     return size_kb
 
 
@@ -32,7 +33,7 @@ def kb_to_bytes(size_kb: float, kb_bytes: int = DEFAULT_KB_BYTES) -> int:
     return round(size_bytes)
 
 
-class SchemeProfile(Record, frozen=True):
+class SchemeProfile(Record, frozen=True, checked=True):
     """Per-certificate sizes for one signature scheme.
 
     mtc_leaf_kb is the size of the single Merkle-committed leaf
@@ -44,16 +45,10 @@ class SchemeProfile(Record, frozen=True):
     leaf_kb: float
     intermediate_kb: float
     mtc_leaf_kb: float | None = None
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.leaf_kb <= 0 or self.intermediate_kb <= 0:
-            raise ConfigError("certificate sizes must be positive")
-        if self.mtc_leaf_kb is not None and self.mtc_leaf_kb <= 0:
-            raise ConfigError("mtc_leaf_kb must be positive when set")
+    _bounds = {"leaf_kb": "> 0", "intermediate_kb": "> 0", "mtc_leaf_kb": "> 0"}
 
 
-class ChainSpec(Record, frozen=True):
+class ChainSpec(Record, frozen=True, checked=True):
     """A concrete chain to be sized: scheme, depth, and variant flags.
 
     explicit_size_kb overrides all computed sizing when set (useful for
@@ -64,12 +59,7 @@ class ChainSpec(Record, frozen=True):
     intermediates: int = 1
     mtc: bool = False
     explicit_size_kb: float | None = None
-
-    def __post_init__(self):
-        if self.intermediates < 0:
-            raise ConfigError("intermediates must be >= 0")
-        if self.explicit_size_kb is not None and self.explicit_size_kb <= 0:
-            raise ConfigError("explicit_size_kb must be positive when set")
+    _bounds = {"intermediates": ">= 0", "explicit_size_kb": "> 0"}
 
 
 def chain_size_kb(spec: ChainSpec) -> float:
@@ -83,22 +73,13 @@ def chain_size_kb(spec: ChainSpec) -> float:
                 "set one on the scheme profile to size MTC chains"
             )
         return spec.scheme.mtc_leaf_kb
-    try:
-        total = spec.scheme.leaf_kb + spec.intermediates * spec.scheme.intermediate_kb
-    except OverflowError:  # an intermediate count too large for a float
-        total = math.inf
-    return check_size_kb(total)
+    return check_size_kb(spec.scheme.leaf_kb + spec.intermediates * spec.scheme.intermediate_kb)
 
 
-class MerkleParams(Record, frozen=True):
+class MerkleParams(Record, frozen=True, checked=True):
     leaf_count: int
     hash_bytes: int = 32
-
-    def __post_init__(self):
-        if self.leaf_count < 1:
-            raise ValueError("leaf_count must be >= 1")
-        if self.hash_bytes < 1:
-            raise ValueError("hash_bytes must be >= 1")
+    _bounds = {"leaf_count": ">= 1", "hash_bytes": ">= 1"}
 
 
 def merkle_proof_bytes(params: MerkleParams) -> int:
@@ -125,12 +106,11 @@ _ALL_KINDS = (MTC_ONE_INTERMEDIATE, MTC_TWO_INTERMEDIATES) + _CDN_KINDS + (IDENT
 _AFFINE = {MTC_ONE_INTERMEDIATE: (1, 2, 1), MTC_TWO_INTERMEDIATES: (1, 3, 1), IDENTITY: (1, 1, 0)}
 
 
-class SizeOptimizer(Record, frozen=True):
+class SizeOptimizer(Record, frozen=True, checked=True):
     kind: str
     factor: float | None = None
 
     def __post_init__(self):
-        check_fields(self)
         if self.kind not in _ALL_KINDS:
             raise ConfigError(f"unknown optimizer kind {self.kind!r}")
         if self.kind in _CDN_KINDS:

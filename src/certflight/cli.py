@@ -3,10 +3,12 @@
 Subcommands: estimate, sweep, thresholds, regions, savings, forge,
 analyze, calibrate. Configuration comes from --config (or the
 CERTFLIGHT_CONFIG environment variable), and the flags in _CONFIG_FLAGS
-override config values; main applies them, so a command reads only cfg.
-A command imports the code that only it runs (the sweep, the table writers
-and readers, the forge, the log analytics) inside its own function, so that
-estimate and forge load no sweep or table code, and no command loads statistics
+override config values; main applies them, so a command reads only cfg, and
+checks the arguments in _FIELD_FLAGS against their fields' declared bounds.
+A bound's refusal names the flag that gave the value. A command imports the
+code that only it runs (the sweep, the table writers and readers, the forge,
+the log analytics) inside its own function, so that estimate, savings and
+forge load no sweep or table code, and no command loads statistics
 or socket (see tls_log_analytics and ttfb_engine); the record types generate
 no code at import (see errors.Record). Each cmd_* checks its input and returns
 an Output; main alone opens --out (or stdout) and the side file and writes
@@ -26,11 +28,12 @@ import sys
 from operator import attrgetter
 
 from . import chain_model
-from .chain_model import ChainSpec, SizeOptimizer, chain_size_kb, resolve_scheme
+from .chain_model import ChainSpec, SizeOptimizer, chain_size_kb, check_size_kb, resolve_scheme
 from .config import Config, config_path, resolve_config
-from .errors import ConfigError, LogFormatError, lookup
+from .errors import ConfigError, blame, lookup
 from .transport_flight import ANALYTIC, EMPIRICAL, find_thresholds, grid_points
-from .ttfb_engine import NetworkPath, calibrate_stack_profile, estimate_ttfb, resolve_stack
+from .ttfb_engine import (NetworkPath, SavingsEstimate, StackProfile, calibrate_stack_profile,
+                          estimate_savings, estimate_ttfb, resolve_stack)
 
 # Short names for the default optimizers, in DEFAULT_OPTIMIZERS order.
 _OPTIMIZER_ALIASES = dict(zip(("mtc1", "mtc2", "cdn25", "cdn40"), chain_model.DEFAULT_OPTIMIZERS))
@@ -78,14 +81,30 @@ _CONFIG_FLAGS = {
     "cloud_asns": (None, lambda path: {"cloud_asn_file": path}),
 }
 
+# Each command argument that sets a bounded record field, by dest ("command dest" where
+# commands differ): the record and the field, whose declared bound (errors.Record) main checks
+# a given value against before the command runs. estimate's and savings' --size-kb is no field.
+_FIELD_FLAGS = {
+    "rtt": (NetworkPath, "rtt_ms"),
+    "intermediates": (ChainSpec, "intermediates"),
+    "rate": (SavingsEstimate, "resumption_rate"),
+    "resumed_base": (StackProfile, "resumed_base_ms"),
+    "forge size_kb": (ChainSpec, "explicit_size_kb"),
+}
+
+
+def _flags(args, *dests) -> str:
+    """The flags among dests that the command line gave, joined ("" for none)."""
+    return ", ".join(f"--{dest.replace('_', '-')}" for dest in dests
+                     if getattr(args, dest, None) is not None)
+
 
 def _chain_kb_for(args, cfg: Config) -> float:
     if args.size_kb is not None:
-        return args.size_kb
+        with blame("--size-kb"):
+            return check_size_kb(args.size_kb)
     scheme = resolve_scheme(args.scheme, cfg.schemes)
-    return chain_size_kb(
-        ChainSpec(scheme, intermediates=args.intermediates, mtc=args.mtc)
-    )
+    return chain_size_kb(ChainSpec(scheme, intermediates=args.intermediates, mtc=args.mtc))
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -170,13 +189,9 @@ def cmd_sweep(args, cfg: Config) -> Output:
 
     plan = cfg.sweep
     # A stack the table lacks is refused here, naming the flag or the file that listed it.
-    where = ("--stacks" if args.stacks is not None
-             else f"{config_path(args.config)}: config sweep.stacks")
-    for name in plan.stacks:
-        try:
+    with blame(_flags(args, "stacks") or f"{config_path(args.config)}: config sweep.stacks"):
+        for name in plan.stacks:
             lookup(cfg.stacks, name, "stack")
-        except ConfigError as e:
-            raise ConfigError(f"{where}: {e}") from None
     sweep = (plan, cfg.stacks, cfg.flight, cfg.noise)
     # sweep_csv, sweep_records and sweep_gnuplot raise every input error when called. A row
     # is a pure function of its key, so the curves' own pass draws the table's values.
@@ -196,7 +211,8 @@ def cmd_sweep(args, cfg: Config) -> Output:
 def cmd_thresholds(args, cfg: Config) -> Output:
     max_kb = args.max_kb if args.max_kb is not None else cfg.sweep.size_end_kb
     step_kb = args.step_kb if args.step_kb is not None else cfg.sweep.size_step_kb
-    found = find_thresholds(cfg.flight, max_kb, step_kb)
+    with blame(_flags(args, "step_kb", "max_kb")):
+        found = find_thresholds(cfg.flight, max_kb, step_kb)
     note = None
     if cfg.flight.mode == ANALYTIC and list(found) != list(cfg.flight.empirical_thresholds_kb):
         note = (
@@ -228,7 +244,8 @@ def cmd_regions(args, cfg: Config) -> Output:
     # --optimizers sets the sweep plan's; without it, regions takes all four defaults.
     optimizers = (cfg.sweep.optimizers if args.optimizers is not None
                   else chain_model.DEFAULT_OPTIMIZERS)
-    regions = compute_regions(thresholds, list(optimizers))
+    with blame(_flags(args, "thresholds", "optimizers")):
+        regions = compute_regions(thresholds, list(optimizers))
     for r in regions:
         if r.upper_kb_exact <= r.lower_kb:
             raise ConfigError(f"threshold {r.threshold_kb} KB: the {r.optimizer} region is empty")
@@ -237,11 +254,9 @@ def cmd_regions(args, cfg: Config) -> Output:
 
 
 def cmd_savings(args, cfg: Config) -> Output:
-    from .sweep_runner import estimate_savings
-
     stack = resolve_stack(args.stack, cfg.stacks)
     path = NetworkPath(rtt_ms=args.rtt, flight=cfg.flight)
-    est = estimate_savings(stack, path, args.size_kb, args.rate)
+    est = estimate_savings(stack, path, _chain_kb_for(args, cfg), args.rate)
     if args.format == "json":
         return Output(_document(est.asdict()))
     return Output(lambda f: f.write(
@@ -284,11 +299,8 @@ def cmd_analyze(args, cfg: Config) -> Output:
     stats = tla.ParseStats()
     logs = (contextlib.nullcontext(sys.stdin) if args.logs == "-"
             else open(args.logs, encoding="utf-8", errors="replace"))
-    try:
-        with logs as f:
-            series = tla.time_series(tla.parse_log_stream(f, stats=stats), asn_map)
-    except LogFormatError as e:
-        raise LogFormatError(f"{'<stdin>' if args.logs == '-' else args.logs}: {e}") from None
+    with blame("<stdin>" if args.logs == "-" else args.logs), logs as f:
+        series = tla.time_series(tla.parse_log_stream(f, stats=stats), asn_map)
     aggregated = tla.class_totals(series)
     classes = [aggregated[c].to_dict() for c in tla.ENDPOINT_CLASSES]
     if args.format == "csv":
@@ -326,16 +338,11 @@ def _point(line: str) -> tuple[float, float]:
 def cmd_calibrate(args, cfg: Config) -> Output:
     from .tables import read_rows
 
-    # The fit would blame the CSV for this, so it is refused before the CSV is read.
-    if args.resumed_base is not None and args.resumed_base < 0:
-        raise ConfigError(f"--resumed-base: must be >= 0, got {args.resumed_base!r}")
     pts = list(read_rows(args.csv, _point, header=True))
-    try:
+    with blame(args.csv):
         profile = calibrate_stack_profile(
             pts, penalty_rtts=args.penalty, name=args.name, resumed_base_ms=args.resumed_base
         )
-    except ValueError as e:
-        raise ValueError(f"{args.csv}: {e}") from None
     if args.format == "text":
         return Output(lambda f: f.write(
             f"name={profile.name} base_ms={profile.base_ms:.4f} "
@@ -465,8 +472,10 @@ def main(argv=None) -> int:
         cfg = resolve_config(args.config)
         # The table's dests first, in its order (None where not given), then the other arguments.
         for dest, value in {**dict.fromkeys(_CONFIG_FLAGS), **vars(args)}.items():
-            try:
-                if dest in _CONFIG_FLAGS and value is not None:
+            if value is None:
+                continue
+            with blame(_flags(args, dest)):
+                if dest in _CONFIG_FLAGS:
                     section, read = _CONFIG_FLAGS[dest]
                     fields = read(value)
                     if section:  # rebuilt, so that the section's own checks refuse a bad value
@@ -474,8 +483,9 @@ def main(argv=None) -> int:
                     cfg = cfg.replace(**fields)
                 elif isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(f"{value!r} is not a finite number")
-            except ConfigError as e:
-                raise ConfigError(f"--{dest.replace('_', '-')}: {e}") from None
+                elif bounded := _FIELD_FLAGS.get(f"{args.command} {dest}", _FIELD_FLAGS.get(dest)):
+                    record, field = bounded
+                    record.check_field(field, value)
         result = args.func(args, cfg)
         out = getattr(args, "out", None)
         side_path, write_side = result.side

@@ -15,7 +15,7 @@ import json
 import os
 
 from .chain_model import DEFAULT_SCHEMES, SchemeProfile, SizeOptimizer
-from .errors import ConfigError, Record, check_fields
+from .errors import ConfigError, Record, blame
 from .transport_flight import FlightModel, grid_points
 from .ttfb_engine import DEFAULT_STACKS, NoiseModel, StackProfile
 
@@ -29,7 +29,7 @@ def _data_path(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "data", name)
 
 
-class SweepPlan(Record, frozen=True):
+class SweepPlan(Record, frozen=True, checked=True):
     stacks: tuple[str, ...] = ("ClassicalSim",)
     rtts_ms: tuple[float, ...] = (0.0, 10.0, 50.0, 100.0, 200.0)
     size_start_kb: float = 4.0
@@ -38,22 +38,16 @@ class SweepPlan(Record, frozen=True):
     trials: int = 100
     seed: int = 1234
     optimizers: tuple[SizeOptimizer, ...] = ()
+    _bounds = {"rtts_ms": ">= 0", "size_step_kb": "> 0", "trials": ">= 1"}
 
     def __post_init__(self):
-        check_fields(self)
         if not self.stacks:
             raise ConfigError("plan needs at least one stack")
         if not self.rtts_ms:
             raise ConfigError("plan needs at least one rtt")
-        if min(self.rtts_ms) < 0:
-            raise ConfigError(f"rtts_ms must be >= 0, got {min(self.rtts_ms)!r}")
-        if self.size_step_kb <= 0:
-            raise ConfigError("size_step_kb must be positive")
         if self.size_end_kb < self.size_start_kb:
             raise ConfigError("size_end_kb must be >= size_start_kb")
         grid_points(self.size_start_kb, self.size_end_kb, self.size_step_kb)
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
         # Each of these keys a row's seed, and the rtt enters it by repr.
         for what, keys in (("stack", self.stacks), ("rtt", map(repr, self.rtts_ms)),
                            ("optimizer", (opt.label for opt in self.optimizers))):
@@ -69,7 +63,7 @@ class SweepPlan(Record, frozen=True):
         return [self.size_start_kb + i * self.size_step_kb for i in range(count)]
 
 
-class Config(Record):
+class Config(Record, checked=True):
     schemes: dict[str, SchemeProfile] = DEFAULT_SCHEMES
     stacks: dict[str, StackProfile] = DEFAULT_STACKS
     flight: FlightModel = FlightModel()
@@ -78,9 +72,6 @@ class Config(Record):
     asn_map_csv: str | None = None
     cdn_asn_file: str | None = None
     cloud_asn_file: str | None = None
-
-    def __post_init__(self):
-        check_fields(self)
 
     @property
     def kb_bytes(self) -> int:
@@ -129,10 +120,8 @@ def _build(path: str, target, raw, **fixed):
     for name in known:
         if name not in values and name not in target._defaults:
             raise ConfigError(f"missing config key {path}.{name}")
-    try:
+    with blame(f"config {path or 'file'}"):
         return target(**fixed, **values) if isinstance(target, type) else target.replace(**values)
-    except ConfigError as e:
-        raise ConfigError(f"config {path or 'file'}: {e}") from None
 
 
 def config_to_dict(cfg: Config) -> dict:
@@ -152,14 +141,12 @@ def load_config(path) -> Config:
     # ValueError: not JSON, or not UTF-8; RecursionError: arrays nested too deep.
     except (OSError, ValueError, RecursionError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    try:
+    with blame(f"{path}"):
         raw = dict(_expect("file", raw))
         cfg = Config()
         if "kb_bytes" in raw:
             cfg.kb_bytes = raw.pop("kb_bytes")
         return _build("", cfg, raw)
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from None
 
 
 def save_config(cfg: Config, path) -> None:

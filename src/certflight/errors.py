@@ -1,6 +1,8 @@
 """Shared exception types, the table lookup and field checks that raise
 ConfigError, and Record, the base of every record type in certflight."""
 
+import contextlib
+import operator
 import sys
 
 
@@ -26,6 +28,18 @@ class PaddingError(ValueError):
     def __init__(self, message, minimum_bytes=None):
         super().__init__(message)
         self.minimum_bytes = minimum_bytes
+
+
+@contextlib.contextmanager
+def blame(where: str):
+    """Run the block; a ValueError it raises becomes a ConfigError prefixed with where,
+    the flag, file or key that gave the block its values (none where where is empty)."""
+    try:
+        yield
+    except ValueError as e:
+        if not where:
+            raise
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def lookup(table, name, what):
@@ -78,16 +92,36 @@ def _tuple_of(check):
 _CHECKS = {
     "int": _integer,
     "float": _finite,
+    "str": _string,
     "float | None": _optional(_finite),
     "str | None": _optional(_string),
     "tuple[float, ...]": _tuple_of(_finite),
     "tuple[str, ...]": _tuple_of(_string),
 }
 
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def _bounded(check, bound: str):
+    """check, then the declared bound: "op limit" terms joined by " and ", such as
+    "> 0" or ">= 0 and <= 1". A tuple's items are bounded one by one, and None
+    skips the bound. A value outside is refused in one shape naming the term."""
+    terms = [(_OPS[op], float(limit), f"{op} {limit}")
+             for op, limit in map(str.split, bound.split(" and "))]
+
+    def check_bounded(name, value):
+        value = check(name, value)
+        for item in value if type(value) is tuple else (value,):
+            for holds, limit, term in terms:
+                if item is not None and not holds(item, limit):
+                    raise ConfigError(f"{name} must be {term}, got {item!r}")
+        return value
+    return check_bounded
+
 
 def check_fields(obj) -> None:
     """Check and normalise each annotated field; raise ConfigError naming it."""
-    for name, check in obj._checks:
+    for name, check in obj._checks.items():
         object.__setattr__(obj, name, check(name, getattr(obj, name)))
 
 
@@ -112,6 +146,10 @@ class Record:
     of a field's name is its default, and a dict default is copied for each
     instance. The constructor binds fields by position or by name, refusing a
     missing, unknown or repeated one with TypeError, then calls __post_init__.
+    A class declared with checked=True has a __post_init__ that calls
+    check_fields before the class's own: each field of a type in _CHECKS is
+    checked, and then its bound in the class's _bounds table, such as
+    {"rtt_ms": ">= 0"} (see _bounded). check_field checks one value so.
     A record equals a record of its own class with equal fields and prints as
     Name(field=value, ...). A class declared with frozen=True refuses every
     setattr and delattr (its __post_init__ sets fields with
@@ -120,15 +158,24 @@ class Record:
 
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
-    _checks: tuple = ()
+    _bounds: dict = {}
+    _checks: dict = {}
 
-    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+    def __init_subclass__(cls, frozen: bool = False, checked: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
         annotations = cls.__annotations__
         cls._fields = tuple(annotations)
         cls._defaults = {name: vars(cls)[name] for name in annotations if name in vars(cls)}
-        cls._checks = tuple((name, _CHECKS[kind]) for name, kind in annotations.items()
-                            if kind in _CHECKS)
+        cls._checks = {name: _CHECKS[kind] for name, kind in annotations.items() if kind in _CHECKS}
+        for name, bound in cls._bounds.items():
+            cls._checks[name] = _bounded(cls._checks[name], bound)  # KeyError: no such field
+        if checked:
+            rules = vars(cls).get("__post_init__", Record.__post_init__)
+
+            def __post_init__(self):
+                check_fields(self)
+                rules(self)
+            cls.__post_init__ = __post_init__
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse
             cls.__hash__ = Record._hash
@@ -160,6 +207,11 @@ class Record:
 
     def __post_init__(self):
         pass
+
+    @classmethod
+    def check_field(cls, name: str, value):
+        """value checked and normalised as the field name's type and bound check it."""
+        return cls._checks[name](name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -1,4 +1,4 @@
-"""Parameter sweeps, optimization regions, and resumption savings.
+"""Parameter sweeps and optimization regions.
 
 sweep_records evaluates the TTFB model over a (stack, rtt, size) grid with
 optional size optimizers and per-row noise sampling, and yields the rows
@@ -32,8 +32,8 @@ from .config import SweepPlan  # re-exported: the plan is a section of the confi
 from .errors import ConfigError, Record
 from .tables import csv_line, write_csv
 from .transport_flight import FlightModel, extra_rtts
-from .ttfb_engine import (
-    NetworkPath, NoiseModel, StackProfile, estimate_ttfb, summary_sampler, ttfb_total_ms,
+from .ttfb_engine import (  # SavingsEstimate and estimate_savings re-exported
+    NoiseModel, SavingsEstimate, StackProfile, estimate_savings, summary_sampler, ttfb_total_ms,
 )
 
 SWEEP_FIELDS = ("stack", "rtt_ms", "size_kb", "mean_ms", "std_ms", "extra_rtts", "optimizer")
@@ -174,7 +174,7 @@ def emit_csv(records: list[tuple]) -> str:
 # ------------------------------------------------------------ regions
 
 
-class OptimizationRegion(Record, frozen=True):
+class OptimizationRegion(Record, frozen=True, checked=True):
     """Chain sizes for which an optimizer keeps the wire size at or
     under a flight threshold that the raw size would exceed.
 
@@ -188,6 +188,7 @@ class OptimizationRegion(Record, frozen=True):
     lower_kb: float
     upper_kb_exact: float
     upper_kb_rounded: int
+    _bounds = {"threshold_kb": "> 1"}
 
 
 REGION_FIELDS = OptimizationRegion._fields
@@ -232,8 +233,8 @@ def compute_regions(
     regions = []
     for optimizer in optimizers:
         for threshold in thresholds_kb:
-            if not 1 < threshold < math.inf:
-                raise ConfigError("thresholds must be finite and above 1 KB to have a region")
+            # Checked before the search, which needs a size 0 that fits (see _region_upper).
+            threshold = OptimizationRegion.check_field("threshold_kb", threshold)
             upper = original_size_kb(threshold, optimizer)
             if upper == math.inf:
                 raise ConfigError(f"threshold {threshold} KB: no finite {optimizer.label} region")
@@ -248,43 +249,6 @@ def compute_regions(
                 )
             )
     return regions
-
-
-# ------------------------------------------------------------ savings
-
-
-class SavingsEstimate(Record, frozen=True):
-    rtt_ms: float
-    chain_size_kb: float
-    resumption_rate: float
-    expected_savings_ms: float
-    full_ms: float
-    resumed_ms: float
-
-
-def estimate_savings(
-    stack: StackProfile,
-    path: NetworkPath,
-    chain_size_kb: float,
-    resumption_rate: float,
-) -> SavingsEstimate:
-    """Expected TTFB saved per connection by session resumption.
-
-    savings = rate * (full handshake TTFB - resumed TTFB) at this
-    chain size and path.
-    """
-    if not 0 <= resumption_rate <= 1:
-        raise ConfigError("resumption_rate must be within [0, 1]")
-    full = estimate_ttfb(stack, path, chain_size_kb, resumed=False)
-    resumed = estimate_ttfb(stack, path, chain_size_kb, resumed=True)
-    return SavingsEstimate(
-        rtt_ms=path.rtt_ms,
-        chain_size_kb=chain_size_kb,
-        resumption_rate=resumption_rate,
-        expected_savings_ms=resumption_rate * (full.total_ms - resumed.total_ms),
-        full_ms=full.total_ms,
-        resumed_ms=resumed.total_ms,
-    )
 
 
 def detect_thresholds_from_rows(rows: list[tuple], rtt_ms: float) -> list[float]:

@@ -25,7 +25,7 @@ import math
 from bisect import bisect_left
 
 from .chain_model import DEFAULT_KB_BYTES, check_size_kb
-from .errors import ConfigError, Record, check_fields
+from .errors import ConfigError, Record
 
 ANALYTIC = "analytic"
 EMPIRICAL = "empirical"
@@ -44,29 +44,22 @@ def grid_points(start: float, end: float, step: float) -> int:
     return int(steps) + 1
 
 
-class FlightModel(Record, frozen=True):
+class FlightModel(Record, frozen=True, checked=True):
     iw_bytes: int = 14000
     growth_factor: float = 2.0
     handshake_overhead_bytes: int = 4000
     mode: str = EMPIRICAL
     empirical_thresholds_kb: tuple[float, ...] = (10.0, 40.0)
     kb_bytes: int = DEFAULT_KB_BYTES
+    _bounds = {"iw_bytes": "> 0", "growth_factor": "> 1", "handshake_overhead_bytes": ">= 0",
+               "kb_bytes": "> 0"}
 
     def __post_init__(self):
-        check_fields(self)
-        if self.iw_bytes <= 0:
-            raise ConfigError("iw_bytes must be positive")
-        if self.growth_factor <= 1:
-            raise ConfigError("growth_factor must exceed 1")
-        if self.handshake_overhead_bytes < 0:
-            raise ConfigError("handshake_overhead_bytes must be >= 0")
         if self.mode not in (ANALYTIC, EMPIRICAL):
             raise ConfigError(f"mode must be {ANALYTIC!r} or {EMPIRICAL!r}")
         thresholds = self.empirical_thresholds_kb
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ConfigError("empirical thresholds must be strictly increasing")
-        if self.kb_bytes <= 0:
-            raise ConfigError("kb_bytes must be positive")
 
 
 def cumulative_capacity_bytes(model: FlightModel, flights: int) -> float:
@@ -115,7 +108,9 @@ def find_thresholds(model: FlightModel, max_kb: float, step_kb: float) -> list[f
     before the extra-RTT count increases. Empty when no increase occurs.
     """
     if not 0 < step_kb < max_kb < math.inf:
-        raise ValueError(f"need 0 < step_kb < max_kb < inf, got {step_kb} and {max_kb}")
+        if not step_kb > 0:
+            raise ValueError(f"step_kb must be > 0, got {step_kb!r}")
+        raise ValueError(f"max_kb must be > step_kb ({step_kb!r}) and < inf, got {max_kb!r}")
     thresholds = []
     prev = extra_rtts(model, 0.0)
     for i in range(1, grid_points(0.0, max_kb, step_kb)):

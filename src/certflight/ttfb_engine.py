@@ -25,55 +25,43 @@ import math
 from typing import Callable, Iterable, Sequence
 
 from .chain_model import check_size_kb
-from .errors import CalibrationError, ConfigError, Record, check_fields, lookup
+from .errors import CalibrationError, ConfigError, Record, lookup
 from .transport_flight import FlightModel, extra_rtts
 
 NOISE_NONE = "none"
 NOISE_GAUSSIAN = "gaussian"
 
 
-class StackProfile(Record, frozen=True):
+class StackProfile(Record, frozen=True, checked=True):
     """Fitted latency profile of one TLS stack."""
 
     name: str
     base_ms: float
     base_flights: float
     resumed_base_ms: float | None = None
+    _bounds = {"base_ms": ">= 0", "base_flights": ">= 1", "resumed_base_ms": ">= 0"}
 
     def __post_init__(self):
-        check_fields(self)
-        if self.base_ms < 0:
-            raise ConfigError("base_ms must be >= 0")
-        if self.base_flights < 1:
-            raise ConfigError("base_flights must be >= 1")
         if self.resumed_base_ms is None:
             object.__setattr__(self, "resumed_base_ms", self.base_ms)
-        elif self.resumed_base_ms < 0:
-            raise ConfigError("resumed_base_ms must be >= 0")
         elif self.resumed_base_ms > self.base_ms:
             raise ConfigError("resumed_base_ms must not exceed base_ms")
 
 
-class NetworkPath(Record, frozen=True):
+class NetworkPath(Record, frozen=True, checked=True):
     rtt_ms: float
     flight: FlightModel = FlightModel()
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.rtt_ms < 0:
-            raise ConfigError("rtt_ms must be >= 0")
+    _bounds = {"rtt_ms": ">= 0"}
 
 
-class NoiseModel(Record, frozen=True):
+class NoiseModel(Record, frozen=True, checked=True):
     kind: str = NOISE_NONE
     std_ms: float = 0.0
+    _bounds = {"std_ms": ">= 0"}
 
     def __post_init__(self):
-        check_fields(self)
         if self.kind not in (NOISE_NONE, NOISE_GAUSSIAN):
             raise ConfigError(f"noise kind must be {NOISE_NONE!r} or {NOISE_GAUSSIAN!r}")
-        if self.std_ms < 0:
-            raise ConfigError("std_ms must be >= 0")
 
 
 class TtfbEstimate(Record, frozen=True):
@@ -130,6 +118,31 @@ def estimate_ttfb(
         extra_rtts=extra,
         resumed=resumed,
     )
+
+
+class SavingsEstimate(Record, frozen=True, checked=True):
+    rtt_ms: float
+    chain_size_kb: float
+    resumption_rate: float
+    expected_savings_ms: float
+    full_ms: float
+    resumed_ms: float
+    _bounds = {"resumption_rate": ">= 0 and <= 1"}
+
+
+def estimate_savings(stack: StackProfile, path: NetworkPath, chain_size_kb: float,
+                     resumption_rate: float) -> SavingsEstimate:
+    """Expected TTFB saved per connection by session resumption.
+
+    savings = rate * (full handshake TTFB - resumed TTFB) at this
+    chain size and path; the record refuses a rate outside [0, 1].
+    """
+    full = estimate_ttfb(stack, path, chain_size_kb, resumed=False).total_ms
+    resumed = estimate_ttfb(stack, path, chain_size_kb, resumed=True).total_ms
+    return SavingsEstimate(rtt_ms=path.rtt_ms, chain_size_kb=chain_size_kb,
+                           resumption_rate=resumption_rate,
+                           expected_savings_ms=resumption_rate * (full - resumed),
+                           full_ms=full, resumed_ms=resumed)
 
 
 def sample_ttfb(

@@ -10,8 +10,11 @@ copy of the packaged data file name.
     PYTHONPATH=src python tests/golden/regen.py          # list the entries that changed
     PYTHONPATH=src python tests/golden/regen.py --write  # and record their new digests
 
-It exits 1 if an entry changed and --write was not given. A change that alters
-output on purpose lists the changed entries in CHANGES.md.
+It prints each changed entry's id on stdout, and on stderr its argv, its new
+exit code and the last line of its new stderr, so that a re-recorded message
+can be read; the last line on stderr counts the changed entries. It exits 1
+if an entry changed and --write was not given. A change that alters output on
+purpose lists the changed entries in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ def _sha(data: bytes) -> str:
 
 def outcome(entry: dict, inputs: dict) -> dict:
     """Run the entry's argv in a fresh directory; its exit code and digests."""
+    return run(entry, inputs)[0]
+
+
+def run(entry: dict, inputs: dict) -> tuple[dict, str]:
+    """Run the entry's argv in a fresh directory; its outcome and its stderr text."""
     from certflight.cli import main
     from certflight.config import ENV_CONFIG, _data_path
 
@@ -68,7 +76,7 @@ def outcome(entry: dict, inputs: dict) -> dict:
             if path.is_file() and given.get(name) != path.read_bytes():
                 files[name] = _sha(path.read_bytes())
     return {"code": code, "stdout": _sha(out.getvalue().encode()),
-            "stderr": _sha(err.getvalue().encode()), "files": files}
+            "stderr": _sha(err.getvalue().encode()), "files": files}, err.getvalue()
 
 
 def dump(corpus: dict) -> str:
@@ -87,10 +95,13 @@ def main(argv=None) -> int:
     corpus = load()
     changed = 0
     for entry in corpus["entries"]:
-        got = outcome(entry, corpus["inputs"])
+        got, err = run(entry, corpus["inputs"])
         if got != entry.get("expect"):
             changed += 1
             print(entry["id"])
+            last = err.splitlines()[-1] if err else "(no stderr)"
+            print(f"{entry['id']}: {json.dumps(entry['argv'])} exit {got['code']}: {last}",
+                  file=sys.stderr)
             entry["expect"] = got
     if write and changed:
         CORPUS.write_text(dump(corpus), encoding="utf-8")

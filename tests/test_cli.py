@@ -915,7 +915,8 @@ def test_calibrate_refuses_a_non_finite_flag_naming_the_flag(tmp_path, capsys, f
 def test_calibrate_refuses_a_negative_resumed_base_before_reading_the_csv(tmp_path, capsys):
     code, out, err = run(capsys, "calibrate", "--csv", str(tmp_path / "missing.csv"),
                          "--resumed-base", "-3")
-    assert (code, out, err) == (1, "", "error: --resumed-base: must be >= 0, got -3.0\n")
+    assert (code, out, err) == (
+        1, "", "error: --resumed-base: resumed_base_ms must be >= 0, got -3.0\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -928,7 +929,7 @@ def test_a_configured_negative_resumed_base_is_refused(tmp_path, capsys, argv):
                                                    "resumed_base_ms": -100}}}))
     code, out, err = run(capsys, "--config", str(path), *argv)
     assert (code, out) == (1, "")
-    assert err == f"error: {path}: config stacks.Neg: resumed_base_ms must be >= 0\n"
+    assert err == f"error: {path}: config stacks.Neg: resumed_base_ms must be >= 0, got -100.0\n"
 
 
 @pytest.mark.parametrize("row", ["10,inf", "10,nan", "1e400,20", ",500", "10,x"])
@@ -1165,10 +1166,22 @@ def _infinite_total(estimate_ttfb):
     return estimate
 
 
+def _forced(record, **fields):
+    """record with fields set past its own checks, as a value no check caught would be."""
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _infinite_savings(estimate_savings):
+    def estimate(*args, **kwargs):
+        return _forced(estimate_savings(*args, **kwargs), expected_savings_ms=math.inf)
+    return estimate
+
+
 def _nan_region(compute_regions):
     def regions(*args, **kwargs):
-        return [r.replace(upper_kb_exact=math.nan)
-                for r in compute_regions(*args, **kwargs)]
+        return [_forced(r, upper_kb_exact=math.nan) for r in compute_regions(*args, **kwargs)]
     return regions
 
 
@@ -1177,7 +1190,7 @@ def _nan_region(compute_regions):
 @pytest.mark.parametrize("module, name, fake, argv", [
     ("cli", "estimate_ttfb", _infinite_total,
      ("estimate", "--rtt", "50", "--size-kb", "12", "--format", "json")),
-    ("sweep_runner", "estimate_ttfb", _infinite_total,
+    ("cli", "estimate_savings", _infinite_savings,
      ("savings", "--rtt", "50", "--size-kb", "12", "--rate", "0.5", "--format", "json")),
     ("sweep_runner", "compute_regions", _nan_region, ("regions", "--format", "json")),
 ], ids=["estimate", "savings", "regions"])

@@ -226,7 +226,7 @@ def test_extra_rtts_is_monotone_in_size(model, sizes):
 @pytest.mark.parametrize("size", [NAN, INF, -INF, -0.1])
 def test_sizes_must_be_finite_and_non_negative(size):
     for mode in (ANALYTIC, EMPIRICAL):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^size_kb must be "):
             extra_rtts(FlightModel(mode=mode), size)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^size_kb must be "):
         effective_size_kb(size, SizeOptimizer(MTC_ONE_INTERMEDIATE))

@@ -110,7 +110,7 @@ def test_stack_profile_validation():
         StackProfile("x", base_ms=10.0, base_flights=0.5)
     with pytest.raises(ConfigError):
         StackProfile("x", base_ms=10.0, base_flights=2.0, resumed_base_ms=11.0)
-    with pytest.raises(ConfigError, match=r"^resumed_base_ms must be >= 0$"):
+    with pytest.raises(ConfigError, match=r"^resumed_base_ms must be >= 0, got -1\.0$"):
         StackProfile("x", base_ms=10.0, base_flights=2.0, resumed_base_ms=-1.0)
     p = StackProfile("x", base_ms=10.0, base_flights=2.0)
     assert p.resumed_base_ms == 10.0
