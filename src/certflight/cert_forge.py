@@ -57,7 +57,7 @@ _PUBLIC_KEY_LEN = 65
 _SIGNATURE_LEN = 72
 
 
-class DerCertTemplate(Record, frozen=True, checked=True):
+class DerCertTemplate(Record, frozen=True):
     subject_cn: str = "leaf.test"
     issuer_cn: str = "ca.test"
 

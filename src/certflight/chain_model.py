@@ -33,7 +33,7 @@ def kb_to_bytes(size_kb: float, kb_bytes: int = DEFAULT_KB_BYTES) -> int:
     return round(size_bytes)
 
 
-class SchemeProfile(Record, frozen=True, checked=True):
+class SchemeProfile(Record, frozen=True):
     """Per-certificate sizes for one signature scheme.
 
     mtc_leaf_kb is the size of the single Merkle-committed leaf
@@ -48,7 +48,7 @@ class SchemeProfile(Record, frozen=True, checked=True):
     _bounds = {"leaf_kb": "> 0", "intermediate_kb": "> 0", "mtc_leaf_kb": "> 0"}
 
 
-class ChainSpec(Record, frozen=True, checked=True):
+class ChainSpec(Record, frozen=True):
     """A concrete chain to be sized: scheme, depth, and variant flags.
 
     explicit_size_kb overrides all computed sizing when set (useful for
@@ -76,7 +76,7 @@ def chain_size_kb(spec: ChainSpec) -> float:
     return check_size_kb(spec.scheme.leaf_kb + spec.intermediates * spec.scheme.intermediate_kb)
 
 
-class MerkleParams(Record, frozen=True, checked=True):
+class MerkleParams(Record, frozen=True):
     leaf_count: int
     hash_bytes: int = 32
     _bounds = {"leaf_count": ">= 1", "hash_bytes": ">= 1"}
@@ -106,7 +106,7 @@ _ALL_KINDS = (MTC_ONE_INTERMEDIATE, MTC_TWO_INTERMEDIATES) + _CDN_KINDS + (IDENT
 _AFFINE = {MTC_ONE_INTERMEDIATE: (1, 2, 1), MTC_TWO_INTERMEDIATES: (1, 3, 1), IDENTITY: (1, 1, 0)}
 
 
-class SizeOptimizer(Record, frozen=True, checked=True):
+class SizeOptimizer(Record, frozen=True):
     kind: str
     factor: float | None = None
 

@@ -99,6 +99,13 @@ def _flags(args, *dests) -> str:
                      if getattr(args, dest, None) is not None)
 
 
+def _source(args, dest: str, key: str) -> str:
+    """Where dest's value came from: its flag if the command line gave it, else the
+    config file's key ("" without a file: the value is the built-in default)."""
+    path = config_path(args.config)
+    return _flags(args, dest) or (f"{path}: config {key}" if path else "")
+
+
 def _chain_kb_for(args, cfg: Config) -> float:
     if args.size_kb is not None:
         with blame("--size-kb"):
@@ -160,7 +167,8 @@ def cmd_estimate(args, cfg: Config) -> Output:
     stack = resolve_stack(args.stack, cfg.stacks)
     path = NetworkPath(rtt_ms=args.rtt, flight=cfg.flight)
     size_kb = _chain_kb_for(args, cfg)
-    est = estimate_ttfb(stack, path, size_kb, resumed=args.resumed)
+    with blame(_flags(args, "rtt", "size_kb")):
+        est = estimate_ttfb(stack, path, size_kb, resumed=args.resumed)
     if args.format == "json":
         return Output(_document({
             "stack": stack.name,
@@ -189,7 +197,7 @@ def cmd_sweep(args, cfg: Config) -> Output:
 
     plan = cfg.sweep
     # A stack the table lacks is refused here, naming the flag or the file that listed it.
-    with blame(_flags(args, "stacks") or f"{config_path(args.config)}: config sweep.stacks"):
+    with blame(_source(args, "stacks", "sweep.stacks")):
         for name in plan.stacks:
             lookup(cfg.stacks, name, "stack")
     sweep = (plan, cfg.stacks, cfg.flight, cfg.noise)
@@ -211,7 +219,9 @@ def cmd_sweep(args, cfg: Config) -> Output:
 def cmd_thresholds(args, cfg: Config) -> Output:
     max_kb = args.max_kb if args.max_kb is not None else cfg.sweep.size_end_kb
     step_kb = args.step_kb if args.step_kb is not None else cfg.sweep.size_step_kb
-    with blame(_flags(args, "step_kb", "max_kb")):
+    given = (_source(args, "step_kb", "sweep.size_step_kb"),
+             _source(args, "max_kb", "sweep.size_end_kb"))
+    with blame(", ".join(filter(None, given))):
         found = find_thresholds(cfg.flight, max_kb, step_kb)
     note = None
     if cfg.flight.mode == ANALYTIC and list(found) != list(cfg.flight.empirical_thresholds_kb):
@@ -244,7 +254,9 @@ def cmd_regions(args, cfg: Config) -> Output:
     # --optimizers sets the sweep plan's; without it, regions takes all four defaults.
     optimizers = (cfg.sweep.optimizers if args.optimizers is not None
                   else chain_model.DEFAULT_OPTIMIZERS)
-    with blame(_flags(args, "thresholds", "optimizers")):
+    given = (_source(args, "thresholds", "flight.empirical_thresholds_kb"),
+             _flags(args, "optimizers"))
+    with blame(", ".join(filter(None, given))):
         regions = compute_regions(thresholds, list(optimizers))
     for r in regions:
         if r.upper_kb_exact <= r.lower_kb:
@@ -256,7 +268,9 @@ def cmd_regions(args, cfg: Config) -> Output:
 def cmd_savings(args, cfg: Config) -> Output:
     stack = resolve_stack(args.stack, cfg.stacks)
     path = NetworkPath(rtt_ms=args.rtt, flight=cfg.flight)
-    est = estimate_savings(stack, path, _chain_kb_for(args, cfg), args.rate)
+    size_kb = _chain_kb_for(args, cfg)
+    with blame(_flags(args, "rtt", "size_kb")):
+        est = estimate_savings(stack, path, size_kb, args.rate)
     if args.format == "json":
         return Output(_document(est.asdict()))
     return Output(lambda f: f.write(

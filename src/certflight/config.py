@@ -29,7 +29,7 @@ def _data_path(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "data", name)
 
 
-class SweepPlan(Record, frozen=True, checked=True):
+class SweepPlan(Record, frozen=True):
     stacks: tuple[str, ...] = ("ClassicalSim",)
     rtts_ms: tuple[float, ...] = (0.0, 10.0, 50.0, 100.0, 200.0)
     size_start_kb: float = 4.0
@@ -63,7 +63,7 @@ class SweepPlan(Record, frozen=True, checked=True):
         return [self.size_start_kb + i * self.size_step_kb for i in range(count)]
 
 
-class Config(Record, checked=True):
+class Config(Record):
     schemes: dict[str, SchemeProfile] = DEFAULT_SCHEMES
     stacks: dict[str, StackProfile] = DEFAULT_STACKS
     flight: FlightModel = FlightModel()
@@ -124,14 +124,6 @@ def _build(path: str, target, raw, **fixed):
         return target(**fixed, **values) if isinstance(target, type) else target.replace(**values)
 
 
-def config_to_dict(cfg: Config) -> dict:
-    raw = cfg.asdict()
-    for section in _PROFILES:
-        for profile in raw[section].values():
-            del profile["name"]
-    return {"kb_bytes": raw["flight"].pop("kb_bytes"), **raw}
-
-
 def load_config(path) -> Config:
     """The config in the JSON file at path. Every error names the file; a
     refused key or value reads path: message, as analyze's log errors do."""
@@ -150,8 +142,14 @@ def load_config(path) -> Config:
 
 
 def save_config(cfg: Config, path) -> None:
+    """Write cfg to path as the JSON file load_config reads: kb_bytes at the top,
+    and each profile keyed by its name without a name field."""
+    raw = cfg.asdict()
+    for section in _PROFILES:
+        for profile in raw[section].values():
+            del profile["name"]
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(config_to_dict(cfg), f, indent=2)
+        json.dump({"kb_bytes": raw["flight"].pop("kb_bytes"), **raw}, f, indent=2)
         f.write("\n")
 
 

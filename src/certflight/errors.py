@@ -33,12 +33,10 @@ class PaddingError(ValueError):
 @contextlib.contextmanager
 def blame(where: str):
     """Run the block; a ValueError it raises becomes a ConfigError prefixed with where,
-    the flag, file or key that gave the block its values (none where where is empty)."""
+    the flag, file or key that gave the block its values."""
     try:
         yield
     except ValueError as e:
-        if not where:
-            raise
         raise ConfigError(f"{where}: {e}") from None
 
 
@@ -99,6 +97,19 @@ _CHECKS = {
     "tuple[str, ...]": _tuple_of(_string),
 }
 
+# The class names a field's annotation may give, checked against the value's class's
+# name: bool, and each record class's (Record adds it).
+_TYPES = {"bool"}
+
+
+def _of_type(kind: str):
+    def check_type(name, value):
+        if type(value).__name__ == kind:
+            return value
+        raise ConfigError(f"{name} must be a {kind}, got {value!r}")
+    return check_type
+
+
 _OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
@@ -145,11 +156,12 @@ class Record:
     A subclass's fields are its own annotations, in order; a class attribute
     of a field's name is its default, and a dict default is copied for each
     instance. The constructor binds fields by position or by name, refusing a
-    missing, unknown or repeated one with TypeError, then calls __post_init__.
-    A class declared with checked=True has a __post_init__ that calls
-    check_fields before the class's own: each field of a type in _CHECKS is
-    checked, and then its bound in the class's _bounds table, such as
-    {"rtt_ms": ">= 0"} (see _bounded). check_field checks one value so.
+    missing, unknown or repeated one with TypeError, then calls __post_init__,
+    which calls check_fields before the class's own: each field of a type in
+    _CHECKS is checked, a field annotated bool or a record class's name by the
+    name of its value's class, and then its bound in the class's _bounds
+    table, such as {"rtt_ms": ">= 0"} (see _bounded). check_field checks one
+    value so.
     A record equals a record of its own class with equal fields and prints as
     Name(field=value, ...). A class declared with frozen=True refuses every
     setattr and delattr (its __post_init__ sets fields with
@@ -161,21 +173,22 @@ class Record:
     _bounds: dict = {}
     _checks: dict = {}
 
-    def __init_subclass__(cls, frozen: bool = False, checked: bool = False, **kwargs):
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
+        _TYPES.add(cls.__name__)
         annotations = cls.__annotations__
         cls._fields = tuple(annotations)
         cls._defaults = {name: vars(cls)[name] for name in annotations if name in vars(cls)}
-        cls._checks = {name: _CHECKS[kind] for name, kind in annotations.items() if kind in _CHECKS}
+        cls._checks = {name: _CHECKS[kind] if kind in _CHECKS else _of_type(kind)
+                       for name, kind in annotations.items() if kind in _CHECKS or kind in _TYPES}
         for name, bound in cls._bounds.items():
             cls._checks[name] = _bounded(cls._checks[name], bound)  # KeyError: no such field
-        if checked:
-            rules = vars(cls).get("__post_init__", Record.__post_init__)
+        rules = vars(cls).get("__post_init__", Record.__post_init__)
 
-            def __post_init__(self):
-                check_fields(self)
-                rules(self)
-            cls.__post_init__ = __post_init__
+        def __post_init__(self):
+            check_fields(self)
+            rules(self)
+        cls.__post_init__ = __post_init__
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse
             cls.__hash__ = Record._hash

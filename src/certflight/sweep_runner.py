@@ -29,7 +29,7 @@ import struct
 
 from .chain_model import SizeOptimizer, effective_size_kb, original_size_kb
 from .config import SweepPlan  # re-exported: the plan is a section of the config
-from .errors import ConfigError, Record
+from .errors import ConfigError, Record, lookup
 from .tables import csv_line, write_csv
 from .transport_flight import FlightModel, extra_rtts
 from .ttfb_engine import (  # SavingsEstimate and estimate_savings re-exported
@@ -47,12 +47,9 @@ def sweep_header(optimized: bool) -> tuple[str, ...]:
 
 def _grid(plan: SweepPlan, stacks: dict[str, StackProfile], flight: FlightModel,
           noise: NoiseModel):
-    """Check every stack (the plan has checked its rtts), size and total, and that no
+    """Check every size, stack (the plan has checked its rtts) and total, and that no
     total plus its largest noise draw overflows; then factor the plan's grid into its
     lines, its cells and the draw, which every sweep renderer reads."""
-    missing = [name for name in plan.stacks if name not in stacks]
-    if missing:
-        raise ConfigError(f"unknown stacks in plan: {', '.join(missing)}")
     variants = [("", None)] + [(opt.label, opt) for opt in plan.optimizers]
     # Per size and variant, in plan order: the size, the row key's tail, the extra
     # round trips, and the row's last columns: its label, where the plan has optimizers.
@@ -64,7 +61,7 @@ def _grid(plan: SweepPlan, stacks: dict[str, StackProfile], flight: FlightModel,
     # Per (stack, rtt): the row key's head, and the total of each extra.
     lines = []
     for name in plan.stacks:
-        stack = stacks[name]
+        stack = lookup(stacks, name, "stack")
         for rtt in plan.rtts_ms:
             head = f"{plan.seed}|{name}|{rtt!r}|".encode()
             totals = {e: ttfb_total_ms(stack.base_ms, stack.base_flights + e, rtt) for e in extras}
@@ -174,7 +171,7 @@ def emit_csv(records: list[tuple]) -> str:
 # ------------------------------------------------------------ regions
 
 
-class OptimizationRegion(Record, frozen=True, checked=True):
+class OptimizationRegion(Record, frozen=True):
     """Chain sizes for which an optimizer keeps the wire size at or
     under a flight threshold that the raw size would exceed.
 

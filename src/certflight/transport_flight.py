@@ -44,7 +44,7 @@ def grid_points(start: float, end: float, step: float) -> int:
     return int(steps) + 1
 
 
-class FlightModel(Record, frozen=True, checked=True):
+class FlightModel(Record, frozen=True):
     iw_bytes: int = 14000
     growth_factor: float = 2.0
     handshake_overhead_bytes: int = 4000

@@ -32,7 +32,7 @@ NOISE_NONE = "none"
 NOISE_GAUSSIAN = "gaussian"
 
 
-class StackProfile(Record, frozen=True, checked=True):
+class StackProfile(Record, frozen=True):
     """Fitted latency profile of one TLS stack."""
 
     name: str
@@ -48,13 +48,13 @@ class StackProfile(Record, frozen=True, checked=True):
             raise ConfigError("resumed_base_ms must not exceed base_ms")
 
 
-class NetworkPath(Record, frozen=True, checked=True):
+class NetworkPath(Record, frozen=True):
     rtt_ms: float
     flight: FlightModel = FlightModel()
     _bounds = {"rtt_ms": ">= 0"}
 
 
-class NoiseModel(Record, frozen=True, checked=True):
+class NoiseModel(Record, frozen=True):
     kind: str = NOISE_NONE
     std_ms: float = 0.0
     _bounds = {"std_ms": ">= 0"}
@@ -120,7 +120,7 @@ def estimate_ttfb(
     )
 
 
-class SavingsEstimate(Record, frozen=True, checked=True):
+class SavingsEstimate(Record, frozen=True):
     rtt_ms: float
     chain_size_kb: float
     resumption_rate: float

@@ -197,7 +197,14 @@ def test_a_config_value_past_its_fields_bound_names_the_file_and_key(
     (lambda: MerkleParams(leaf_count=2.5),
      "leaf_count must be an integer within float range, got 2.5"),
     (lambda: DerCertTemplate(subject_cn=5), "subject_cn must be a string, got 5"),
-], ids=["intermediates-2.5", "explicit-nan", "explicit-str", "leaf_count-2.5", "subject_cn-5"])
+    (lambda: ChainSpec("ML-DSA"), "scheme must be a SchemeProfile, got 'ML-DSA'"),
+    (lambda: ChainSpec(resolve_scheme("ML-DSA"), mtc="yes"), "mtc must be a bool, got 'yes'"),
+    (lambda: NetworkPath(10.0, flight={"mode": "analytic"}),
+     "flight must be a FlightModel, got {'mode': 'analytic'}"),
+    (lambda: Config(noise="none"), "noise must be a NoiseModel, got 'none'"),
+    (lambda: Config(sweep=None), "sweep must be a SweepPlan, got None"),
+], ids=["intermediates-2.5", "explicit-nan", "explicit-str", "leaf_count-2.5", "subject_cn-5",
+        "scheme-str", "mtc-str", "flight-dict", "noise-str", "sweep-none"])
 def test_an_input_record_refuses_a_mistyped_field_naming_it(make, message):
     with pytest.raises(ConfigError) as info:
         make()
@@ -215,8 +222,32 @@ def test_an_input_record_refuses_a_mistyped_field_naming_it(make, message):
      "--step-kb, --max-kb: size grid has 8e+10 points; the limit is 10000000"),
     (["regions", "--thresholds", "0.5"], "--thresholds: threshold_kb must be > 1, got 0.5"),
     (["regions", "--optimizers", ","], "--optimizers: need at least one optimizer"),
+    (["estimate", "--rtt", "1", "--size-kb", "1e306", "--mode", "analytic"],
+     "--rtt, --size-kb: the flight capacity for 1e+306 KB overflows a float"),
+    (["savings", "--rtt", "1e308", "--size-kb", "100", "--rate", "0.5"],
+     "--rtt, --size-kb: the TTFB of 4.0 flights at rtt 1e+308 ms overflows a float"),
 ], ids=["estimate-size", "savings-size", "thresholds-step", "thresholds-max",
-        "thresholds-grid", "regions-threshold", "regions-optimizers"])
+        "thresholds-grid", "regions-threshold", "regions-optimizers", "estimate-overflow",
+        "savings-overflow"])
 def test_a_function_argument_refusal_names_the_flags_that_gave_it(capsys, argv, line):
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+_GRID = '{"sweep": {"size_start_kb": 0.5, "size_end_kb": 1, "size_step_kb": 1}}'
+_MAX = "max_kb must be > step_kb (1.0) and < inf, got 1.0"
+
+
+@pytest.mark.parametrize("text, argv, line", [
+    (_GRID, ["thresholds"],
+     f"{{path}}: config sweep.size_step_kb, {{path}}: config sweep.size_end_kb: {_MAX}"),
+    (_GRID, ["thresholds", "--step-kb", "1"], f"--step-kb, {{path}}: config sweep.size_end_kb: {_MAX}"),
+    ('{"flight": {"empirical_thresholds_kb": [0.5]}}', ["regions"],
+     "{path}: config flight.empirical_thresholds_kb: threshold_kb must be > 1, got 0.5"),
+], ids=["thresholds-file", "thresholds-flag-and-file", "regions-file"])
+def test_a_function_argument_refusal_names_the_config_key_that_gave_it(tmp_path, capsys, text,
+                                                                       argv, line):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["--config", str(path), *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {line.format(path=path)}\n")

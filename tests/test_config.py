@@ -17,7 +17,7 @@ from certflight.chain_model import (
     SizeOptimizer,
     effective_size_kb,
 )
-from certflight.config import Config, config_to_dict, load_config, save_config
+from certflight.config import Config, load_config, save_config
 from certflight.errors import ConfigError
 from certflight.sweep_runner import SweepPlan
 from certflight.transport_flight import ANALYTIC, EMPIRICAL, FlightModel, extra_rtts
@@ -116,7 +116,10 @@ def test_config_round_trips_through_its_file(cfg):
 @given(configs, st.sampled_from(["", "flight", "sweep", "noise", "schemes", "stacks",
                                  "sweep.optimizers"]), names, st.data())
 def test_unknown_key_is_rejected_by_path(cfg, where, key, data):
-    raw = config_to_dict(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = Path(tmp) / "cfg.json"
+        save_config(cfg, saved)
+        raw = json.loads(saved.read_text(encoding="utf-8"))
     section = raw
     if where in ("schemes", "stacks"):
         name = data.draw(st.sampled_from(sorted(raw[where])))

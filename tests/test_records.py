@@ -113,7 +113,9 @@ def _arguments(draw, cls):
             continue  # left to its default
         kind = cls.__annotations__[name]
         if kind == "tuple[ForgedCert, ...]":
-            certs = draw(st.lists(st.tuples(_texts, _ints, st.binary(max_size=4)), max_size=2))
+            # Built here, outside the twin comparison: a target ForgedCert accepts.
+            certs = draw(st.lists(st.tuples(_texts, st.integers(1, 50), st.binary(max_size=4)),
+                                  max_size=2))
             values[name] = tuple(RECORDS_BY_NAME["ForgedCert"](*cert) for cert in certs)
         else:
             values[name] = draw(_VALUES[kind])
