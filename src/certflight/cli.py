@@ -5,7 +5,8 @@ analyze, calibrate. Configuration comes from --config (or the
 CERTFLIGHT_CONFIG environment variable), and the flags in _CONFIG_FLAGS
 override config values; main applies them, so a command reads only cfg, and
 checks the arguments in _FIELD_FLAGS against their fields' declared bounds.
-A bound's refusal names the flag that gave the value. A command imports the
+Every refusal of a value names where the value came from (see _source): the
+flags given, then the config file and the keys it changed. A command imports the
 code that only it runs (the sweep, the table writers and readers, the forge,
 the log analytics) inside its own function, so that estimate, savings and
 forge load no sweep or table code, and no command loads statistics
@@ -92,26 +93,75 @@ _FIELD_FLAGS = {
     "forge size_kb": (ChainSpec, "explicit_size_kb"),
 }
 
+# Each command argument, by dest, and the config keys its value falls back to without its flag;
+# "flight" and "noise" stand for the keys of those sections that no argument sets.
+_KEYS = {
+    "stacks": ("sweep.stacks",),
+    "rtts": ("sweep.rtts_ms",),
+    "sizes": ("sweep.size_start_kb", "sweep.size_end_kb", "sweep.size_step_kb"),
+    "trials": ("sweep.trials",),
+    "optimizers": ("sweep.optimizers",),
+    "step_kb": ("sweep.size_step_kb",),
+    "max_kb": ("sweep.size_end_kb",),
+    "mode": ("flight.mode",),
+    "thresholds": ("flight.empirical_thresholds_kb",),
+    "flight": ("kb_bytes", "flight.iw_bytes", "flight.growth_factor",
+               "flight.handshake_overhead_bytes"),
+    "noise": ("noise.kind", "noise.std_ms"),
+}
+_DEFAULTS = Config()
 
-def _flags(args, *dests) -> str:
-    """The flags among dests that the command line gave, joined ("" for none)."""
-    return ", ".join(f"--{dest.replace('_', '-')}" for dest in dests
-                     if getattr(args, dest, None) is not None)
+
+def _setting(cfg: Config, key: str):
+    """The value at a config key; a profile's, such as schemes.Big, is None where the
+    table lacks it."""
+    section, _, name = key.partition(".")
+    value = getattr(cfg, section)
+    if not name:
+        return value
+    return value.get(name) if type(value) is dict else getattr(value, name)
 
 
-def _source(args, dest: str, key: str) -> str:
-    """Where dest's value came from: its flag if the command line gave it, else the
-    config file's key ("" without a file: the value is the built-in default)."""
+def _source(args, cfg: Config, *dests) -> str:
+    """Where dests' values came from, for a refusal: each flag the command line gave, then the
+    config file once, with the key of each other dest that the file changed from its default.
+    A dest that is no argument of the command is a config key itself, such as schemes.Big."""
+    given = [d for d in dests if (v := getattr(args, d, None)) is not None and v is not False]
+    keys = [key for d in dests if d not in given
+            for key in _KEYS.get(d, () if hasattr(args, d) else (d,))
+            if _setting(cfg, key) != _setting(_DEFAULTS, key)]
     path = config_path(args.config)
-    return _flags(args, dest) or (f"{path}: config {key}" if path else "")
+    return ", ".join([f"--{d.replace('_', '-')}" for d in given]
+                     + ([f"{path}: config {', '.join(keys)}"] if path and keys else []))
 
 
-def _chain_kb_for(args, cfg: Config) -> float:
+def _chain(args, cfg: Config) -> tuple[ChainSpec, tuple]:
+    """The chain that the chain flags describe, and the dests its size comes from: --size-kb
+    if given, else --scheme (ECDSA when not given), --mtc or --intermediates (1 when not
+    given), and the scheme's profile in the config."""
+    scheme = resolve_scheme("ECDSA" if args.scheme is None else args.scheme, cfg.schemes)
+    spec = ChainSpec(scheme, intermediates=1 if args.intermediates is None else args.intermediates,
+                     mtc=args.mtc, explicit_size_kb=args.size_kb)
     if args.size_kb is not None:
-        with blame("--size-kb"):
-            return check_size_kb(args.size_kb)
-    scheme = resolve_scheme(args.scheme, cfg.schemes)
-    return chain_size_kb(ChainSpec(scheme, intermediates=args.intermediates, mtc=args.mtc))
+        return spec, ("size_kb",)
+    return spec, ("scheme", "mtc" if args.mtc else "intermediates", f"schemes.{scheme.name}")
+
+
+def _stack(args, cfg: Config) -> tuple[StackProfile, tuple]:
+    """The stack that --stack names (ClassicalSim when not given), and the dests its profile
+    comes from: --stack and the stack's profile in the config."""
+    stack = resolve_stack("ClassicalSim" if args.stack is None else args.stack, cfg.stacks)
+    return stack, ("stack", f"stacks.{stack.name}")
+
+
+def _chain_kb_for(args, cfg: Config) -> tuple[float, tuple]:
+    """The chain's size in KB (--size-kb may be 0 here), and the dests it came from."""
+    if args.size_kb is not None:
+        with blame(_source(args, cfg, "size_kb")):
+            return check_size_kb(args.size_kb), ("size_kb",)
+    spec, dests = _chain(args, cfg)
+    with blame(_source(args, cfg, *dests)):
+        return chain_size_kb(spec), dests
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -164,10 +214,10 @@ def _document(payload):
 
 
 def cmd_estimate(args, cfg: Config) -> Output:
-    stack = resolve_stack(args.stack, cfg.stacks)
+    stack, profile = _stack(args, cfg)
     path = NetworkPath(rtt_ms=args.rtt, flight=cfg.flight)
-    size_kb = _chain_kb_for(args, cfg)
-    with blame(_flags(args, "rtt", "size_kb")):
+    size_kb, chain = _chain_kb_for(args, cfg)
+    with blame(_source(args, cfg, *profile, "rtt", *chain, "mode", "thresholds", "flight")):
         est = estimate_ttfb(stack, path, size_kb, resumed=args.resumed)
     if args.format == "json":
         return Output(_document({
@@ -196,20 +246,23 @@ def cmd_sweep(args, cfg: Config) -> Output:
     from .tables import write_json
 
     plan = cfg.sweep
+    profiles = [f"stacks.{name}" for name in plan.stacks]
     # A stack the table lacks is refused here, naming the flag or the file that listed it.
-    with blame(_source(args, "stacks", "sweep.stacks")):
+    with blame(_source(args, cfg, "stacks", *profiles)):
         for name in plan.stacks:
             lookup(cfg.stacks, name, "stack")
     sweep = (plan, cfg.stacks, cfg.flight, cfg.noise)
     # sweep_csv, sweep_records and sweep_gnuplot raise every input error when called. A row
     # is a pure function of its key, so the curves' own pass draws the table's values.
-    if args.format == "json":
-        rows = sweep_runner.sweep_records(*sweep)
-        write = lambda f: write_json(f, sweep_runner.sweep_header(bool(plan.optimizers)), rows)
-    else:
-        chunks = sweep_runner.sweep_csv(*sweep)
-        write = lambda f: f.writelines(chunks)
-    curves = sweep_runner.sweep_gnuplot(*sweep) if args.gnuplot else None
+    with blame(_source(args, cfg, "stacks", *profiles, "rtts", "sizes", "trials", "optimizers",
+                       "mode", "thresholds", "noise", "flight")):
+        if args.format == "json":
+            rows = sweep_runner.sweep_records(*sweep)
+            write = lambda f: write_json(f, sweep_runner.sweep_header(bool(plan.optimizers)), rows)
+        else:
+            chunks = sweep_runner.sweep_csv(*sweep)
+            write = lambda f: f.writelines(chunks)
+        curves = sweep_runner.sweep_gnuplot(*sweep) if args.gnuplot else None
     sizes = grid_points(plan.size_start_kb, plan.size_end_kb, plan.size_step_kb)
     count = len(plan.stacks) * len(plan.rtts_ms) * (1 + len(plan.optimizers)) * sizes
     return Output(write, (args.gnuplot, lambda f: f.writelines(curves)),
@@ -219,9 +272,7 @@ def cmd_sweep(args, cfg: Config) -> Output:
 def cmd_thresholds(args, cfg: Config) -> Output:
     max_kb = args.max_kb if args.max_kb is not None else cfg.sweep.size_end_kb
     step_kb = args.step_kb if args.step_kb is not None else cfg.sweep.size_step_kb
-    given = (_source(args, "step_kb", "sweep.size_step_kb"),
-             _source(args, "max_kb", "sweep.size_end_kb"))
-    with blame(", ".join(filter(None, given))):
+    with blame(_source(args, cfg, "step_kb", "max_kb")):
         found = find_thresholds(cfg.flight, max_kb, step_kb)
     note = None
     if cfg.flight.mode == ANALYTIC and list(found) != list(cfg.flight.empirical_thresholds_kb):
@@ -251,25 +302,26 @@ def cmd_regions(args, cfg: Config) -> Output:
     from .tables import write_csv, write_json
 
     thresholds = list(cfg.flight.empirical_thresholds_kb)
-    # --optimizers sets the sweep plan's; without it, regions takes all four defaults.
-    optimizers = (cfg.sweep.optimizers if args.optimizers is not None
-                  else chain_model.DEFAULT_OPTIMIZERS)
-    given = (_source(args, "thresholds", "flight.empirical_thresholds_kb"),
-             _flags(args, "optimizers"))
-    with blame(", ".join(filter(None, given))):
+    # --optimizers sets the sweep plan's; without it, regions takes all four defaults, and
+    # the file's sweep.optimizers gives it nothing.
+    optimizers, dests = ((cfg.sweep.optimizers, ("thresholds", "optimizers"))
+                         if args.optimizers is not None
+                         else (chain_model.DEFAULT_OPTIMIZERS, ("thresholds",)))
+    with blame(_source(args, cfg, *dests)):
         regions = compute_regions(thresholds, list(optimizers))
-    for r in regions:
-        if r.upper_kb_exact <= r.lower_kb:
-            raise ConfigError(f"threshold {r.threshold_kb} KB: the {r.optimizer} region is empty")
+        for r in regions:
+            if r.upper_kb_exact <= r.lower_kb:
+                raise ConfigError(f"threshold {r.threshold_kb} KB: "
+                                  f"the {r.optimizer} region is empty")
     write = write_json if args.format == "json" else write_csv
     return Output(lambda f: write(f, REGION_FIELDS, map(attrgetter(*REGION_FIELDS), regions)))
 
 
 def cmd_savings(args, cfg: Config) -> Output:
-    stack = resolve_stack(args.stack, cfg.stacks)
+    stack, profile = _stack(args, cfg)
     path = NetworkPath(rtt_ms=args.rtt, flight=cfg.flight)
-    size_kb = _chain_kb_for(args, cfg)
-    with blame(_flags(args, "rtt", "size_kb")):
+    size_kb, chain = _chain_kb_for(args, cfg)
+    with blame(_source(args, cfg, *profile, "rtt", *chain, "mode", "thresholds", "flight")):
         est = estimate_savings(stack, path, size_kb, args.rate)
     if args.format == "json":
         return Output(_document(est.asdict()))
@@ -283,14 +335,9 @@ def cmd_savings(args, cfg: Config) -> Output:
 def cmd_forge(args, cfg: Config) -> Output:
     from . import cert_forge
 
-    scheme = resolve_scheme(args.scheme, cfg.schemes)
-    spec = ChainSpec(
-        scheme,
-        intermediates=args.intermediates,
-        mtc=args.mtc,
-        explicit_size_kb=args.size_kb,
-    )
-    chain = cert_forge.forge_chain(spec, kb_bytes=cfg.kb_bytes)
+    spec, dests = _chain(args, cfg)
+    with blame(_source(args, cfg, *dests, "kb_bytes")):
+        chain = cert_forge.forge_chain(spec, kb_bytes=cfg.kb_bytes)
     reports = [cert_forge.parse_and_measure(cert.der) for cert in chain.certs]
     certs = list(zip(chain.certs, reports))
     ok = all(len(c.der) == c.target_bytes and r.well_formed for c, r in certs)
@@ -389,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_chain_flags(p):
-        p.add_argument("--scheme", default="ECDSA")
-        p.add_argument("--intermediates", type=int, default=1)
+        # None where not given, so that a refusal names only the flags given (see _source).
+        p.add_argument("--scheme", default=None)
+        p.add_argument("--intermediates", type=int, default=None)
         p.add_argument("--mtc", action="store_true")
         p.add_argument("--size-kb", type=float, default=None,
                        help="explicit chain size, overrides scheme sizing")
@@ -404,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_chain_flags(p)
     add_flight_flags(p)
     p.add_argument("--rtt", type=float, required=True)
-    p.add_argument("--stack", default="ClassicalSim")
+    p.add_argument("--stack", default=None)
     p.add_argument("--resumed", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_estimate)
@@ -443,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtt", type=float, required=True)
     p.add_argument("--size-kb", type=float, required=True)
     p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--stack", default="ClassicalSim")
+    p.add_argument("--stack", default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_savings)
 
@@ -488,7 +536,7 @@ def main(argv=None) -> int:
         for dest, value in {**dict.fromkeys(_CONFIG_FLAGS), **vars(args)}.items():
             if value is None:
                 continue
-            with blame(_flags(args, dest)):
+            with blame(_source(args, cfg, dest)):
                 if dest in _CONFIG_FLAGS:
                     section, read = _CONFIG_FLAGS[dest]
                     fields = read(value)

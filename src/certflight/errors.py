@@ -33,11 +33,11 @@ class PaddingError(ValueError):
 @contextlib.contextmanager
 def blame(where: str):
     """Run the block; a ValueError it raises becomes a ConfigError prefixed with where,
-    the flag, file or key that gave the block its values."""
+    the flag, file or key that gave the block its values (none where where is empty)."""
     try:
         yield
     except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
+        raise ConfigError(f"{where}: {e}" if where else str(e)) from None
 
 
 def lookup(table, name, what):
@@ -87,19 +87,15 @@ def _tuple_of(check):
     return check_all
 
 
-_CHECKS = {
-    "int": _integer,
-    "float": _finite,
-    "str": _string,
-    "float | None": _optional(_finite),
-    "str | None": _optional(_string),
-    "tuple[float, ...]": _tuple_of(_finite),
-    "tuple[str, ...]": _tuple_of(_string),
-}
-
-# The class names a field's annotation may give, checked against the value's class's
-# name: bool, and each record class's (Record adds it).
-_TYPES = {"bool"}
+def _dict_of(check):
+    def check_all(name, value):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a dict, got {value!r}")
+        for key, item in value.items():
+            _string(f"a key of {name}", key)
+            check(f"{name}[{key!r}]", item)
+        return value
+    return check_all
 
 
 def _of_type(kind: str):
@@ -108,6 +104,26 @@ def _of_type(kind: str):
             return value
         raise ConfigError(f"{name} must be a {kind}, got {value!r}")
     return check_type
+
+
+# The check of each type a field may name: these, and each record class, whose check
+# compares the name of its value's class (Record adds it).
+_CHECKS = {"int": _integer, "float": _finite, "str": _string, "bool": _of_type("bool"),
+           "bytes": _of_type("bytes")}
+
+
+def _check_of(kind: str):
+    """The check of a field annotated kind: X | None, tuple[X, ...], dict[str, X], or a
+    type in _CHECKS; TypeError for any other annotation."""
+    if kind.endswith(" | None"):
+        return _optional(_check_of(kind[:-len(" | None")]))
+    if kind.startswith("tuple[") and kind.endswith(", ...]"):
+        return _tuple_of(_check_of(kind[len("tuple["):-len(", ...]")]))
+    if kind.startswith("dict[str, ") and kind.endswith("]"):
+        return _dict_of(_check_of(kind[len("dict[str, "):-1]))
+    if kind not in _CHECKS:
+        raise TypeError(f"no check reads the annotation {kind!r}")
+    return _CHECKS[kind]
 
 
 _OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
@@ -157,9 +173,9 @@ class Record:
     of a field's name is its default, and a dict default is copied for each
     instance. The constructor binds fields by position or by name, refusing a
     missing, unknown or repeated one with TypeError, then calls __post_init__,
-    which calls check_fields before the class's own: each field of a type in
-    _CHECKS is checked, a field annotated bool or a record class's name by the
-    name of its value's class, and then its bound in the class's _bounds
+    which calls check_fields before the class's own: each field is checked as
+    its annotation reads (see _check_of; a class whose annotation no check
+    reads is refused when it is made), and then its bound in the class's _bounds
     table, such as {"rtt_ms": ">= 0"} (see _bounded). check_field checks one
     value so.
     A record equals a record of its own class with equal fields and prints as
@@ -175,12 +191,11 @@ class Record:
 
     def __init_subclass__(cls, frozen: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
-        _TYPES.add(cls.__name__)
         annotations = cls.__annotations__
         cls._fields = tuple(annotations)
         cls._defaults = {name: vars(cls)[name] for name in annotations if name in vars(cls)}
-        cls._checks = {name: _CHECKS[kind] if kind in _CHECKS else _of_type(kind)
-                       for name, kind in annotations.items() if kind in _CHECKS or kind in _TYPES}
+        cls._checks = {name: _check_of(kind) for name, kind in annotations.items()}
+        _CHECKS[cls.__name__] = _of_type(cls.__name__)
         for name, bound in cls._bounds.items():
             cls._checks[name] = _bounded(cls._checks[name], bound)  # KeyError: no such field
         rules = vars(cls).get("__post_init__", Record.__post_init__)

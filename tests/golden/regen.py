@@ -7,14 +7,17 @@ Its "expect" records the exit code and the sha256 of stdout, of stderr and of
 each file the run wrote or changed there. An input written as "@name" is a
 copy of the packaged data file name.
 
-    PYTHONPATH=src python tests/golden/regen.py          # list the entries that changed
-    PYTHONPATH=src python tests/golden/regen.py --write  # and record their new digests
+    PYTHONPATH=src python tests/golden/regen.py                 # list the entries that changed
+    PYTHONPATH=src python tests/golden/regen.py --write         # and record their new digests
+    PYTHONPATH=src python tests/golden/regen.py --write ID ...  # record only these entries'
 
 It prints each changed entry's id on stdout, and on stderr its argv, its new
 exit code and the last line of its new stderr, so that a re-recorded message
 can be read; the last line on stderr counts the changed entries. It exits 1
-if an entry changed and --write was not given. A change that alters output on
-purpose lists the changed entries in CHANGES.md.
+if an entry changed that it did not record: without --write, or outside the
+ids given after it. An id that names no entry is refused before any run. A
+change that alters output on purpose lists the changed entries in CHANGES.md,
+and `--write` with those ids records exactly them.
 """
 
 from __future__ import annotations
@@ -91,9 +94,15 @@ def dump(corpus: dict) -> str:
 
 
 def main(argv=None) -> int:
-    write = "--write" in (sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    write = "--write" in argv
+    named = set(argv[argv.index("--write") + 1:]) if write else set()
     corpus = load()
-    changed = 0
+    unknown = named - {entry["id"] for entry in corpus["entries"]}
+    if unknown:
+        print(f"no entry has the id {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 1
+    changed = recorded = 0
     for entry in corpus["entries"]:
         got, err = run(entry, corpus["inputs"])
         if got != entry.get("expect"):
@@ -102,11 +111,13 @@ def main(argv=None) -> int:
             last = err.splitlines()[-1] if err else "(no stderr)"
             print(f"{entry['id']}: {json.dumps(entry['argv'])} exit {got['code']}: {last}",
                   file=sys.stderr)
-            entry["expect"] = got
-    if write and changed:
+            if write and (not named or entry["id"] in named):
+                recorded += 1
+                entry["expect"] = got
+    if recorded:
         CORPUS.write_text(dump(corpus), encoding="utf-8")
     print(f"{changed} of {len(corpus['entries'])} entries changed", file=sys.stderr)
-    return 1 if changed and not write else 0
+    return 1 if changed > recorded else 0
 
 
 if __name__ == "__main__":

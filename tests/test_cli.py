@@ -1108,7 +1108,8 @@ def test_a_noise_sigma_a_draw_could_overflow_is_refused_before_any_row(tmp_path,
                          "--rtts", "10", "--stacks", "ClassicalSim", "--sizes", "4:80:1",
                          "--format", fmt)
     assert (code, out) == (1, "")
-    assert err.startswith("error: noise.std_ms 1.7e+308 ") and err.count("\n") == 1
+    assert err.startswith(f"error: --stacks, --rtts, --sizes, --trials, {path}: config "
+                          "noise.std_ms: noise.std_ms 1.7e+308 ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1121,7 +1122,8 @@ def test_a_mean_plus_noise_that_could_overflow_is_refused_before_any_row(tmp_pat
                          "--rtts", "4e307", "--stacks", "ClassicalSim", "--sizes", "4:80:1",
                          "--format", fmt)
     assert (code, out) == (1, "")
-    assert err.startswith("error: noise.std_ms 1e+307 is too large for a mean of ")
+    assert err.startswith(f"error: --stacks, --rtts, --sizes, --trials, {path}: config "
+                          "noise.std_ms: noise.std_ms 1e+307 is too large for a mean of ")
     assert err.count("\n") == 1
 
 
