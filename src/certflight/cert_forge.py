@@ -143,7 +143,7 @@ def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
     """Build a certificate of exactly target_bytes bytes.
 
     Deterministic: identical inputs yield byte-identical output. Raises
-    PaddingError (with the achievable minimum) for undersized targets,
+    PaddingError (naming the achievable minimum) for undersized targets,
     and for targets above MAX_CERT_BYTES before building anything.
 
     Where a length field around the padding widens, the total skips a
@@ -159,11 +159,8 @@ def pad_to_size(template: DerCertTemplate, target_bytes: int) -> bytes:
         raise PaddingError(f"target {target_bytes} is above the TLS limit of {MAX_CERT_BYTES}")
     minimum = minimum_size(template)
     if target_bytes < minimum:
-        raise PaddingError(
-            f"target {target_bytes} is below the minimum {minimum} bytes "
-            "for this template",
-            minimum_bytes=minimum,
-        )
+        raise PaddingError(f"target {target_bytes} is below the minimum {minimum} bytes "
+                           "for this template")
     for sig_stretch in range(8):
         pad = target_bytes - sum(map(len, _build(template, 0, sig_stretch)))
         for _ in range(8):

@@ -170,10 +170,14 @@ _SCHEME_ALIASES = {
 }
 
 
+def scheme_key(name: str) -> str:
+    """The table key that an aliased scheme name stands for; any other name is its own key."""
+    return _SCHEME_ALIASES.get(name.lower(), name)
+
+
 def resolve_scheme(name: str, schemes: dict[str, SchemeProfile] | None = None) -> SchemeProfile:
     """Look up a scheme profile by exact or aliased name."""
     table = DEFAULT_SCHEMES if schemes is None else schemes
-    canonical = _SCHEME_ALIASES.get(name.lower())
-    if name not in table and canonical in table:
-        return table[canonical]
+    if name not in table and scheme_key(name) in table:
+        return table[scheme_key(name)]
     return lookup(table, name, "scheme")

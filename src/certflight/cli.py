@@ -139,7 +139,9 @@ def _chain(args, cfg: Config) -> tuple[ChainSpec, tuple]:
     """The chain that the chain flags describe, and the dests its size comes from: --size-kb
     if given, else --scheme (ECDSA when not given), --mtc or --intermediates (1 when not
     given), and the scheme's profile in the config."""
-    scheme = resolve_scheme("ECDSA" if args.scheme is None else args.scheme, cfg.schemes)
+    name = "ECDSA" if args.scheme is None else args.scheme
+    with blame(_source(args, cfg, "scheme", f"schemes.{chain_model.scheme_key(name)}")):
+        scheme = resolve_scheme(name, cfg.schemes)
     spec = ChainSpec(scheme, intermediates=1 if args.intermediates is None else args.intermediates,
                      mtc=args.mtc, explicit_size_kb=args.size_kb)
     if args.size_kb is not None:
@@ -147,21 +149,22 @@ def _chain(args, cfg: Config) -> tuple[ChainSpec, tuple]:
     return spec, ("scheme", "mtc" if args.mtc else "intermediates", f"schemes.{scheme.name}")
 
 
-def _stack(args, cfg: Config) -> tuple[StackProfile, tuple]:
-    """The stack that --stack names (ClassicalSim when not given), and the dests its profile
-    comes from: --stack and the stack's profile in the config."""
-    stack = resolve_stack("ClassicalSim" if args.stack is None else args.stack, cfg.stacks)
-    return stack, ("stack", f"stacks.{stack.name}")
-
-
-def _chain_kb_for(args, cfg: Config) -> tuple[float, tuple]:
-    """The chain's size in KB (--size-kb may be 0 here), and the dests it came from."""
+def _model(args, cfg: Config) -> tuple[StackProfile, NetworkPath, float, str]:
+    """The stack, the path at --rtt and the chain's size in KB (--size-kb may be 0 here) for
+    estimate and savings, each resolved under its source, and the source of every value read."""
+    name = "ClassicalSim" if args.stack is None else args.stack
+    profile = ("stack", f"stacks.{name}")
+    with blame(_source(args, cfg, *profile)):
+        stack = resolve_stack(name, cfg.stacks)
     if args.size_kb is not None:
         with blame(_source(args, cfg, "size_kb")):
-            return check_size_kb(args.size_kb), ("size_kb",)
-    spec, dests = _chain(args, cfg)
-    with blame(_source(args, cfg, *dests)):
-        return chain_size_kb(spec), dests
+            chain, size_kb = ("size_kb",), check_size_kb(args.size_kb)
+    else:
+        spec, chain = _chain(args, cfg)
+        with blame(_source(args, cfg, *chain)):
+            size_kb = chain_size_kb(spec)
+    return (stack, NetworkPath(rtt_ms=args.rtt, flight=cfg.flight), size_kb,
+            _source(args, cfg, *profile, "rtt", *chain, "mode", "thresholds", "flight"))
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -214,10 +217,8 @@ def _document(payload):
 
 
 def cmd_estimate(args, cfg: Config) -> Output:
-    stack, profile = _stack(args, cfg)
-    path = NetworkPath(rtt_ms=args.rtt, flight=cfg.flight)
-    size_kb, chain = _chain_kb_for(args, cfg)
-    with blame(_source(args, cfg, *profile, "rtt", *chain, "mode", "thresholds", "flight")):
+    stack, path, size_kb, source = _model(args, cfg)
+    with blame(source):
         est = estimate_ttfb(stack, path, size_kb, resumed=args.resumed)
     if args.format == "json":
         return Output(_document({
@@ -318,10 +319,8 @@ def cmd_regions(args, cfg: Config) -> Output:
 
 
 def cmd_savings(args, cfg: Config) -> Output:
-    stack, profile = _stack(args, cfg)
-    path = NetworkPath(rtt_ms=args.rtt, flight=cfg.flight)
-    size_kb, chain = _chain_kb_for(args, cfg)
-    with blame(_source(args, cfg, *profile, "rtt", *chain, "mode", "thresholds", "flight")):
+    stack, path, size_kb, source = _model(args, cfg)
+    with blame(source):
         est = estimate_savings(stack, path, size_kb, args.rate)
     if args.format == "json":
         return Output(_document(est.asdict()))

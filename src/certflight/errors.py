@@ -19,15 +19,7 @@ class LogFormatError(ValueError):
 
 
 class PaddingError(ValueError):
-    """A certificate cannot be padded to the requested size.
-
-    Carries the minimum achievable size in ``minimum_bytes`` when the
-    target was too small.
-    """
-
-    def __init__(self, message, minimum_bytes=None):
-        super().__init__(message)
-        self.minimum_bytes = minimum_bytes
+    """A certificate cannot be padded to the requested size."""
 
 
 @contextlib.contextmanager

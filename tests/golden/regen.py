@@ -10,6 +10,7 @@ copy of the packaged data file name.
     PYTHONPATH=src python tests/golden/regen.py                 # list the entries that changed
     PYTHONPATH=src python tests/golden/regen.py --write         # and record their new digests
     PYTHONPATH=src python tests/golden/regen.py --write ID ...  # record only these entries'
+    PYTHONPATH=src python tests/golden/regen.py --show ID ...   # print these entries' runs
 
 It prints each changed entry's id on stdout, and on stderr its argv, its new
 exit code and the last line of its new stderr, so that a re-recorded message
@@ -18,6 +19,10 @@ if an entry changed that it did not record: without --write, or outside the
 ids given after it. An id that names no entry is refused before any run. A
 change that alters output on purpose lists the changed entries in CHANGES.md,
 and `--write` with those ids records exactly them.
+
+`--show` writes nothing: it prints each named entry's (every entry's, without ids)
+argv, exit code, stdout and stderr as it runs now, so that a pinned message can be
+read, not only its digest.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ def outcome(entry: dict, inputs: dict) -> dict:
     return run(entry, inputs)[0]
 
 
-def run(entry: dict, inputs: dict) -> tuple[dict, str]:
-    """Run the entry's argv in a fresh directory; its outcome and its stderr text."""
+def run(entry: dict, inputs: dict) -> tuple[dict, str, str]:
+    """Run the entry's argv in a fresh directory; its outcome, its stdout and its stderr text."""
     from certflight.cli import main
     from certflight.config import ENV_CONFIG, _data_path
 
@@ -79,7 +84,7 @@ def run(entry: dict, inputs: dict) -> tuple[dict, str]:
             if path.is_file() and given.get(name) != path.read_bytes():
                 files[name] = _sha(path.read_bytes())
     return {"code": code, "stdout": _sha(out.getvalue().encode()),
-            "stderr": _sha(err.getvalue().encode()), "files": files}, err.getvalue()
+            "stderr": _sha(err.getvalue().encode()), "files": files}, out.getvalue(), err.getvalue()
 
 
 def dump(corpus: dict) -> str:
@@ -95,16 +100,24 @@ def dump(corpus: dict) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    write = "--write" in argv
-    named = set(argv[argv.index("--write") + 1:]) if write else set()
+    option = next((o for o in ("--show", "--write") if o in argv), None)
+    named = argv[argv.index(option) + 1:] if option else []
     corpus = load()
-    unknown = named - {entry["id"] for entry in corpus["entries"]}
+    entries = {entry["id"]: entry for entry in corpus["entries"]}
+    unknown = set(named) - entries.keys()
     if unknown:
         print(f"no entry has the id {', '.join(sorted(unknown))}", file=sys.stderr)
         return 1
+    if option == "--show":
+        for name in named or entries:
+            got, out, err = run(entries[name], corpus["inputs"])
+            print(f"== {name}: {json.dumps(entries[name]['argv'])} exit {got['code']}\n"
+                  f"-- stdout\n{out}-- stderr\n{err}", end="")
+        return 0
+    write = option == "--write"
     changed = recorded = 0
     for entry in corpus["entries"]:
-        got, err = run(entry, corpus["inputs"])
+        got, _, err = run(entry, corpus["inputs"])
         if got != entry.get("expect"):
             changed += 1
             print(entry["id"])

@@ -263,6 +263,8 @@ _HUGE = '{"leaf_kb": 1e308, "intermediate_kb": 1e308}'
 _INF = "size_kb must be a finite number, got inf"
 _FLAT = '{"stacks": {"ClassicalSim": {"base_ms": 1, "base_flights": 1e308}}}'
 _TTFB = "the TTFB of 1e+308 flights at rtt 10.0 ms overflows a float"
+_ONEFLIGHT = '{"stacks": {"OneFlight": {"base_ms": 5.0, "base_flights": 1.5}}}'
+_IW1 = '{"flight": {"iw_bytes": 1}}'
 
 
 @pytest.mark.parametrize("text, argv, line", [
@@ -284,11 +286,15 @@ _TTFB = "the TTFB of 1e+308 flights at rtt 10.0 ms overflows a float"
      f"--intermediates, {{path}}: config schemes.ECDSA: {_INF}"),
     ('{"schemes": {"ECDSA": %s}}' % _HUGE, ["forge", "--out-dir", "c"],
      "{path}: config schemes.ECDSA: a size of 1e+308 KB overflows a float byte count"),
+    # An alias names the profile it stands for.
+    ('{"schemes": {"ECDSA": %s}}' % _HUGE, ["estimate", "--scheme", "ecdsa", "--rtt", "1"],
+     f"--scheme, {{path}}: config schemes.ECDSA: {_INF}"),
+    ('{"schemes": {"ML-DSA": %s}}' % _HUGE, ["forge", "--scheme", "ml-dsa", "--out-dir", "c"],
+     "--scheme, {path}: config schemes.ML-DSA: a size of 1e+308 KB overflows a float byte count"),
     ('{"noise": {"kind": "gaussian", "std_ms": 1e308}}', ["sweep", "--trials", "2"],
      "--trials, {path}: config noise.std_ms: noise.std_ms 1e+308 is too large: "
      "a 2-trial draw could overflow a float"),
-    ('{"flight": {"iw_bytes": 1}}',
-     ["estimate", "--rtt", "1", "--size-kb", "1.7e305", "--mode", "analytic"],
+    (_IW1, ["estimate", "--rtt", "1", "--size-kb", "1.7e305", "--mode", "analytic"],
      "--rtt, --size-kb, --mode, {path}: config flight.iw_bytes: "
      "the capacity of 1024 flights overflows a float"),
     # A stack's profile is named by its own key, whether a flag or the plan names the stack.
@@ -298,17 +304,51 @@ _TTFB = "the TTFB of 1e+308 flights at rtt 10.0 ms overflows a float"
     (_FLAT, ["sweep"], f"{{path}}: config stacks.ClassicalSim: {_TTFB}"),
     ('{"stacks": {"X": {"base_ms": 1, "base_flights": 2}}}', ["sweep"],
      "{path}: config stacks.ClassicalSim: unknown stack 'ClassicalSim'; known: X"),
+    # A file's stacks or schemes table replaces the built-in one, default entry included.
+    (_ONEFLIGHT, ["estimate", "--rtt", "1"],
+     "{path}: config stacks.ClassicalSim: unknown stack 'ClassicalSim'; known: OneFlight"),
+    ('{"schemes": {"Big": %s}}' % _HUGE, ["estimate", "--rtt", "1"],
+     "{path}: config schemes.ECDSA: unknown scheme 'ECDSA'; known: Big"),
+    ('{"schemes": {"Big": %s}}' % _HUGE, ["estimate", "--scheme", "ecdsa", "--rtt", "1"],
+     "--scheme, {path}: config schemes.ECDSA: unknown scheme 'ecdsa'; known: Big"),
 ], ids=["thresholds-file", "thresholds-flag-and-file", "regions-file",
         "regions-file-optimizers-unread", "estimate-scheme-flag-and-file", "estimate-scheme-file",
-        "estimate-intermediates-and-file", "forge-scheme-file", "sweep-noise-file",
+        "estimate-intermediates-and-file", "forge-scheme-file", "estimate-alias-and-file",
+        "forge-alias-and-file", "sweep-noise-file",
         "estimate-flight-file", "estimate-stack-file", "estimate-stack-flag-and-file",
-        "sweep-stack-file", "sweep-stack-missing-from-file"])
+        "sweep-stack-file", "sweep-stack-missing-from-file", "estimate-stack-missing-from-file",
+        "estimate-scheme-missing-from-file", "estimate-alias-missing-from-file"])
 def test_a_function_argument_refusal_names_the_config_key_that_gave_it(tmp_path, capsys, text,
                                                                        argv, line):
     path = tmp_path / "cfg.json"
     path.write_text(text, encoding="utf-8")
     assert cli.main(["--config", str(path), *argv]) == 1
     assert capsys.readouterr() == ("", f"error: {line.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("text, flags, line", [
+    (None, ["--rtt", "1", "--size-kb", "10", "--stack", "nope"],
+     "--stack: unknown stack 'nope'; known: ClassicalSim, OqsHybrid, OqsMldsa, OqsSlhdsa"),
+    (_ONEFLIGHT, ["--rtt", "1", "--size-kb", "10"],
+     "{path}: config stacks.ClassicalSim: unknown stack 'ClassicalSim'; known: OneFlight"),
+    (_FLAT, ["--rtt", "10", "--size-kb", "10"],
+     f"--rtt, --size-kb, {{path}}: config stacks.ClassicalSim: {_TTFB}"),
+    (_IW1, ["--rtt", "1", "--size-kb", "1.7e305", "--mode", "analytic"],
+     "--rtt, --size-kb, --mode, {path}: config flight.iw_bytes: "
+     "the capacity of 1024 flights overflows a float"),
+    (None, ["--rtt", "1", "--size-kb", "1e306", "--mode", "analytic"],
+     "--rtt, --size-kb, --mode: the flight capacity for 1e+306 KB overflows a float"),
+], ids=["unknown-stack", "stack-missing-from-file", "ttfb-overflow", "capacity-overflow",
+        "size-overflow"])
+def test_savings_refuses_a_model_input_with_the_line_estimate_ends_with(tmp_path, text, flags,
+                                                                        line):
+    """estimate and savings resolve the model's inputs and their sources in one place."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text or "{}", encoding="utf-8")
+    config = ["--config", str(path)] if text else []
+    expected = (1, f"error: {line.format(path=path)}\n")
+    assert _run([*config, "estimate", *flags]) == expected
+    assert _run([*config, "savings", "--rate", "0.5", *flags]) == expected
 
 
 def test_a_refusal_with_no_source_keeps_its_message_unprefixed():
